@@ -12,6 +12,16 @@ The same sequence of records therefore always produces the same final
 hash, which is what the run-determinism and mode-equivalence checks
 compare.
 
+Record payload layout (every string is a 4-byte big-endian length, then
+that many UTF-8 bytes):
+
+    timestamp(8 BE) || kind || actor || detail_count(4 BE) || (key || value)*
+
+Because the kind string always starts at byte 8, `Journal.records(kind)`
+picks out one kind's blocks by that prefix and decodes only those; a
+payload that does not decode (truncated, trailing bytes, bad UTF-8,
+unknown kind) raises CorruptJournal.
+
 On-disk block layout (repeated per block, no file header):
 
     index(8 BE) || prev_hash(32) || payload_len(4 BE) || payload || hash(32)
@@ -19,6 +29,7 @@ On-disk block layout (repeated per block, no file header):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
@@ -60,19 +71,23 @@ class Clock:
         self._tick = tick
 
 
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+
+
 def _pack_str(s: str) -> bytes:
     data = s.encode("utf-8")
-    return struct.pack(">I", len(data)) + data
+    return _U32.pack(len(data)) + data
 
 
-def _unpack_str(buf: bytes, offset: int) -> tuple[str, int]:
-    if offset + 4 > len(buf):
-        raise CorruptJournal("truncated string length")
-    (n,) = struct.unpack_from(">I", buf, offset)
-    offset += 4
-    if offset + n > len(buf):
-        raise CorruptJournal("truncated string data")
-    return buf[offset:offset + n].decode("utf-8"), offset + n
+# Length-prefixed kind strings, built once per kind. A payload's kind sits
+# right after its 8-byte timestamp, so `payload.startswith(tag, 8)` tells a
+# record's kind without decoding it.
+_KIND_TAGS = {kind: _pack_str(kind.value) for kind in EventKind}
+_KINDS_BY_NAME = {kind.value: kind for kind in EventKind}
+
+# Detail keys come from the engine's small vocabulary, so each is packed once.
+_packed_key = functools.lru_cache(maxsize=1024)(_pack_str)
 
 
 @dataclass(frozen=True)
@@ -99,40 +114,55 @@ class EventRecord:
         raise KeyError(key)
 
     def to_bytes(self) -> bytes:
-        parts = [struct.pack(">Q", self.timestamp), _pack_str(self.kind.value), _pack_str(self.actor)]
-        parts.append(struct.pack(">I", len(self.details)))
+        actor = self.actor.encode("utf-8")
+        parts = [_U64.pack(self.timestamp), _KIND_TAGS[self.kind],
+                 _U32.pack(len(actor)), actor, _U32.pack(len(self.details))]
         for k, v in self.details:
-            parts.append(_pack_str(k))
-            parts.append(_pack_str(v))
+            data = v.encode("utf-8")
+            parts += (_packed_key(k), _U32.pack(len(data)), data)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "EventRecord":
         if len(payload) < 8:
             raise CorruptJournal("truncated timestamp")
-        (ts,) = struct.unpack_from(">Q", payload, 0)
-        kind_s, off = _unpack_str(payload, 8)
-        actor, off = _unpack_str(payload, off)
-        if off + 4 > len(payload):
-            raise CorruptJournal("truncated detail count")
-        (n,) = struct.unpack_from(">I", payload, off)
-        off += 4
-        details = []
-        for _ in range(n):
-            k, off = _unpack_str(payload, off)
-            v, off = _unpack_str(payload, off)
-            details.append((k, v))
+        head: list[str] = []
+        details: list[str] = []
+        try:
+            off = _read_strings(payload, 8, 2, head)
+            if off + 4 > len(payload):
+                raise CorruptJournal("truncated detail count")
+            off = _read_strings(payload, off + 4, 2 * _U32.unpack_from(payload, off)[0], details)
+        except UnicodeDecodeError as exc:
+            raise CorruptJournal(f"invalid UTF-8 in record payload: {exc.reason}") from None
         if off != len(payload):
             raise CorruptJournal("trailing bytes in record payload")
-        try:
-            kind = EventKind(kind_s)
-        except ValueError as exc:
-            raise CorruptJournal(f"unknown event kind {kind_s!r}") from exc
-        return cls(timestamp=ts, kind=kind, actor=actor, details=tuple(details))
+        kind_s, actor = head
+        kind = _KINDS_BY_NAME.get(kind_s)
+        if kind is None:
+            raise CorruptJournal(f"unknown event kind {kind_s!r}")
+        pairs = iter(details)
+        return cls(_U64.unpack_from(payload)[0], kind, actor, tuple(zip(pairs, pairs)))
+
+
+def _read_strings(buf: bytes, off: int, count: int, out: list[str]) -> int:
+    """Decode `count` length-prefixed UTF-8 strings from `buf` at `off` into
+    `out`; return the offset just past the last one."""
+    end = len(buf)
+    unpack = _U32.unpack_from
+    for _ in range(count):
+        if off + 4 > end:
+            raise CorruptJournal("truncated string length")
+        (n,) = unpack(buf, off)
+        off += 4 + n
+        if off > end:
+            raise CorruptJournal("truncated string data")
+        out.append(buf[off - n:off].decode("utf-8"))
+    return off
 
 
 def block_hash(index: int, prev_hash: bytes, payload: bytes) -> bytes:
-    return hashlib.sha256(struct.pack(">Q", index) + prev_hash + payload).digest()
+    return hashlib.sha256(_U64.pack(index) + prev_hash + payload).digest()
 
 
 @dataclass(frozen=True)
@@ -178,16 +208,26 @@ class Journal:
     def final_hash(self) -> bytes:
         return self._blocks[-1].hash if self._blocks else ZERO_HASH
 
-    def records(self) -> list[EventRecord]:
-        return [EventRecord.from_bytes(b.payload) for b in self._blocks]
+    def records(self, kind: EventKind | None = None) -> list[EventRecord]:
+        """Decoded records in journal order; with `kind`, only that kind's.
+
+        A filtered read decodes only the blocks whose payload carries the
+        kind's tag, so finding the settlements of a long run does not
+        decode its transfers and locks.
+        """
+        decode = EventRecord.from_bytes
+        if kind is None:
+            return [decode(b.payload) for b in self._blocks]
+        tag = _KIND_TAGS[kind]
+        return [decode(b.payload) for b in self._blocks if b.payload.startswith(tag, 8)]
 
     def export(self, path: str | Path) -> None:
         """Write all blocks to `path` atomically (temp file + rename)."""
         out = bytearray()
         for b in self._blocks:
-            out += struct.pack(">Q", b.index)
+            out += _U64.pack(b.index)
             out += b.prev_hash
-            out += struct.pack(">I", len(b.payload))
+            out += _U32.pack(len(b.payload))
             out += b.payload
             out += b.hash
         path = Path(path)
@@ -205,11 +245,11 @@ class Journal:
         while off < len(data):
             if off + 8 + 32 + 4 > len(data):
                 raise CorruptJournal("truncated block header")
-            (index,) = struct.unpack_from(">Q", data, off)
+            (index,) = _U64.unpack_from(data, off)
             off += 8
             prev = data[off:off + 32]
             off += 32
-            (plen,) = struct.unpack_from(">I", data, off)
+            (plen,) = _U32.unpack_from(data, off)
             off += 4
             if off + plen + 32 > len(data):
                 raise CorruptJournal("truncated block body")

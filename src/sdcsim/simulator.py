@@ -271,12 +271,22 @@ def _get_int(cp, section, key, minimum: int | None = None) -> int:
     return value
 
 
-def _get_float(cp, section, key) -> float:
-    raw = _get(cp, section, key)
+def _to_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioValidationError(key, f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioValidationError(key, f"must be finite, got {raw!r}")
+    return value
+
+
+def _get_float(cp, section, key) -> float:
+    return _to_float(_get(cp, section, key), key)
+
+
+def _get_floats(cp, section, key) -> tuple[float, ...]:
+    return tuple(_to_float(x.strip(), key) for x in _get(cp, section, key).split(","))
 
 
 def _parse_policy(raw: str, field: str) -> PolicySpec:
@@ -303,10 +313,13 @@ def _parse_product(cp, tick_years: float, grid: tuple[int, ...]) -> Product:
         for key in ("payment_times", "accruals"):
             if cp.has_option("contract", key):
                 raise ScenarioParseError(f"key {key!r} only applies to vanilla_swap")
-        return Forward(notional=notional, strike=strike, maturity=grid[-1] * tick_years)
+        try:
+            return Forward(notional=notional, strike=strike, maturity=grid[-1] * tick_years)
+        except ValueError as exc:
+            raise ScenarioValidationError("contract", str(exc)) from None
     if kind == "vanilla_swap":
-        times = tuple(float(x) for x in _get(cp, "contract", "payment_times").split(","))
-        accruals = tuple(float(x) for x in _get(cp, "contract", "accruals").split(","))
+        times = _get_floats(cp, "contract", "payment_times")
+        accruals = _get_floats(cp, "contract", "accruals")
         try:
             return VanillaSwap(notional=notional, fixed_rate=strike,
                                payment_times=times, accruals=accruals)
@@ -451,8 +464,8 @@ def _reconcile_settlements(journal: Journal, contract_id: str,
     from_journal = sorted(
         (int(r.detail("cycle")), r.timestamp, int(r.detail("amount")),
          r.detail("payer"), r.detail("receiver"))
-        for r in journal.records()
-        if r.kind is EventKind.SETTLEMENT and r.detail("contract") == contract_id)
+        for r in journal.records(EventKind.SETTLEMENT)
+        if r.detail("contract") == contract_id)
     from_report = sorted(
         (row.cycle, row.settle_tick, row.amount, row.payer, row.receiver)
         for row in cycles)

@@ -1,8 +1,9 @@
 """Independent oracles the tests check the engine against.
 
 Everything here is derived directly from definitions (explicit discount
-curves, telescoped cash-flow sums, raw hashlib chaining, exact-fraction
-quantile ranks) and deliberately shares no code with the package.
+curves, telescoped cash-flow sums, raw hashlib chaining, a field-by-field
+record codec, exact-fraction quantile ranks) and deliberately shares no
+code with the package.
 """
 
 from __future__ import annotations
@@ -62,6 +63,54 @@ def rechain(blocks) -> bool:
             return False
         prev = block.hash
     return True
+
+
+def _pack_str(s: str) -> bytes:
+    data = s.encode("utf-8")
+    return struct.pack(">I", len(data)) + data
+
+
+def _unpack_str(buf: bytes, offset: int) -> tuple[str, int]:
+    if offset + 4 > len(buf):
+        raise ValueError("truncated string length")
+    (n,) = struct.unpack_from(">I", buf, offset)
+    offset += 4
+    if offset + n > len(buf):
+        raise ValueError("truncated string data")
+    return buf[offset:offset + n].decode("utf-8"), offset + n
+
+
+def reference_encode(record) -> bytes:
+    """Record payload built field by field: timestamp, kind, actor, detail
+    count, then each key and value, every string length-prefixed."""
+    parts = [struct.pack(">Q", record.timestamp), _pack_str(record.kind.value),
+             _pack_str(record.actor), struct.pack(">I", len(record.details))]
+    for k, v in record.details:
+        parts.append(_pack_str(k))
+        parts.append(_pack_str(v))
+    return b"".join(parts)
+
+
+def reference_decode(payload: bytes) -> tuple:
+    """Inverse of `reference_encode`, as plain values:
+    (timestamp, kind string, actor, ((key, value), ...))."""
+    if len(payload) < 8:
+        raise ValueError("truncated timestamp")
+    (ts,) = struct.unpack_from(">Q", payload, 0)
+    kind, off = _unpack_str(payload, 8)
+    actor, off = _unpack_str(payload, off)
+    if off + 4 > len(payload):
+        raise ValueError("truncated detail count")
+    (n,) = struct.unpack_from(">I", payload, off)
+    off += 4
+    details = []
+    for _ in range(n):
+        k, off = _unpack_str(payload, off)
+        v, off = _unpack_str(payload, off)
+        details.append((k, v))
+    if off != len(payload):
+        raise ValueError("trailing bytes in record payload")
+    return ts, kind, actor, tuple(details)
 
 
 def sort_quantile(samples, q) -> int:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from sdcsim.cli import main
+from sdcsim.journal import ZERO_HASH, block_hash
 
 from test_simulator import scenario_text
 
@@ -94,6 +97,18 @@ def test_verify_flags_tampered_file(scenario_file, tmp_path):
     assert main(["verify", str(out / "journal.bin")]) == 2
 
 
+def test_verify_rejects_rehashed_journal_with_invalid_utf8(tmp_path, capsys):
+    # The chain is unkeyed, so anyone can rehash a doctored payload; the
+    # chain check passes and decoding the record must then fail cleanly.
+    payload = (struct.pack(">Q", 0) + struct.pack(">I", 8) + b"Transfer"
+               + struct.pack(">I", 2) + b"\xff\xfe" + struct.pack(">I", 0))
+    path = tmp_path / "journal.bin"
+    path.write_bytes(struct.pack(">Q", 0) + ZERO_HASH + struct.pack(">I", len(payload))
+                     + payload + block_hash(0, ZERO_HASH, payload))
+    assert main(["verify", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_verify_accepts_empty_journal(tmp_path):
     empty = tmp_path / "journal.bin"
     empty.write_bytes(b"")
@@ -135,3 +150,21 @@ def test_broken_path_file_is_an_input_error(scenario_file, tmp_path):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+SWAP = dict(contract__product="vanilla_swap", contract__strike="0.03",
+            contract__payment_times="0.5,1.0", contract__accruals="0.5,0.5",
+            contract__settlement_times="0,10,20", market__tick_years="0.05")
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"market__tick_years": "0"}, "contract"),
+    ({**SWAP, "contract__payment_times": "0.2,abc"}, "payment_times"),
+    ({"market__volatility": "nan"}, "volatility"),
+    ({"contract__notional": "inf"}, "notional"),
+], ids=["zero_tick_years", "non_numeric_payment_time", "nan_volatility", "inf_notional"])
+def test_bad_scenario_number_is_an_input_error(scenario_file, tmp_path, capsys, overrides, field):
+    path = scenario_file(**overrides)
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -9,7 +9,7 @@ from sdcsim import Clock, EventKind, EventRecord, Journal
 from sdcsim.errors import CorruptJournal
 from sdcsim.journal import ZERO_HASH, JournalBlock, block_hash
 
-from support import rechain
+from support import rechain, reference_decode, reference_encode
 
 
 def record(i: int = 0, kind: EventKind = EventKind.TRANSFER, **details) -> EventRecord:
@@ -61,6 +61,64 @@ def test_detail_order_is_canonical():
 def test_record_round_trips_through_bytes():
     rec = record(42, kind=EventKind.SETTLEMENT, contract="C", amount=17, value="-3.5")
     assert EventRecord.from_bytes(rec.to_bytes()) == rec
+
+
+records_strategy = st.builds(
+    lambda ts, kind, actor, details: EventRecord.create(ts, kind, actor, **details),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(EventKind),
+    st.text(max_size=12),
+    st.dictionaries(st.text(max_size=10), st.text(max_size=12), max_size=6),
+)
+
+
+@settings(max_examples=300)
+@given(records_strategy)
+def test_codec_matches_the_field_by_field_reference(rec):
+    payload = rec.to_bytes()
+    assert payload == reference_encode(rec)
+    assert EventRecord.from_bytes(payload) == rec
+    assert reference_decode(payload) == (rec.timestamp, rec.kind.value, rec.actor, rec.details)
+
+
+@settings(max_examples=50)
+@given(records_strategy)
+def test_every_truncation_of_a_payload_is_corrupt(rec):
+    payload = rec.to_bytes()
+    for cut in range(len(payload)):
+        with pytest.raises(CorruptJournal):
+            EventRecord.from_bytes(payload[:cut])
+    with pytest.raises(CorruptJournal):
+        EventRecord.from_bytes(payload + b"\x00")
+
+
+def test_invalid_utf8_payload_is_corrupt():
+    payload = EventRecord.create(1, EventKind.TRANSFER, "ab", note="xy").to_bytes()
+    bad = payload.replace(b"xy", b"\xff\xfe")
+    with pytest.raises(CorruptJournal, match="UTF-8"):
+        EventRecord.from_bytes(bad)
+
+
+def test_unknown_kind_is_corrupt():
+    payload = EventRecord.create(1, EventKind.LOCK, "ab").to_bytes()
+    with pytest.raises(CorruptJournal, match="unknown event kind 'Lick'"):
+        EventRecord.from_bytes(payload.replace(b"Lock", b"Lick"))
+
+
+def test_records_by_kind_match_a_filtered_full_decode():
+    journal = Journal()
+    rng = random.Random(5)
+    kinds = list(EventKind)
+    for i in range(400):
+        kind = rng.choice(kinds[:-1])  # the last kind never occurs
+        actor = rng.choice(["SYSTEM", "bank1#1", "bänk"])
+        # a detail value may spell another kind's name, packed exactly like its tag
+        journal.append(EventRecord.create(i, kind, actor, amount=rng.randrange(10**6),
+                                          note=rng.choice(kinds).value))
+    everything = journal.records()
+    for kind in EventKind:
+        assert journal.records(kind) == [r for r in everything if r.kind is kind]
+    assert journal.records(kinds[-1]) == []
 
 
 def test_indices_are_gapless():
