@@ -161,6 +161,25 @@ def _read_strings(buf: bytes, off: int, count: int, out: list[str]) -> int:
     return off
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace `path` with `data`, or leave it as it was.
+
+    The bytes go to `<path>.tmp`, are fsynced, then renamed over `path`;
+    if any step fails the temp file is removed and the error re-raised.
+    """
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, "wb") as out:
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def block_hash(index: int, prev_hash: bytes, payload: bytes) -> bytes:
     return hashlib.sha256(_U64.pack(index) + prev_hash + payload).digest()
 
@@ -222,7 +241,7 @@ class Journal:
         return [decode(b.payload) for b in self._blocks if b.payload.startswith(tag, 8)]
 
     def export(self, path: str | Path) -> None:
-        """Write all blocks to `path` atomically (temp file + rename)."""
+        """Write all blocks to `path` atomically (see `write_atomic`)."""
         out = bytearray()
         for b in self._blocks:
             out += _U64.pack(b.index)
@@ -230,10 +249,7 @@ class Journal:
             out += _U32.pack(len(b.payload))
             out += b.payload
             out += b.hash
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(bytes(out))
-        os.replace(tmp, path)
+        write_atomic(path, bytes(out))
 
     @classmethod
     def load(cls, path: str | Path) -> "Journal":

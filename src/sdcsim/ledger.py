@@ -15,7 +15,6 @@ untouched.
 from __future__ import annotations
 
 import io
-import os
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -27,7 +26,7 @@ from .errors import (
     NotIssuer,
     UnknownAccount,
 )
-from .journal import Clock, EventKind, EventRecord, Journal
+from .journal import Clock, EventKind, EventRecord, Journal, write_atomic
 
 AccountId = str
 
@@ -204,7 +203,4 @@ class Ledger:
         return buf.getvalue()
 
     def export_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(self.to_csv())
-        os.replace(tmp, path)
+        write_atomic(path, self.to_csv().encode())

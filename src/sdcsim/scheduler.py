@@ -1,4 +1,4 @@
-"""Event timeline and the three trigger regimes.
+"""Event timeline and the one replay loop behind the three trigger regimes.
 
 The timeline lays one cycle per settlement interval onto the integer
 tick grid: wallets open at t_i, close `prefund_window` ticks later, the
@@ -6,20 +6,20 @@ margin check runs on the following tick, and valuation then settlement
 share the period-end tick t_{i+1} (valuation strictly first). The final
 cycle carries a MATURITY event that posts the termination fees back.
 
-Three ways to drive the same engine:
+Every mode replays (tick, event, party) rows through one loop. Active
+(the trusted third party) and passive (party A requests each event)
+replay the timeline itself; driver replays a caller's script. Each row
+goes through `request_event`, the single admissibility check: it runs
+only if a contract party or the oracle account names the next-due
+timeline event at that event's scheduled tick, with the clock on that
+tick. Any other row (an early VALUATION, a late CLOSE_ACCOUNTS) changes
+no state and is journaled as a rejection.
 
-  * active  -- the engine fires each timeline event at its scheduled tick
-    (the trusted third party with market-data pre-checks).
-  * passive -- a party requests each event; the engine checks that the
-    request names the unique next-due event at its due tick by an
-    authorized account, and rejects without state change otherwise.
-  * driver  -- an explicit script of (tick, event, party) rows is
-    replayed; illegal steps are journaled as rejections, never raised.
-
-Agent policies get a hook every visited tick (after that tick's events),
-so deposits land inside open windows and all modes interleave agent
-actions identically. For a compliant scenario the three modes therefore
-produce bit-identical journals.
+The loop visits every tick from inception to maturity while the contract
+is live, running that tick's rows first and then the agent hooks, so
+agents act identically in every mode. Past the final grid tick, or once
+the contract has finished, it jumps from row to row. For the same
+scenario the three modes therefore produce bit-identical journals.
 """
 
 from __future__ import annotations
@@ -150,20 +150,17 @@ class Engine:
 
     def __init__(self, contract: ContractInstance, oracle: Oracle, clock: Clock,
                  journal: Journal, agents: dict[AccountId, AgentPolicy] | None = None,
-                 oracle_account: AccountId | None = None, retry_limit: int = 3):
+                 oracle_account: AccountId | None = None):
         self.contract = contract
         self.oracle = oracle
         self.clock = clock
         self.journal = journal
         self.agents = agents or {}
         self.oracle_account = oracle_account
-        self.retry_limit = retry_limit
         self.timeline = build_timeline(contract.spec)
         self.cycle_log: list[CycleRecord] = []
         self.init_error: PreconditionFailed | None = None
         self._cursor = 0
-        self._pending_f: SettlementAmount | None = None
-        self._journal_rejections = False
 
     @property
     def ledger(self) -> Ledger:
@@ -173,15 +170,32 @@ class Engine:
     def spec(self) -> ContractSpec:
         return self.contract.spec
 
-    # -- top-level runs --
+    # -- the replay loop --
 
     def run(self, mode: Mode = Mode.ACTIVE, script: Sequence[ScriptStep] | None = None) -> None:
+        """Replay `script` (driver mode) or the timeline (every other mode)."""
         if not self._initialize():
             return
-        if mode is Mode.DRIVER:
-            self._run_driver(script if script is not None else timeline_script(self.spec))
-        else:
-            self._run_scheduled(passive=(mode is Mode.PASSIVE))
+        if mode is not Mode.DRIVER or script is None:
+            script = timeline_script(self.spec)
+        last = self.spec.settlement_times[-1]
+        tick = self.clock.now()
+        i = 0
+        while True:
+            self.clock.advance_to(tick)
+            while i < len(script) and script[i].tick <= tick:
+                step = script[i]
+                i += 1
+                outcome = self.request_event(step.party, step.kind, step.tick)
+                if not outcome.accepted:
+                    self._journal_rejection(step, outcome.reason)
+            self._agent_hooks()
+            if tick < last and not self._finished():
+                tick += 1
+            elif i < len(script):
+                tick = script[i].tick  # nothing can fire in between: jump to the next row
+            else:
+                return
 
     def _initialize(self) -> bool:
         if self.contract.phase is not Phase.PRE_CHECK:
@@ -195,53 +209,16 @@ class Engine:
             return False
         return True
 
-    def _run_scheduled(self, passive: bool) -> None:
-        grid = self.spec.settlement_times
-        for tick in range(grid[0], grid[-1] + 1):
-            self.clock.advance_to(tick)
-            while self._cursor < len(self.timeline) and self.timeline[self._cursor].tick == tick:
-                if passive:
-                    outcome = self.request_event(self.spec.party_a,
-                                                 self.timeline[self._cursor].kind, tick)
-                    if not outcome.accepted:
-                        break  # leave the event pending instead of re-requesting forever
-                else:
-                    entry = self.timeline[self._cursor]
-                    self._cursor += 1
-                    self._fire(entry)
-            self._agent_hooks()
-            if self._finished():
-                break
-
-    def _run_driver(self, script: Sequence[ScriptStep]) -> None:
-        self._journal_rejections = True
-        try:
-            i = 0
-            while i < len(script):
-                step = script[i]
-                if step.tick < self.clock.now():
-                    self._reject_step(step, "time-travel")
-                    i += 1
-                    continue
-                self.clock.advance_to(step.tick)
-                while i < len(script) and script[i].tick == step.tick:
-                    self._attempt_step(script[i])
-                    i += 1
-                self._agent_hooks()
-        finally:
-            self._journal_rejections = False
-
-    # -- passive-mode entry point --
-
     def request_event(self, party: AccountId, kind: LifecycleEvent, now: int) -> RequestOutcome:
         """Execute the event iff it is the next due timeline event, requested
-        at its scheduled tick by a contract party or the oracle account."""
+        at its scheduled tick (which the clock must show) by a contract party
+        or the oracle account. A rejection changes nothing."""
         if party not in self.spec.parties and party != self.oracle_account:
             return RequestOutcome.rejected("NotAuthorized")
         if self._cursor >= len(self.timeline):
             return RequestOutcome.rejected("NotDue")
         entry = self.timeline[self._cursor]
-        if kind is not entry.kind or now != entry.tick:
+        if kind is not entry.kind or now != entry.tick or now != self.clock.now():
             return RequestOutcome.rejected("NotDue")
         self._cursor += 1
         try:
@@ -251,24 +228,7 @@ class Engine:
             return RequestOutcome.rejected(str(exc))
         return RequestOutcome.ok()
 
-    def _attempt_step(self, step: ScriptStep) -> None:
-        if step.party not in self.spec.parties and step.party != self.oracle_account:
-            self._reject_step(step, "NotAuthorized")
-            return
-        if self._cursor >= len(self.timeline) or step.kind is not self.timeline[self._cursor].kind:
-            self._reject_step(step, "NotDue")
-            return
-        entry = self.timeline[self._cursor]
-        self._cursor += 1
-        try:
-            self._fire(entry)
-        except SdcError as exc:
-            self._cursor -= 1
-            self._reject_step(step, str(exc))
-
-    def _reject_step(self, step: ScriptStep, reason: str) -> None:
-        if not self._journal_rejections:
-            return
+    def _journal_rejection(self, step: ScriptStep, reason: str) -> None:
         state = self.contract.state().label()
         self.journal.append(EventRecord.create(
             self.clock.now(), EventKind.STATE_TRANSITION, step.party,
@@ -287,8 +247,6 @@ class Engine:
                 c.return_fees()
             return
         now = self.clock.now()
-        if entry.kind is LifecycleEvent.OPEN_ACCOUNTS:
-            return  # wallets were reopened by initialization / the settlement itself
         if entry.kind is LifecycleEvent.CLOSE_ACCOUNTS:
             c.close_accounts(now)
         elif entry.kind is LifecycleEvent.MARGIN_CHECK:
@@ -296,37 +254,26 @@ class Engine:
         elif entry.kind is LifecycleEvent.VALUATION:
             self._run_valuation(entry)
         elif entry.kind is LifecycleEvent.SETTLEMENT:
-            outcome = c.settle(self._pending_f, now)
-            self._log_cycle(entry, outcome)
-            self._pending_f = None
-        elif entry.kind is LifecycleEvent.MATURITY:
-            return  # meaningful only once the contract matured (handled above)
+            f = c.pending_valuation
+            outcome = c.settle(f, now)
+            self._log_cycle(entry, f, outcome)
+        # OPEN_ACCOUNTS is a no-op (initialization and each settlement reopen
+        # the wallets); MATURITY matters only once the contract matured (above).
 
     def _run_valuation(self, entry: TimelineEntry) -> None:
         grid = self.spec.settlement_times
-        period = (grid[entry.cycle], grid[entry.cycle + 1])
-        failure: MissingSnapshot | None = None
-        for _ in range(1 + self.retry_limit):
-            try:
-                amount = self.oracle.query(self.spec.binding, *period)
-                self.contract.deliver_valuation(amount)
-                self._pending_f = amount
-                return
-            except MissingSnapshot as exc:
-                failure = exc
-        self.contract.mark_error(str(failure))
+        try:
+            amount = self.oracle.query(self.spec.binding, grid[entry.cycle], grid[entry.cycle + 1])
+        except MissingSnapshot as exc:
+            self.contract.mark_error(str(exc))
+            return
+        self.contract.deliver_valuation(amount)
 
-    def _log_cycle(self, entry: TimelineEntry, outcome: SettleOutcome) -> None:
-        store = getattr(self.oracle, "store", None)
-        value_end = None
-        if store is not None and store.has(entry.tick):
-            from .valuation import get_pricer
-            pricer = get_pricer(self.spec.pricer_version)
-            value_end = pricer(self.spec.product, entry.tick * self.spec.tick_years,
-                               store.get(entry.tick))
+    def _log_cycle(self, entry: TimelineEntry, f: SettlementAmount,
+                   outcome: SettleOutcome) -> None:
         self.cycle_log.append(CycleRecord(
             cycle=entry.cycle, period_start=self.spec.settlement_times[entry.cycle],
-            settle_tick=entry.tick, value_end=value_end, f_value=outcome.value,
+            settle_tick=entry.tick, value_end=f.value_end, f_value=outcome.value,
             amount=outcome.amount, payer=outcome.payer or "", receiver=outcome.receiver or "",
             result=outcome.result.value))
 

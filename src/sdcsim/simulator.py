@@ -27,7 +27,6 @@ from __future__ import annotations
 import configparser
 import io
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
@@ -35,8 +34,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .contract import ContractInstance, ContractSpec, Phase
-from .errors import ScenarioParseError, ScenarioValidationError
-from .journal import Clock, EventKind, Journal
+from .errors import ScenarioParseError, ScenarioValidationError, UnknownPricer
+from .journal import Clock, EventKind, Journal, write_atomic
 from .ledger import AccountId, Bucket, Ledger
 from .scheduler import CycleRecord, Engine, Mode
 from .valuation import (
@@ -354,6 +353,11 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         raise ScenarioValidationError("settlement_times", "must be comma-separated ticks") from None
 
     product = _parse_product(cp, tick_years, grid)
+    pricer_version = _get(cp, "contract", "pricer")
+    try:
+        get_pricer(pricer_version)
+    except UnknownPricer as exc:
+        raise ScenarioValidationError("pricer", str(exc)) from None
     try:
         spec = ContractSpec(
             contract_id=_get(cp, "contract", "contract_id"),
@@ -366,7 +370,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             fee_a=_get_int(cp, "contract", "fee_a", minimum=0),
             fee_b=_get_int(cp, "contract", "fee_b", minimum=0),
             prefund_window=_get_int(cp, "contract", "prefund_window", minimum=1),
-            pricer_version=_get(cp, "contract", "pricer"),
+            pricer_version=pricer_version,
             tick_years=tick_years,
         )
     except (ValueError, TypeError) as exc:
@@ -613,14 +617,11 @@ def render_report_text(report: RunReport) -> str:
 
 
 def write_report(report: RunReport, path: str | Path, fmt: str = "text") -> None:
-    """Render deterministically and write atomically (temp file + rename)."""
+    """Render deterministically and write atomically (see `write_atomic`)."""
     if fmt == "csv":
         payload = render_report_csv(report)
     elif fmt == "text":
         payload = render_report_text(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(payload)
-    os.replace(tmp, path)
+    write_atomic(path, payload.encode())

@@ -129,6 +129,7 @@ class SettlementAmount:
 
     value: float
     as_of: int            # period-end tick
+    value_end: float | None = None   # V(t_end) on the end snapshot, when priced
 
 
 def settlement_amount(product: Product, period_start: int, period_end: int,
@@ -148,8 +149,10 @@ def settlement_amount(product: Product, period_start: int, period_end: int,
             f"snapshots at ({snap_old.as_of}, {snap_new.as_of}) do not match "
             f"period ({period_start}, {period_end})")
     t = period_end * tick_years
-    return SettlementAmount(value=pricer(product, t, snap_new) - pricer(product, t, snap_old),
-                            as_of=period_end)
+    value_end = pricer(product, t, snap_new)
+    # positional: keyword construction of this frozen dataclass costs
+    # measurably more, and calibration calls this once per trial
+    return SettlementAmount(value_end - pricer(product, t, snap_old), period_end, value_end)
 
 
 def round_to_minor_units(value: float) -> int:
@@ -228,11 +231,15 @@ class OracleBinding:
 class MarginOracle:
     """Settlement-amount source shared by both parties.
 
-    One valuation per (contract, period): computed from stored snapshots,
-    journaled as a Valuation event, cached for idempotent re-queries.
+    One valuation per (contract, period): computed by `_compute`, here from
+    stored snapshots, journaled as a Valuation event, cached for idempotent
+    re-queries. The journaled pricer is `pricer_label`, or the binding's
+    pricer version when that is None.
     """
 
-    def __init__(self, store: MarketStore, journal: Journal, clock: Clock):
+    pricer_label: str | None = None
+
+    def __init__(self, store: MarketStore | None, journal: Journal, clock: Clock):
         self.store = store
         self._journal = journal
         self._clock = clock
@@ -242,46 +249,43 @@ class MarginOracle:
         key = (binding.contract_id, period_start, period_end)
         if key in self._cache:
             return self._cache[key]
-        pricer = get_pricer(binding.pricer_version)
-        snap_old = self.store.get(period_start)
-        snap_new = self.store.get(period_end)
-        amount = settlement_amount(binding.product, period_start, period_end,
-                                   snap_old, snap_new, binding.tick_years, pricer)
+        amount = self._compute(binding, period_start, period_end)
         self._journal.append(EventRecord.create(
             self._clock.now(), EventKind.VALUATION, SYSTEM_ACTOR,
             contract=binding.contract_id, period_start=period_start,
             period_end=period_end, value=repr(amount.value),
-            pricer=binding.pricer_version))
+            pricer=self.pricer_label or binding.pricer_version))
         self._cache[key] = amount
         return amount
 
+    def _compute(self, binding: OracleBinding, period_start: int,
+                 period_end: int) -> SettlementAmount:
+        pricer = get_pricer(binding.pricer_version)
+        snap_old = self.store.get(period_start)
+        snap_new = self.store.get(period_end)
+        return settlement_amount(binding.product, period_start, period_end,
+                                 snap_old, snap_new, binding.tick_years, pricer)
 
-class ScriptedOracle:
-    """Drop-in oracle returning prescribed per-period values (test/driver use).
 
-    Journals and caches exactly like MarginOracle so runs stay comparable.
+class ScriptedOracle(MarginOracle):
+    """Oracle returning prescribed per-period values (test/driver use).
+
+    It has no snapshot store; caching and journaling are MarginOracle's,
+    with the pricer journaled as "scripted".
     """
+
+    pricer_label = "scripted"
 
     def __init__(self, journal: Journal, clock: Clock,
                  values: dict[tuple[int, int], float]):
-        self._journal = journal
-        self._clock = clock
+        super().__init__(None, journal, clock)
         self._values = dict(values)
-        self._cache: dict[tuple[str, int, int], SettlementAmount] = {}
 
-    def query(self, binding: OracleBinding, period_start: int, period_end: int) -> SettlementAmount:
-        key = (binding.contract_id, period_start, period_end)
-        if key in self._cache:
-            return self._cache[key]
+    def _compute(self, binding: OracleBinding, period_start: int,
+                 period_end: int) -> SettlementAmount:
         try:
             value = self._values[(period_start, period_end)]
         except KeyError:
             raise MissingSnapshot(
                 f"no scripted value for period ({period_start}, {period_end})") from None
-        amount = SettlementAmount(value=value, as_of=period_end)
-        self._journal.append(EventRecord.create(
-            self._clock.now(), EventKind.VALUATION, SYSTEM_ACTOR,
-            contract=binding.contract_id, period_start=period_start,
-            period_end=period_end, value=repr(value), pricer="scripted"))
-        self._cache[key] = amount
-        return amount
+        return SettlementAmount(value=value, as_of=period_end)

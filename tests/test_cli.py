@@ -148,6 +148,14 @@ def test_broken_path_file_is_an_input_error(scenario_file, tmp_path):
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("mode", ["active", "passive", "driver"])
+def test_unknown_pricer_is_an_input_error_in_every_mode(scenario_file, tmp_path, capsys, mode):
+    path = scenario_file(contract__pricer="no-such-pricer")
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--mode", mode, "--out", str(tmp_path / "o")]) == 2
+    assert "error: pricer:" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

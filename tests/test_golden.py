@@ -1,4 +1,4 @@
-"""Pinned final journal hashes.
+"""Pinned final journal hashes and report bytes.
 
 The determinism tests compare one run with another, so a change that
 alters every journal in the same way would pass them. These hashes pin
@@ -10,12 +10,14 @@ long forward grid.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from sdcsim import Mode, load_scenario, parse_scenario, run_simulation
+from sdcsim.simulator import render_report_csv, render_report_text
 
 from test_simulator import scenario_text
 
@@ -44,6 +46,45 @@ GOLDEN = {
         "c0692d25d7fe9a7bc96445c0654abb335d8d4a679605a74859cd5d34fe737b57",
     ("long_grid", "active"):
         "c3c29e04c9b7c31c5062f5016e8efb62e94be0eecc435d59829b05e819fe24bf",
+}
+
+# SHA-256 of render_report_csv and render_report_text for each case. The
+# report's value_end column comes from the oracle's pricing, not the journal,
+# so these pin what the journal hashes cannot.
+REPORTS = {
+    ("defaulting_counterparty", "active"): (
+        "3be3e485e3e4504c7b3743ec3221a863cef0b0a05d45ac7ec28f180ec60c0806",
+        "a6816df7ef2c59303f195d4af99203dfc69e7b5036494ffdf01c2d1caa7b166c"),
+    ("defaulting_counterparty", "driver"): (
+        "3be3e485e3e4504c7b3743ec3221a863cef0b0a05d45ac7ec28f180ec60c0806",
+        "59e79b0fe807b2e2a807c1fd02ede92af4a426d7bc8f526053a6ee214d897f04"),
+    ("defaulting_counterparty", "passive"): (
+        "3be3e485e3e4504c7b3743ec3221a863cef0b0a05d45ac7ec28f180ec60c0806",
+        "44f29f0b4411fd940b7d2d81c0b8e1976f81d4deb87dc2ffa4e5c744eee29821"),
+    ("flat_forward", "active"): (
+        "5249852f8aeb9fa45a3015b880042da317b50cdd2b08764fc80986dfbe3b41e6",
+        "251eee105dff5c3a82c158c5b3a67a5ec1ff80f611e8c7d84d201a2dbf9e7df4"),
+    ("flat_forward", "driver"): (
+        "5249852f8aeb9fa45a3015b880042da317b50cdd2b08764fc80986dfbe3b41e6",
+        "ab8ca3b13c08daf2bd7ffa4dbe812a00db865512adb60febfa308a9d34938a99"),
+    ("flat_forward", "passive"): (
+        "5249852f8aeb9fa45a3015b880042da317b50cdd2b08764fc80986dfbe3b41e6",
+        "8ed0742431d67e59dd7d91fbfcbe94a20db8b0fd0557318ae6610b66ab85a7e8"),
+    ("long_grid", "active"): (
+        "11ce0ac09d0a9566a6fc2812e587ee830dc3ba02eaa426f835eb92d1a9a95668",
+        "3c8ff39b2e40697d9aeb7eb3b0ea17d56c9a42ce88cfeb5d8147105dd0ad8c05"),
+    ("vanilla_swap", "active"): (
+        "b81ee3322ab3680ff156a7613f02ec95b5c6bb6944b2751287f8b698bce28068",
+        "a20f151c827be78b62535264aaa9a3db08c52cd3afe491b7e11c24cff88dc160"),
+    ("volatile_forward", "active"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "a63dbfcbe1439c15705ae9189c7d8b5c24862fceece41caf7364d9259cb682e7"),
+    ("volatile_forward", "driver"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "db6b02c8e6358ddfd75fec59faee542d135de51bf82e30efb3d9e2a446660391"),
+    ("volatile_forward", "passive"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "ada933258ebdc1eee5118fa186b62e8a74588d56c74daab19cd4dd14fe2dc111"),
 }
 
 SWAP_PAYMENTS = 8
@@ -98,14 +139,22 @@ def _scenario(name: str, tmp_path: Path):
     return load_scenario(SCENARIOS / f"{name}.ini")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name,mode", sorted(GOLDEN))
 def test_final_journal_hash_is_pinned(name, mode, tmp_path):
     scenario = replace(_scenario(name, tmp_path), mode=Mode(mode))
     artifacts = run_simulation(scenario)
     assert all(artifacts.report.checks.values())
     assert artifacts.journal.final_hash().hex() == GOLDEN[name, mode]
+    report = artifacts.report
+    assert (_sha256(render_report_csv(report)), _sha256(render_report_text(report))) \
+        == REPORTS[name, mode]
 
 
 def test_golden_set_covers_every_bundled_scenario_in_every_mode():
     bundled = {p.stem for p in SCENARIOS.glob("*.ini")}
     assert {(name, mode.value) for name in bundled for mode in Mode} <= set(GOLDEN)
+    assert set(REPORTS) == set(GOLDEN)

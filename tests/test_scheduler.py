@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from sdcsim import (
@@ -110,14 +112,14 @@ def test_withdrawal_in_cycle_two_triggers_prefund_termination_there():
     assert state.at == 20 + 3 + 1  # cycle-2 margin check tick
 
 
-def test_missing_snapshot_retries_then_suspends():
+def test_missing_snapshot_suspends():
     contract, clock, journal, ledger = make_contract()
     store = MarketStore()
     store.add(MarketSnapshot(as_of=0, spot=100.0, zero_rate=0.0))
     # no snapshot at the first settlement tick 10
     oracle = MarginOracle(store, journal, clock)
     agents = {p: CompliantAgent() for p in contract.spec.parties}
-    engine = Engine(contract, oracle, clock, journal, agents=agents, retry_limit=2)
+    engine = Engine(contract, oracle, clock, journal, agents=agents)
     engine.run(Mode.ACTIVE)
     assert contract.phase is Phase.ERROR
     assert "tick 10" in contract.state().detail
@@ -186,17 +188,27 @@ def test_driver_replay_of_active_sequence_is_bit_identical():
     assert driver.ledger.to_csv() == active.ledger.to_csv()
 
 
+def rejections(engine):
+    return [r for r in engine.journal.records(EventKind.STATE_TRANSITION)
+            if r.detail("cause") == "rejected"]
+
+
+def moved(script, kind, tick):
+    """The script with the first row of `kind` moved to `tick`, in tick order."""
+    i = next(i for i, s in enumerate(script) if s.kind is kind)
+    script = script[:i] + [replace(script[i], tick=tick)] + script[i + 1:]
+    return sorted(script, key=lambda s: s.tick)
+
+
 def test_driver_duplicate_settlement_is_journaled_as_rejected():
     engine = make_engine()
     script = timeline_script(engine.spec)
     settle_i = next(i for i, s in enumerate(script) if s.kind is E.SETTLEMENT)
     script.insert(settle_i + 1, script[settle_i])
     engine.run(Mode.DRIVER, script=script)
-    rejections = [r for r in engine.journal.records()
-                  if r.kind is EventKind.STATE_TRANSITION
-                  and dict(r.details).get("cause") == "rejected"]
-    assert len(rejections) == 1
-    assert rejections[0].detail("event") == "SETTLEMENT"
+    rejected = rejections(engine)
+    assert len(rejected) == 1
+    assert rejected[0].detail("event") == "SETTLEMENT"
     assert engine.contract.state().cause is TerminationCause.MATURED
 
 
@@ -212,11 +224,52 @@ def test_driver_unauthorized_row_is_rejected():
     engine = make_engine()
     script = [ScriptStep(0, E.OPEN_ACCOUNTS, "nobody#99")] + timeline_script(engine.spec)
     engine.run(Mode.DRIVER, script=script)
-    rejections = [r for r in engine.journal.records()
-                  if r.kind is EventKind.STATE_TRANSITION
-                  and dict(r.details).get("cause") == "rejected"]
-    assert [r.detail("reason") for r in rejections] == ["NotAuthorized"]
+    assert [r.detail("reason") for r in rejections(engine)] == ["NotAuthorized"]
     assert engine.contract.state().cause is TerminationCause.MATURED
+
+
+def test_driver_early_valuation_is_rejected_before_the_oracle_is_asked():
+    engine = make_engine(values=(7.0, -3.0, 2.0))
+    engine.run(Mode.DRIVER, script=moved(timeline_script(engine.spec), E.VALUATION, 5))
+    valuations = engine.journal.records(EventKind.VALUATION)
+    assert all(r.timestamp >= int(r.detail("period_end")) for r in valuations)
+    first = rejections(engine)[0]
+    assert (first.timestamp, first.detail("event"), first.detail("reason")) \
+        == (5, "VALUATION", "NotDue")
+
+
+def test_driver_late_close_accounts_is_rejected_and_the_window_stays_open():
+    engine = make_engine()
+    engine.run(Mode.DRIVER, script=moved(timeline_script(engine.spec), E.CLOSE_ACCOUNTS, 8))
+    assert [(r.timestamp, r.detail("event"), r.detail("reason"))
+            for r in rejections(engine)[:2]] \
+        == [(4, "MARGIN_CHECK", "NotDue"), (8, "CLOSE_ACCOUNTS", "NotDue")]
+    closes = [r for r in engine.journal.records(EventKind.STATE_TRANSITION)
+              if r.detail("cause") == "window-closed"]
+    assert closes == []
+    assert engine.contract.phase is Phase.ACCOUNTS_OPEN
+
+
+class CountingAgent(CompliantAgent):
+    def __init__(self):
+        self.calls = 0
+
+    def on_tick(self, engine, party):
+        self.calls += 1
+        super().on_tick(engine, party)
+
+
+def test_driver_row_far_past_maturity_costs_one_step():
+    engine = make_engine()
+    counter = engine.agents[engine.spec.party_b] = CountingAgent()
+    script = timeline_script(engine.spec) + [ScriptStep(10**12, E.SETTLEMENT, engine.spec.party_a)]
+    engine.run(Mode.DRIVER, script=script)
+    grid = engine.spec.settlement_times
+    every_tick = grid[-1] - grid[0] + 1
+    assert every_tick < counter.calls <= every_tick + len(script)
+    assert engine.contract.state().cause is TerminationCause.MATURED
+    last = rejections(engine)[-1]
+    assert (last.timestamp, last.detail("reason")) == (10**12, "NotDue")
 
 
 # -- mode equivalence and timestamps --

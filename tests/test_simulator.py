@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
@@ -329,6 +330,17 @@ def test_same_seed_means_same_journal_and_report():
     assert different.report.journal_hash != first.report.journal_hash
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_willful_agent_acts_alike_in_every_mode(seed):
+    reports = [run_simulation(make_scenario(
+        market__drift="1.2", market__volatility="0.05", contract__margin_a="1000",
+        contract__margin_b="1000", contract__fee_a="2000", contract__fee_b="2000",
+        agents__policy_b="willful:1", run__seed=str(seed), run__mode=mode.value)).report
+        for mode in Mode]
+    assert len({r.journal_hash for r in reports}) == 1
+    assert {r.termination_cause for r in reports} == {"INSUFFICIENT_PREFUND"}
+
+
 @pytest.mark.parametrize("mode", ["active", "passive", "driver"])
 def test_every_mode_reconciles(mode):
     scenario = make_scenario(market__volatility="0.2", run__mode=mode)
@@ -410,3 +422,22 @@ def test_text_report_names_the_termination_cause(tmp_path):
     report = run_simulation(make_scenario()).report
     write_report(report, tmp_path / "r.txt", fmt="text")
     assert "termination_cause: MATURED" in (tmp_path / "r.txt").read_text()
+
+
+@pytest.mark.parametrize("writer", ["journal", "ledger", "report"])
+def test_failed_rename_keeps_the_old_file_and_leaves_no_temp_file(writer, tmp_path, monkeypatch):
+    artifacts = run_simulation(make_scenario())
+    write = {"journal": artifacts.journal.export,
+             "ledger": artifacts.ledger.export_csv,
+             "report": lambda path: write_report(artifacts.report, path)}[writer]
+    target = tmp_path / "artifact.out"
+    target.write_bytes(b"previous run")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write(target)
+    assert target.read_bytes() == b"previous run"
+    assert list(tmp_path.glob("*.tmp")) == []
