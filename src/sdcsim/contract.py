@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     AccountsNotOpen,
@@ -134,7 +135,7 @@ class ContractSpec:
     def other(self, party: AccountId) -> AccountId:
         return self.party_b if party == self.party_a else self.party_a
 
-    @property
+    @cached_property
     def binding(self) -> OracleBinding:
         return OracleBinding(contract_id=self.contract_id, product=self.product,
                              pricer_version=self.pricer_version, tick_years=self.tick_years)

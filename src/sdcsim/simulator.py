@@ -27,6 +27,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
@@ -128,8 +129,9 @@ class WillfulAgent(CompliantAgent):
     """Empties the margin wallet once its projected exposure turns adverse.
 
     The projection uses the snapshot visible during the open window
-    against the period-start snapshot; the settlement-time snapshot is
-    never available before accounts close.
+    against the period-start snapshot, both priced by the oracle's `value`
+    (so both agents and the settlement share one price per snapshot); the
+    settlement-time snapshot is never available before accounts close.
     """
 
     def __init__(self, threshold: int):
@@ -161,10 +163,10 @@ class WillfulAgent(CompliantAgent):
         now = engine.clock.now()
         if not (store.has(start) and store.has(now)):
             return None
-        pricer = get_pricer(spec.pricer_version)
-        t = spec.settlement_times[cycle + 1] * spec.tick_years
-        projected = pricer(spec.product, t, store.get(now)) \
-            - pricer(spec.product, t, store.get(start))
+        end = spec.settlement_times[cycle + 1]
+        binding = spec.binding
+        projected = engine.oracle.value(binding, end, now) \
+            - engine.oracle.value(binding, end, start)
         pays = projected > 0 if party == spec.party_b else projected < 0
         return abs(projected) if pays else 0.0
 
@@ -257,6 +259,18 @@ def _get(cp: configparser.ConfigParser, section: str, key: str) -> str:
     if not cp.has_option(section, key):
         raise ScenarioParseError(f"missing key {key!r} in section [{section}]")
     return cp.get(section, key).strip()
+
+
+# Ids end up as CSV fields and as account labels ("label#n"), so they may
+# hold neither the column separator nor the account-number separator.
+_ID = re.compile(r"[A-Za-z0-9_.-]+")
+
+
+def _get_id(cp, key: str) -> str:
+    raw = _get(cp, "contract", key)
+    if not _ID.fullmatch(raw):
+        raise ScenarioValidationError(key, f"must match {_ID.pattern}, got {raw!r}")
+    return raw
 
 
 def _get_int(cp, section, key, minimum: int | None = None) -> int:
@@ -360,9 +374,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         raise ScenarioValidationError("pricer", str(exc)) from None
     try:
         spec = ContractSpec(
-            contract_id=_get(cp, "contract", "contract_id"),
-            party_a=_get(cp, "contract", "party_a"),
-            party_b=_get(cp, "contract", "party_b"),
+            contract_id=_get_id(cp, "contract_id"),
+            party_a=_get_id(cp, "party_a"),
+            party_b=_get_id(cp, "party_b"),
             product=product,
             settlement_times=grid,
             margin_a=_get_int(cp, "contract", "margin_a", minimum=0),

@@ -19,9 +19,13 @@ Valuations are plain floats at minor-unit scale and are rounded
 half-away-from-zero to integer minor units only when money actually
 moves on the ledger.
 
-The MarginOracle wraps a snapshot store and a pinned pricer version; the
-value for a (contract, period) pair is computed once, journaled once and
-cached, so repeated queries by either party see one number.
+The MarginOracle wraps a snapshot store and a pinned pricer version and is
+the one place a contract's period-end value V(t_end) is priced. The
+settlement amount for a (contract, period) pair is computed once, journaled
+once and cached, so repeated queries by either party see one number. The
+value terms behind it are memoized for the current (contract, period end):
+the willful agents' projections on every open-window tick and the
+settlement itself read one price per snapshot.
 """
 
 from __future__ import annotations
@@ -110,16 +114,16 @@ def price(product: Product, t: float, snapshot: MarketSnapshot) -> float:
     if isinstance(product, Forward):
         return product.notional * (snapshot.spot - product.strike) * \
             discount_factor(snapshot, t, product.maturity)
+    r = snapshot.zero_rate
     total = 0.0
-    period_start = t  # first remaining period accrues from t
+    df_start = 1.0  # first remaining period accrues from t: df(t, t)
     for T_j, tau in zip(product.payment_times, product.accruals):
         if T_j <= t:
             continue
-        df_start = discount_factor(snapshot, t, period_start)
-        df_end = discount_factor(snapshot, t, T_j)
+        df_end = math.exp(-r * (T_j - t))  # discount_factor(snapshot, t, T_j)
         fwd = (df_start / df_end - 1.0) / tau
         total += tau * (fwd - product.fixed_rate) * df_end
-        period_start = T_j
+        df_start = df_end
     return product.notional * total
 
 
@@ -235,6 +239,11 @@ class MarginOracle:
     stored snapshots, journaled as a Valuation event, cached for idempotent
     re-queries. The journaled pricer is `pricer_label`, or the binding's
     pricer version when that is None.
+
+    `value` prices V(t_end) on one stored snapshot; agents projecting the
+    upcoming settlement price through it too. Its memo holds the current
+    (contract, period end) only and restarts when that changes, so it never
+    holds more than one period's snapshots (window ticks, start and end).
     """
 
     pricer_label: str | None = None
@@ -244,6 +253,22 @@ class MarginOracle:
         self._journal = journal
         self._clock = clock
         self._cache: dict[tuple[str, int, int], SettlementAmount] = {}
+        self._memo_key: tuple[str, int] | None = None
+        self._memo: dict[int, float] = {}
+
+    def value(self, binding: OracleBinding, period_end: int, as_of: int) -> float:
+        """V(t_end) of the bound product on the stored snapshot at `as_of`."""
+        key = (binding.contract_id, period_end)
+        if key != self._memo_key:
+            self._memo_key = key
+            self._memo = {}
+        value = self._memo.get(as_of)
+        if value is None:
+            pricer = get_pricer(binding.pricer_version)
+            value = pricer(binding.product, period_end * binding.tick_years,
+                           self.store.get(as_of))
+            self._memo[as_of] = value
+        return value
 
     def query(self, binding: OracleBinding, period_start: int, period_end: int) -> SettlementAmount:
         key = (binding.contract_id, period_start, period_end)
@@ -260,11 +285,15 @@ class MarginOracle:
 
     def _compute(self, binding: OracleBinding, period_start: int,
                  period_end: int) -> SettlementAmount:
-        pricer = get_pricer(binding.pricer_version)
-        snap_old = self.store.get(period_start)
-        snap_new = self.store.get(period_end)
-        return settlement_amount(binding.product, period_start, period_end,
-                                 snap_old, snap_new, binding.tick_years, pricer)
+        # settlement_amount's period check and formula (end term first),
+        # both terms read through the value memo; passing settlement_amount
+        # a memo-reading pricer instead measurably slowed long forward grids
+        if period_start >= period_end:
+            raise TimestampMismatch(f"period must advance: {period_start} -> {period_end}")
+        self.store.get(period_start)  # a missing start is reported before a missing end
+        value_end = self.value(binding, period_end, period_end)
+        return SettlementAmount(value_end - self.value(binding, period_end, period_start),
+                                period_end, value_end)
 
 
 class ScriptedOracle(MarginOracle):

@@ -15,7 +15,25 @@ from sdcsim import (
     Journal,
     Ledger,
     ScriptedOracle,
+    price,
+    register_pricer,
 )
+
+COUNTING_PRICER = "counting-test"
+
+
+@pytest.fixture
+def counting_pricer():
+    """Registers the flat-curve pricer under COUNTING_PRICER, recording the
+    (t, snapshot tick) of every evaluation in the returned list."""
+    calls = []
+
+    def counting(product, t, snapshot):
+        calls.append((t, snapshot.as_of))
+        return price(product, t, snapshot)
+
+    register_pricer(COUNTING_PRICER, counting)
+    return calls
 
 
 @pytest.fixture

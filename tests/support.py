@@ -44,6 +44,24 @@ def product_value(product, t: float, snapshot) -> float:
                       product.accruals, snapshot.zero_rate, t)
 
 
+def reference_swap_price(product, t: float, snapshot) -> float:
+    """Payer-fixed swap value with two discount factors per payment, each
+    computed as exp(-r (T - t)), the first remaining period accruing from t.
+    The package's swap loop must equal this bit for bit."""
+    df = lambda T: math.exp(-snapshot.zero_rate * (T - t))
+    total = 0.0
+    period_start = t
+    for T_j, tau in zip(product.payment_times, product.accruals):
+        if T_j <= t:
+            continue
+        df_start = df(period_start)
+        df_end = df(T_j)
+        fwd = (df_start / df_end - 1.0) / tau
+        total += tau * (fwd - product.fixed_rate) * df_end
+        period_start = T_j
+    return product.notional * total
+
+
 def par_rate(payment_times, accruals, rate: float, t: float = 0.0) -> float:
     """Fixed rate that values the swap to zero on a flat curve."""
     df = lambda T: math.exp(-rate * (T - t))

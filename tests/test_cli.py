@@ -156,6 +156,28 @@ def test_unknown_pricer_is_an_input_error_in_every_mode(scenario_file, tmp_path,
     assert "error: pricer:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["contract_id", "party_a", "party_b"])
+@pytest.mark.parametrize("value", ["bank,1", "bank#1", "bank 1", "b\u00e4nk", ""],
+                         ids=["comma", "hash", "space", "non_ascii", "empty"])
+def test_unsafe_id_is_an_input_error(scenario_file, tmp_path, capsys, field, value):
+    # a ',' would add a column to ledger.csv; '#' separates a label from its
+    # account number
+    path = scenario_file(**{f"contract__{field}": value})
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ids_from_the_safe_alphabet_run(scenario_file, tmp_path):
+    path = scenario_file(contract__contract_id="SDC_1.v-2", contract__party_a="Bank.A_1",
+                         contract__party_b="bank-2")
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    header, *rows = (tmp_path / "o" / "ledger.csv").read_text().splitlines()
+    assert {row.count(",") for row in rows} == {header.count(",")}
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

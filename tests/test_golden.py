@@ -4,7 +4,8 @@ The determinism tests compare one run with another, so a change that
 alters every journal in the same way would pass them. These hashes pin
 the bytes themselves: a refactor or speed-up that keeps behaviour must
 leave every one of them unchanged. They cover the bundled scenarios in
-each trigger mode, a swap priced on a rate path by willful agents, and a
+each trigger mode, a swap priced on a rate path by willful agents (once
+with no trigger and once with party A emptying its wallet mid-run), and a
 long forward grid.
 """
 
@@ -44,6 +45,8 @@ GOLDEN = {
         "3e1e4837f5be7eaecfcf17398dd0b89d4f9118b884b7015e098000c23da948cf",
     ("vanilla_swap", "active"):
         "c0692d25d7fe9a7bc96445c0654abb335d8d4a679605a74859cd5d34fe737b57",
+    ("willful_swap", "active"):
+        "25a46453ffc8216781164fc55b747dd5b19d2aaa51bbac05b2cc1f91b6fff7e7",
     ("long_grid", "active"):
         "c3c29e04c9b7c31c5062f5016e8efb62e94be0eecc435d59829b05e819fe24bf",
 }
@@ -76,6 +79,9 @@ REPORTS = {
     ("vanilla_swap", "active"): (
         "b81ee3322ab3680ff156a7613f02ec95b5c6bb6944b2751287f8b698bce28068",
         "a20f151c827be78b62535264aaa9a3db08c52cd3afe491b7e11c24cff88dc160"),
+    ("willful_swap", "active"): (
+        "b3284e1536c0a1cfcf98adf612e10b35cd5a72e4df51c6af472eb363ffb89875",
+        "98497269b3494f29a0bd5c1ead14e68e833bec5cc812ac445b1f5aec44299a23"),
     ("volatile_forward", "active"): (
         "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
         "a63dbfcbe1439c15705ae9189c7d8b5c24862fceece41caf7364d9259cb682e7"),
@@ -99,7 +105,7 @@ def _write_rate_path(path: Path, ticks: int) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
-def _swap_scenario(tmp_path: Path):
+def _swap_scenario(tmp_path: Path, policy_a: str = "willful:1000000", name="vanilla_swap"):
     tick_years = 0.025
     ticks_per_cycle = 10
     times = ",".join(str(0.5 * (i + 1)) for i in range(SWAP_PAYMENTS))
@@ -115,10 +121,10 @@ def _swap_scenario(tmp_path: Path):
         contract__settlement_times=grid,
         contract__margin_a="20000", contract__margin_b="20000",
         contract__prefund_window="4",
-        agents__policy_a="willful:1000000", agents__policy_b="willful:1000000",
+        agents__policy_a=policy_a, agents__policy_b="willful:1000000",
         agents__funding_a="10000000", agents__funding_b="10000000",
         market__tick_years=str(tick_years), market__path_file=str(rates)),
-        name="vanilla_swap")
+        name=name)
 
 
 def _long_grid_scenario():
@@ -134,6 +140,10 @@ def _long_grid_scenario():
 def _scenario(name: str, tmp_path: Path):
     if name == "vanilla_swap":
         return _swap_scenario(tmp_path)
+    if name == "willful_swap":
+        # party A's projection crosses 10,000 in the third cycle's open
+        # window (after two settlements), so the trigger decision is pinned
+        return _swap_scenario(tmp_path, policy_a="willful:10000", name=name)
     if name == "long_grid":
         return _long_grid_scenario()
     return load_scenario(SCENARIOS / f"{name}.ini")

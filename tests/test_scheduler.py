@@ -22,7 +22,7 @@ from sdcsim import (
     timeline_script,
 )
 from sdcsim.errors import ScenarioParseError
-from sdcsim.simulator import CompliantAgent
+from sdcsim.simulator import CompliantAgent, WillfulAgent
 
 from conftest import make_contract, make_spec, make_world, scripted_oracle
 
@@ -304,3 +304,13 @@ def test_script_parse_errors_carry_line_numbers():
     with pytest.raises(ScenarioParseError) as exc:
         parse_script("0,OPEN_ACCOUNTS,a\nnot-a-row\n")
     assert exc.value.line == 2
+
+
+def test_willful_agent_on_a_scripted_oracle_neither_crashes_nor_triggers():
+    # a scripted oracle has no snapshot store, so there is nothing to project
+    contract, clock, journal, ledger = make_contract()
+    oracle = scripted_oracle(journal, clock, contract.spec, (300.0, -300.0, 300.0))
+    agents = {p: WillfulAgent(threshold=0) for p in contract.spec.parties}
+    Engine(contract, oracle, clock, journal, agents=agents).run()
+    assert not any(agent.triggered for agent in agents.values())
+    assert contract.state().cause is TerminationCause.MATURED

@@ -28,6 +28,7 @@ from sdcsim.simulator import (
     render_report_text,
 )
 
+from conftest import COUNTING_PRICER
 from support import open_intervals_respected
 
 BASE = {
@@ -317,6 +318,32 @@ def test_swap_run_on_rate_path(tmp_path):
     assert report.termination_cause == "MATURED"
     assert report.cycles[0].amount > 0  # rates moved, so value moved
     assert all(report.checks.values())
+
+
+def test_willful_agents_and_oracle_price_each_snapshot_once_per_cycle(counting_pricer, tmp_path):
+    # Both agents project on every open-window tick and the oracle prices
+    # each period, all against the same period end: one evaluation per
+    # window tick plus one for the period-end snapshot. Without the oracle's
+    # value memo this is 4 * window + 2 per cycle.
+    window, cycles = 4, 4
+    path = [MarketSnapshot(as_of=k, spot=100.0, zero_rate=0.02 + 0.0005 * (k % 7))
+            for k in range(10 * cycles + 1)]
+    write_path_csv(path, tmp_path / "rates.csv")
+    scenario = make_scenario(
+        drop=("market.initial_spot", "market.initial_rate", "market.volatility",
+              "market.drift"),
+        contract__product="vanilla_swap", contract__strike="0.02",
+        contract__notional="1000000", contract__payment_times="0.5,1.0",
+        contract__accruals="0.5,0.5", contract__settlement_times="0,10,20,30,40",
+        contract__margin_a="50000", contract__margin_b="50000",
+        contract__prefund_window=str(window), contract__pricer=COUNTING_PRICER,
+        agents__policy_a="willful:1000000000", agents__policy_b="willful:1000000000",
+        agents__funding_a="1000000", agents__funding_b="1000000",
+        market__tick_years="0.025", market__path_file=str(tmp_path / "rates.csv"))
+    report = run_simulation(scenario).report
+    assert report.termination_cause == "MATURED"
+    assert len(report.cycles) == cycles
+    assert 0 < len(counting_pricer) <= (window + 1) * cycles
 
 
 def test_same_seed_means_same_journal_and_report():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -33,7 +34,8 @@ from sdcsim.errors import (
 )
 from sdcsim.valuation import get_pricer
 
-from support import par_rate, product_value, sort_quantile
+from conftest import COUNTING_PRICER
+from support import par_rate, product_value, reference_swap_price, sort_quantile
 
 
 def snap(tick=0, spot=100.0, rate=0.02) -> MarketSnapshot:
@@ -127,6 +129,34 @@ def test_swap_mid_schedule_keeps_only_remaining_payments():
     swap = semiannual_swap(0.03, years=1)
     at_last = price(swap, 1.0, snap(rate=0.04))
     assert at_last == 0.0  # nothing remains at the final payment date
+
+
+@st.composite
+def swaps_and_times(draw):
+    """A swap on a random payment grid, a valuation time at 0, exactly on
+    a payment date or between two dates, and a curve rate."""
+    n = draw(st.integers(1, 12))
+    times = tuple(itertools.accumulate(
+        draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))))
+    swap = VanillaSwap(
+        notional=draw(st.floats(1.0, 1e8)), fixed_rate=draw(st.floats(-0.05, 0.15)),
+        payment_times=times,
+        accruals=tuple(draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))))
+    dates = (0.0,) + times
+    gaps = [(a + b) / 2 for a, b in zip(dates, dates[1:])]
+    t = draw(st.one_of(st.just(0.0), st.sampled_from(times), st.sampled_from(gaps)))
+    rate = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.2, 0.2)))
+    return swap, t, rate
+
+
+@settings(max_examples=300)
+@given(swaps_and_times(), st.floats(1e-6, 10.0))
+def test_swap_price_is_bit_identical_to_the_two_discount_factor_loop(case, past):
+    swap, t, rate = case
+    s = snap(rate=rate)
+    assert price(swap, t, s) == reference_swap_price(swap, t, s)
+    with pytest.raises(PastMaturity):
+        price(swap, swap.maturity + past, s)
 
 
 # -- settlement amounts --
@@ -256,8 +286,20 @@ def test_oracle_missing_snapshot_refuses():
     store = MarketStore()
     store.add(snap(tick=0))
     oracle = MarginOracle(store, Journal(), Clock())
-    with pytest.raises(MissingSnapshot):
+    with pytest.raises(MissingSnapshot, match="tick 10$"):
         oracle.query(binding(), 0, 10)
+    # with both missing, the journaled reason names the period start
+    oracle = MarginOracle(MarketStore(), Journal(), Clock())
+    with pytest.raises(MissingSnapshot, match="tick 0$"):
+        oracle.query(binding(), 0, 10)
+
+
+def test_oracle_period_must_advance():
+    store = MarketStore()
+    store.add(snap(tick=10))
+    oracle = MarginOracle(store, Journal(), Clock())
+    with pytest.raises(TimestampMismatch):
+        oracle.query(binding(), 10, 10)
 
 
 def test_oracle_is_idempotent_per_period():
@@ -271,6 +313,69 @@ def test_oracle_is_idempotent_per_period():
     assert first == again
     valuations = [r for r in journal.records() if r.kind is EventKind.VALUATION]
     assert len(valuations) == 1
+
+
+# -- the oracle's per-period value memo --
+
+TICK_YEARS = 0.01
+
+
+def rate_store(ticks: int) -> MarketStore:
+    store = MarketStore()
+    for k in range(ticks):
+        store.add(snap(tick=k, rate=0.02 + 0.001 * (k % 5)))
+    return store
+
+
+def swap_binding(pricer_version=COUNTING_PRICER, contract_id="SDC-1") -> OracleBinding:
+    swap = VanillaSwap(notional=1e6, fixed_rate=0.02,
+                       payment_times=(0.1, 0.2, 0.3), accruals=(0.1, 0.1, 0.1))
+    return OracleBinding(contract_id=contract_id, product=swap,
+                         pricer_version=pricer_version, tick_years=TICK_YEARS)
+
+
+def test_oracle_prices_each_period_end_and_snapshot_once(counting_pricer):
+    oracle = MarginOracle(rate_store(11), Journal(), Clock())
+    b = swap_binding()
+    for _ in range(3):
+        for as_of in (0, 1, 2, 3):
+            oracle.value(b, 10, as_of)
+    oracle.query(b, 0, 10)
+    t = 10 * TICK_YEARS
+    assert sorted(counting_pricer) == [(t, 0), (t, 1), (t, 2), (t, 3), (t, 10)]
+
+
+def test_repeated_oracle_value_is_the_identical_float(counting_pricer):
+    store = rate_store(11)
+    oracle = MarginOracle(store, Journal(), Clock())
+    b = swap_binding()
+    first = oracle.value(b, 10, 3)
+    assert oracle.value(b, 10, 3) is first
+    assert first == price(b.product, 10 * TICK_YEARS, store.get(3))
+    assert len(counting_pricer) == 1
+
+
+def test_oracle_value_memo_holds_only_the_current_period(counting_pricer):
+    oracle = MarginOracle(rate_store(21), Journal(), Clock())
+    b = swap_binding()
+    oracle.value(b, 10, 0)
+    oracle.value(b, 10, 1)
+    oracle.value(b, 20, 10)     # a new period: the memo restarts
+    oracle.value(b, 20, 10)     # kept
+    oracle.value(b, 10, 0)      # dropped with its period, so priced again
+    oracle.value(swap_binding(contract_id="SDC-2"), 10, 0)  # another contract's period
+    t10, t20 = 10 * TICK_YEARS, 20 * TICK_YEARS
+    assert counting_pricer == [(t10, 0), (t10, 1), (t20, 10), (t10, 0), (t10, 0)]
+
+
+def test_query_through_a_warm_memo_equals_settlement_amount():
+    store = rate_store(11)
+    oracle = MarginOracle(store, Journal(), Clock())
+    b = swap_binding(pricer_version="flat-curve-v1")
+    for as_of in (0, 4, 10):
+        oracle.value(b, 10, as_of)
+    assert oracle.query(b, 0, 10) == settlement_amount(
+        b.product, 0, 10, store.get(0), store.get(10), TICK_YEARS)
 
 
 def test_pricer_registry_round_trip():
