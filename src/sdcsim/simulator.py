@@ -30,7 +30,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
@@ -184,13 +183,79 @@ def make_policy(spec: PolicySpec):
 # -- seeded market paths --
 
 
-def normal_variates(seed: int, stream: int, count: int) -> list[float]:
+# Variates are drawn and transformed this many at a time, which bounds the
+# numpy temporaries. Chunking leaves the stream unchanged: each draw of
+# integers(0, 2**53) takes exactly one 64-bit Philox output.
+VARIATE_CHUNK = 1 << 16
+
+
+def normal_variates(seed: int, stream: int, count: int) -> np.ndarray:
     """Standard normals from a Philox counter keyed by (seed, stream),
     mapped through the inverse normal CDF."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
-    raw = gen.integers(0, 1 << 53, size=count, dtype=np.uint64)
-    inv_cdf = NormalDist().inv_cdf
-    return [inv_cdf((int(r) + 0.5) / (1 << 53)) for r in raw]
+    out = np.empty(count)
+    for lo in range(0, count, VARIATE_CHUNK):
+        raw = gen.integers(0, 1 << 53, size=min(VARIATE_CHUNK, count - lo), dtype=np.uint64)
+        out[lo:lo + len(raw)] = inv_normal_cdf((raw.astype(np.float64) + 0.5) / (1 << 53))
+    return out
+
+
+def inv_normal_cdf(p: np.ndarray) -> np.ndarray:
+    """`NormalDist().inv_cdf` over an array of p in (0, 1), bit for bit.
+
+    Wichura's AS241 with the operations in the order of CPython's C code.
+    The tail takes its logarithm from `math.log`, because `np.log` can be
+    one ulp away from libm's; `np.sqrt` is correctly rounded, as is libm's.
+    """
+    x = np.empty_like(p)
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    x[central] = _horner(r, _CENTRAL_NUM) * qc / _horner(r, _CENTRAL_DEN)
+    tail = ~central
+    qt = q[tail]
+    r = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
+    r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), np.float64, len(r)))
+    near = r <= 5.0
+    xt = np.empty_like(r)
+    rn = r[near] - 1.6
+    xt[near] = _horner(rn, _NEAR_NUM) / _horner(rn, _NEAR_DEN)
+    rf = r[~near] - 5.0
+    xt[~near] = _horner(rf, _FAR_NUM) / _horner(rf, _FAR_DEN)
+    x[tail] = np.where(qt < 0.0, -xt, xt)
+    return x
+
+
+def _horner(r: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """(((c0 * r + c1) * r + c2) ...) + cn, one multiply and one add per step."""
+    acc = coeffs[0] * r
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= r
+    acc += coeffs[-1]
+    return acc
+
+
+# AS241 coefficients, highest power first.
+_CENTRAL_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+                4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+                1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_CENTRAL_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+                2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+                4.2313330701600911252e+1, 1.0)
+_NEAR_NUM = (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+             1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+             4.63033784615654529590e+0, 1.42343711074968357734e+0)
+_NEAR_DEN = (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+             1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+             2.05319162663775882187e+0, 1.0)
+_FAR_NUM = (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+            2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+            5.46378491116411436990e+0, 6.65790464350110377720e+0)
+_FAR_DEN = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+            7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+            5.99832206555887937690e-1, 1.0)
 
 
 def generate_path(model: MarketModel, seed: int, ticks: int,
@@ -199,21 +264,40 @@ def generate_path(model: MarketModel, seed: int, ticks: int,
     the zero rate stays at its initial value."""
     if ticks < 1:
         raise ValueError("need at least one tick")
-    dt = model.tick_years
-    drift_term = (model.drift - 0.5 * model.volatility ** 2) * dt
-    vol_term = model.volatility * math.sqrt(dt)
     shocks = normal_variates(seed, stream, ticks - 1)
     spot = model.initial_spot
     path = [MarketSnapshot(as_of=0, spot=spot, zero_rate=model.initial_rate)]
-    for k, z in enumerate(shocks):
-        spot *= math.exp(drift_term + vol_term * z)
-        path.append(MarketSnapshot(as_of=k + 1, spot=spot, zero_rate=model.initial_rate))
+    drift_term, vol_term = _log_move_terms(model)
+    try:
+        for k, z in enumerate(shocks.tolist()):
+            spot *= math.exp(drift_term + vol_term * z)
+            path.append(MarketSnapshot(as_of=k + 1, spot=spot, zero_rate=model.initial_rate))
+    except (OverflowError, ValueError) as exc:
+        raise _spot_out_of_range(exc) from None
+    # an infinite spot stays infinite or turns NaN, so the last one tells
+    if not math.isfinite(spot):
+        raise _spot_out_of_range(spot)
     return path
+
+
+def _log_move_terms(model: MarketModel) -> tuple[float, float]:
+    """Drift and volatility terms of one tick's log move."""
+    dt = model.tick_years
+    try:
+        variance = model.volatility ** 2
+    except OverflowError as exc:
+        raise _spot_out_of_range(exc) from None
+    return (model.drift - 0.5 * variance) * dt, model.volatility * math.sqrt(dt)
+
+
+def _spot_out_of_range(cause) -> ScenarioValidationError:
+    return ScenarioValidationError(
+        "market", f"the model drives the spot out of the float range ({cause})")
 
 
 def load_path_csv(path: str | Path) -> list[MarketSnapshot]:
     """Market path file: header `time,spot,zero_rate`, one row per tick."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(Path(path)).splitlines()
     if not lines or lines[0].strip() != "time,spot,zero_rate":
         raise ScenarioParseError("path file must start with header 'time,spot,zero_rate'", line=1)
     snapshots = []
@@ -228,10 +312,21 @@ def load_path_csv(path: str | Path) -> list[MarketSnapshot]:
                                       zero_rate=float(parts[2]))
         except ValueError as exc:
             raise ScenarioParseError(str(exc), line=lineno) from None
+        for field, value in (("spot", snapshot.spot), ("zero_rate", snapshot.zero_rate)):
+            if not math.isfinite(value):
+                raise ScenarioParseError(f"{field} must be finite, got {value!r}", line=lineno)
         if snapshots and snapshot.as_of <= snapshots[-1].as_of:
             raise ScenarioParseError("ticks must be strictly increasing", line=lineno)
         snapshots.append(snapshot)
     return snapshots
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") \
+            from None
 
 
 def write_path_csv(snapshots: list[MarketSnapshot], path: str | Path) -> None:
@@ -432,7 +527,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    scenario = parse_scenario(path.read_text(), name=path.stem)
+    scenario = parse_scenario(_read_text(path), name=path.stem)
     if scenario.path_file is not None:
         resolved = Path(scenario.path_file)
         if not resolved.is_absolute():
@@ -579,20 +674,36 @@ def one_period_samples(scenario: Scenario, trials: int,
     spec = scenario.contract
     start, end = spec.settlement_times[0], spec.settlement_times[1]
     gap = end - start
-    drift_term = (model.drift - 0.5 * model.volatility ** 2) * model.tick_years
-    vol_term = model.volatility * math.sqrt(model.tick_years)
-    shocks = normal_variates(scenario.seed, stream, trials * gap)
+    shocks = normal_variates(scenario.seed, stream, trials * gap).reshape(trials, gap)
+    if trials == 0:
+        return []
+    drift_term, vol_term = _log_move_terms(model)
+    # column by column, so each trial's shocks add up left to right
+    # (np.sum's pairwise order would round differently)
+    log_moves = np.zeros(trials)
+    for j in range(gap):
+        log_moves += drift_term + vol_term * shocks[:, j]
+    spot, rate = model.initial_spot, model.initial_rate
+    # the spot rises with the log move, so the two extreme trials bound all
+    try:
+        lowest = spot * math.exp(log_moves.min())
+        highest = spot * math.exp(log_moves.max())
+    except OverflowError as exc:
+        raise _spot_out_of_range(exc) from None
+    if not 0.0 < lowest <= highest < math.inf:
+        raise _spot_out_of_range(f"spots {lowest!r} to {highest!r}")
+    moves = log_moves.tolist()
     pricer = get_pricer(spec.pricer_version)
-    snap_old = MarketSnapshot(as_of=start, spot=model.initial_spot,
-                              zero_rate=model.initial_rate)
-    samples = []
-    for k in range(trials):
-        log_move = sum(drift_term + vol_term * z for z in shocks[k * gap:(k + 1) * gap])
-        snap_new = MarketSnapshot(as_of=end, spot=model.initial_spot * math.exp(log_move),
-                                  zero_rate=model.initial_rate)
-        f = settlement_amount(spec.product, start, end, snap_old, snap_new,
-                              spec.tick_years, pricer)
-        samples.append(f.value)
+    snap_old = MarketSnapshot(start, spot, rate)
+    # settlement_amount's period and tick checks depend only on (start, end):
+    # trial 0 runs them, the other trials share one start-snapshot price
+    samples = [settlement_amount(spec.product, start, end, snap_old,
+                                 MarketSnapshot(end, spot * math.exp(moves[0]), rate),
+                                 spec.tick_years, pricer).value]
+    t = end * spec.tick_years
+    value_start = pricer(spec.product, t, snap_old)
+    samples += [pricer(spec.product, t, MarketSnapshot(end, spot * math.exp(move), rate))
+                - value_start for move in moves[1:]]
     return samples
 
 

@@ -170,7 +170,7 @@ def margin_buffer(samples: Sequence[float], q: float) -> int:
         raise ValueError(f"quantile level must be in (0, 1], got {q}")
     if len(samples) == 0:
         raise EmptySamples("margin sizing needs at least one sample")
-    magnitudes = sorted(abs(s) for s in samples)
+    magnitudes = sorted(map(abs, samples))
     rank = max(1, math.ceil(round(q * len(magnitudes), 9)))
     return math.ceil(magnitudes[rank - 1])
 

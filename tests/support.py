@@ -12,6 +12,10 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
+from statistics import NormalDist
+from types import SimpleNamespace
+
+import numpy as np
 
 from sdcsim import EventKind, Phase
 
@@ -60,6 +64,39 @@ def reference_swap_price(product, t: float, snapshot) -> float:
         total += tau * (fwd - product.fixed_rate) * df_end
         period_start = T_j
     return product.notional * total
+
+
+def reference_normal_variates(seed: int, stream: int, count: int) -> list[float]:
+    """Standard normals drawn in one call from a Philox counter keyed by
+    (seed, stream), each mapped through `NormalDist().inv_cdf` in Python.
+    The package's chunked array version must equal this bit for bit."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
+    raw = gen.integers(0, 1 << 53, size=count, dtype=np.uint64)
+    inv_cdf = NormalDist().inv_cdf
+    return [inv_cdf((int(r) + 0.5) / (1 << 53)) for r in raw]
+
+
+def reference_one_period_samples(scenario, trials: int, stream: int) -> list[float]:
+    """First-period settlement amounts trial by trial: the log move added up
+    left to right over the trial's shocks (as `sum` did before Python 3.12
+    made it compensated), both value terms priced per trial."""
+    model, spec = scenario.market, scenario.contract
+    start, end = spec.settlement_times[0], spec.settlement_times[1]
+    gap = end - start
+    drift_term = (model.drift - 0.5 * model.volatility ** 2) * model.tick_years
+    vol_term = model.volatility * math.sqrt(model.tick_years)
+    shocks = reference_normal_variates(scenario.seed, stream, trials * gap)
+    t = end * spec.tick_years
+    old = SimpleNamespace(spot=model.initial_spot, zero_rate=model.initial_rate)
+    samples = []
+    for k in range(trials):
+        log_move = 0.0
+        for z in shocks[k * gap:(k + 1) * gap]:
+            log_move += drift_term + vol_term * z
+        new = SimpleNamespace(spot=model.initial_spot * math.exp(log_move),
+                              zero_rate=model.initial_rate)
+        samples.append(product_value(spec.product, t, new) - product_value(spec.product, t, old))
+    return samples
 
 
 def par_rate(payment_times, accruals, rate: float, t: float = 0.0) -> float:

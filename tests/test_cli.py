@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import pytest
 
+from sdcsim import MarketModel, generate_path, write_path_csv
 from sdcsim.cli import main
 from sdcsim.journal import ZERO_HASH, block_hash
 
@@ -197,4 +199,76 @@ def test_bad_scenario_number_is_an_input_error(scenario_file, tmp_path, capsys, 
     path = scenario_file(**overrides)
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_tick=10):
+    """The volatile_forward contract on a 101-row path CSV, optionally with one
+    non-finite value at `bad_tick`."""
+    model = MarketModel(100.0, 0.01, 0.2, 0.0, 0.004)
+    rows = generate_path(model, seed=2024, ticks=101)
+    if bad_field is not None:
+        rows[bad_tick] = replace(rows[bad_tick], **{bad_field: float(bad_value)})
+    csv = tmp_path / "path.csv"
+    write_path_csv(rows, csv)
+    return scenario_file(
+        drop=("market.initial_spot", "market.initial_rate", "market.volatility",
+              "market.drift"),
+        contract__settlement_times=",".join(str(10 * i) for i in range(11)),
+        contract__margin_a="3000", contract__margin_b="3000",
+        contract__fee_a="500", contract__fee_b="500",
+        market__path_file=str(csv))
+
+
+def test_finite_path_csv_runs(scenario_file, tmp_path):
+    assert main(["run", _path_scenario(scenario_file, tmp_path),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("spot", "nan"), ("spot", "inf"), ("zero_rate", "nan"), ("zero_rate", "inf"),
+    ("zero_rate", "-inf"),
+], ids=["nan_spot", "inf_spot", "nan_rate", "inf_rate", "minus_inf_rate"])
+def test_non_finite_path_csv_value_is_an_input_error(scenario_file, tmp_path, capsys,
+                                                     field, value):
+    path = _path_scenario(scenario_file, tmp_path, field, value)
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    # the header is line 1, so tick 10 is line 12
+    assert f"error: line 12: {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"market__volatility": "1e6"},      # the spot underflows to 0.0
+    {"market__drift": "1e6"},           # exp() overflows
+    {"market__volatility": "1e200"},    # the variance overflows
+    # exp() stays finite but the spot does not
+    {"market__initial_spot": "1e308", "market__drift": "500"},
+], ids=["huge_volatility", "huge_drift", "overflowing_variance", "overflowing_spot"])
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_model_that_leaves_the_float_range_is_an_input_error(scenario_file, tmp_path, capsys,
+                                                             overrides, command):
+    path = scenario_file(**overrides)
+    args = ["run", path, "--out", str(tmp_path / "o")] if command == "run" \
+        else ["calibrate", path, "--trials", "200"]
+    assert main(args) == 2
+    assert "error: market: the model drives the spot out of the float range" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_utf8_input_files_are_input_errors(scenario_file, tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(scenario_text().encode() + b"; caf\xe9\n")
+    assert main(["validate", str(ini)]) == 2
+    assert main(["run", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert main(["calibrate", str(ini)]) == 2
+    csv = tmp_path / "path.csv"
+    csv.write_bytes(b"time,spot,zero_rate\n0,100.0,0.0\xff\n")
+    path = scenario_file(
+        drop=("market.initial_spot", "market.initial_rate", "market.volatility",
+              "market.drift"),
+        market__path_file=str(csv))
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("is not UTF-8") == 4
     assert not (tmp_path / "o").exists()

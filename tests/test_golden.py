@@ -6,7 +6,8 @@ the bytes themselves: a refactor or speed-up that keeps behaviour must
 leave every one of them unchanged. They cover the bundled scenarios in
 each trigger mode, a swap priced on a rate path by willful agents (once
 with no trigger and once with party A emptying its wallet mid-run), and a
-long forward grid.
+long forward grid. The buffer calibration's samples and buffers are pinned
+the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from pathlib import Path
 import pytest
 
 from sdcsim import Mode, load_scenario, parse_scenario, run_simulation
-from sdcsim.simulator import render_report_csv, render_report_text
+from sdcsim.simulator import (
+    calibrate_buffer,
+    one_period_samples,
+    render_report_csv,
+    render_report_text,
+)
 
 from test_simulator import scenario_text
 
@@ -93,6 +99,35 @@ REPORTS = {
         "ada933258ebdc1eee5118fa186b62e8a74588d56c74daab19cd4dd14fe2dc111"),
 }
 
+# SHA-256 of repr(one_period_samples(scenario, 5000, stream)) and
+# calibrate_buffer(scenario, q=0.99, trials=5000), per scenario: the
+# bundled ones, plus a forward with drift, a non-zero rate and strike 95.
+CALIBRATION_TRIALS = 5000
+CALIBRATION = {
+    ("defaulting_counterparty", 1):
+        "70fb2ba580cfaabffe589bdb970a5713df5e09df8a06249d49e2ab1c020e45cd",
+    ("defaulting_counterparty", 2):
+        "70fb2ba580cfaabffe589bdb970a5713df5e09df8a06249d49e2ab1c020e45cd",
+    ("drifting_forward", 1):
+        "524e2bf24c65cf1d0173f82eeee5c96157a14104cb73d7ee7f8d53a03695455c",
+    ("drifting_forward", 2):
+        "1cea336747431b80433c7221e2287b10c67c4a4b5d4b6dad6821af9d6de06dc7",
+    ("flat_forward", 1):
+        "d5c723909794fe13ea9d533a3b7f2bdc83673717204b4d87d2270d69d76da0c7",
+    ("flat_forward", 2):
+        "d5c723909794fe13ea9d533a3b7f2bdc83673717204b4d87d2270d69d76da0c7",
+    ("volatile_forward", 1):
+        "1655e343436625833f2dc079efb3d0d1ad301c42ee7b24de869d53123196cd90",
+    ("volatile_forward", 2):
+        "7dda56cf1d559164b3354e735810db8b6325d587aa6e76a292991371083db924",
+}
+BUFFERS = {
+    "defaulting_counterparty": 203,
+    "drifting_forward": 1586,
+    "flat_forward": 1,
+    "volatile_forward": 1046,
+}
+
 SWAP_PAYMENTS = 8
 SWAP_CYCLES = 16            # two settlement cycles per payment
 LONG_GRID_CYCLES = 600
@@ -138,6 +173,10 @@ def _long_grid_scenario():
 
 
 def _scenario(name: str, tmp_path: Path):
+    if name == "drifting_forward":
+        return parse_scenario(scenario_text(
+            market__volatility="0.3", market__drift="0.15", market__initial_rate="0.03",
+            contract__strike="95.0", run__seed="11"), name=name)
     if name == "vanilla_swap":
         return _swap_scenario(tmp_path)
     if name == "willful_swap":
@@ -168,3 +207,21 @@ def test_golden_set_covers_every_bundled_scenario_in_every_mode():
     bundled = {p.stem for p in SCENARIOS.glob("*.ini")}
     assert {(name, mode.value) for name in bundled for mode in Mode} <= set(GOLDEN)
     assert set(REPORTS) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("name,stream", sorted(CALIBRATION))
+def test_calibration_samples_are_pinned(name, stream, tmp_path):
+    samples = one_period_samples(_scenario(name, tmp_path), CALIBRATION_TRIALS, stream=stream)
+    assert _sha256(repr(samples)) == CALIBRATION[name, stream]
+
+
+@pytest.mark.parametrize("name", sorted(BUFFERS))
+def test_calibrated_buffer_is_pinned(name, tmp_path):
+    assert calibrate_buffer(_scenario(name, tmp_path), q=0.99, trials=CALIBRATION_TRIALS) \
+        == BUFFERS[name]
+
+
+def test_calibration_pins_cover_every_bundled_scenario():
+    bundled = {p.stem for p in SCENARIOS.glob("*.ini")}
+    assert {(name, stream) for name in bundled for stream in (1, 2)} <= set(CALIBRATION)
+    assert {name for name, _ in CALIBRATION} == set(BUFFERS)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import os
+from statistics import NormalDist
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdcsim import (
     EventKind,
@@ -18,10 +21,13 @@ from sdcsim import (
     write_path_csv,
     write_report,
 )
-from sdcsim.errors import ScenarioParseError, ScenarioValidationError
+from sdcsim import simulator
+from sdcsim.errors import ScenarioParseError, ScenarioValidationError, SdcError
 from sdcsim.simulator import (
+    VARIATE_CHUNK,
     calibrate_buffer,
     generate_path,
+    inv_normal_cdf,
     normal_variates,
     one_period_samples,
     render_report_csv,
@@ -29,7 +35,11 @@ from sdcsim.simulator import (
 )
 
 from conftest import COUNTING_PRICER
-from support import open_intervals_respected
+from support import (
+    open_intervals_respected,
+    reference_normal_variates,
+    reference_one_period_samples,
+)
 
 BASE = {
     "contract": {
@@ -182,8 +192,52 @@ def test_log_return_mean_matches_model_drift():
 
 
 def test_normal_variates_are_stream_separated():
-    assert normal_variates(1, 0, 5) != normal_variates(1, 1, 5)
-    assert normal_variates(1, 0, 5) == normal_variates(1, 0, 5)
+    assert normal_variates(1, 0, 5).tolist() != normal_variates(1, 1, 5).tolist()
+    assert normal_variates(1, 0, 5).tolist() == normal_variates(1, 0, 5).tolist()
+
+
+def _same_bits(got: list[float], want: list[float]) -> bool:
+    """Equal as floats and in every sign bit (so 0.0 and -0.0 differ)."""
+    return got == want and [math.copysign(1.0, x) for x in got] \
+        == [math.copysign(1.0, x) for x in want]
+
+
+@pytest.mark.parametrize("count", [0, 1, VARIATE_CHUNK - 1, VARIATE_CHUNK, VARIATE_CHUNK + 1,
+                                   3 * VARIATE_CHUNK + 7])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**63), stream=st.integers(0, 3))
+def test_normal_variates_are_bit_identical_to_one_inv_cdf_call_per_draw(count, seed, stream):
+    got = normal_variates(seed, stream, count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert _same_bits(got.tolist(), reference_normal_variates(seed, stream, count))
+
+
+def _around(p: float) -> list[float]:
+    return [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
+
+
+def test_inv_normal_cdf_is_bit_identical_to_normal_dist_on_branch_edges():
+    tail_split = math.exp(-25.0)   # sqrt(-log(p)) crosses 5 here
+    crafted = [*_around(0.5), *_around(0.075), *_around(0.925),
+               *_around(tail_split), *_around(1.0 - tail_split),
+               *_around(0.5 - 0.425), *_around(0.5 + 0.425),
+               0.5 / 2**53, 1.5 / 2**53, 1.0 - 2**-53, 1.0 - 2**-52, 1e-300, 5e-324]
+    # a p on either side of the split, so both far-tail fits are reached
+    assert min(crafted) < tail_split < max(p for p in crafted if p < 0.5)
+    uniform = np.random.default_rng(7).random(20_000)
+    ps = crafted + [p for p in uniform.tolist() if p > 0.0]
+    inv_cdf = NormalDist().inv_cdf
+    assert _same_bits(inv_normal_cdf(np.array(ps)).tolist(), [inv_cdf(p) for p in ps])
+
+
+def test_one_period_samples_equal_the_trial_by_trial_loop():
+    # 17 ticks per period: numpy's pairwise summation would round differently
+    scenario = make_scenario(market__volatility="0.3", market__drift="0.15",
+                             market__initial_rate="0.03", contract__strike="95.0",
+                             contract__settlement_times="5,22,30,40", run__seed="11")
+    for stream in (1, 2):
+        assert _same_bits(one_period_samples(scenario, 3000, stream=stream),
+                          reference_one_period_samples(scenario, 3000, stream))
 
 
 def test_path_csv_round_trip(tmp_path):
@@ -207,6 +261,48 @@ def test_path_csv_rejects_non_increasing_ticks(tmp_path):
     with pytest.raises(ScenarioParseError) as exc:
         load_path_csv(file)
     assert exc.value.line == 4
+
+
+_CSV_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 10**6).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "-0.0",
+                     "", " 7 ", "1_0", "0x10", "1e-400"]),
+    st.text(max_size=6),
+)
+# a row is (tick step, spot, rate) or a free line of text
+_CSV_ROW = st.one_of(st.tuples(st.integers(-1, 2), _CSV_NUMBER, _CSV_NUMBER),
+                     st.text(max_size=12))
+
+
+def _csv_text(rows) -> str:
+    tick, lines = 0, ["time,spot,zero_rate"]
+    for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+            continue
+        step, spot, rate = row
+        tick += step
+        lines.append(f"{tick},{spot},{rate}")
+    return "\n".join(lines)
+
+
+_CSV_TEXT = st.one_of(st.text(), st.lists(_CSV_ROW, max_size=8).map(_csv_text))
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_CSV_TEXT)
+def test_path_csv_yields_finite_snapshots_or_an_sdc_error(tmp_path, text):
+    file = tmp_path / "path.csv"
+    file.write_text(text, encoding="utf-8")
+    try:
+        snapshots = load_path_csv(file)
+    except SdcError:
+        return
+    for snap in snapshots:
+        assert math.isfinite(snap.spot) and snap.spot > 0
+        assert math.isfinite(snap.zero_rate)
+    assert [s.as_of for s in snapshots] == sorted({s.as_of for s in snapshots})
 
 
 def test_negative_seed_is_rejected_at_load():
@@ -416,6 +512,21 @@ def test_calibration_q1_is_the_sample_maximum():
 def test_calibration_is_seed_deterministic():
     scenario = make_scenario(market__volatility="0.4")
     assert calibrate_buffer(scenario, 0.99, 2000) == calibrate_buffer(scenario, 0.99, 2000)
+
+
+def test_calibration_draws_all_its_variates_in_one_call(monkeypatch):
+    # the benchmark times calibration's variates through this module global
+    scenario = make_scenario(market__volatility="0.4")
+    calls = []
+
+    def counting(seed, stream, count):
+        calls.append((seed, stream, count))
+        return normal_variates(seed, stream, count)
+
+    monkeypatch.setattr(simulator, "normal_variates", counting)
+    calibrate_buffer(scenario, 0.99, 700)
+    gap = scenario.contract.settlement_times[1] - scenario.contract.settlement_times[0]
+    assert calls == [(scenario.seed, simulator.CALIBRATION_STREAM, 700 * gap)]
 
 
 def test_calibration_needs_a_market_model(tmp_path):
