@@ -104,6 +104,8 @@ class ContractSpec:
         grid = self.settlement_times
         if len(grid) < 2:
             raise ValueError("need at least inception and one settlement time")
+        if grid[0] < 0:
+            raise ValueError(f"inception tick must be non-negative, got {grid[0]}")
         if any(t2 <= t1 for t1, t2 in zip(grid, grid[1:])):
             raise ValueError("settlement times must be strictly increasing")
         gap = min(t2 - t1 for t1, t2 in zip(grid, grid[1:]))
@@ -156,7 +158,6 @@ class SettleResult(str, Enum):
 @dataclass(frozen=True)
 class SettleOutcome:
     result: SettleResult
-    value: float                 # signed settlement amount before rounding
     amount: int                  # minor units actually moved
     payer: AccountId | None
     receiver: AccountId | None
@@ -371,8 +372,7 @@ class ContractInstance:
             self._transition(ContractState(phase=Phase.TERMINATED,
                                            cause=TerminationCause.SETTLEMENT_FAILED, at=now),
                              cause="settlement-exceeded-margin")
-            return SettleOutcome(result=SettleResult.FAILED, value=f.value, amount=paid,
-                                 payer=payer, receiver=receiver)
+            return SettleOutcome(SettleResult.FAILED, paid, payer, receiver)
 
         if payer is not None and amount > 0:
             self._release(payer, Bucket.MARGIN, amount, receiver)
@@ -391,16 +391,14 @@ class ContractInstance:
             self._transition(ContractState(phase=Phase.TERMINATED,
                                            cause=TerminationCause.MATURED, at=now),
                              cause="matured")
-            return SettleOutcome(result=SettleResult.MATURED, value=f.value, amount=amount,
-                                 payer=payer, receiver=receiver)
+            return SettleOutcome(SettleResult.MATURED, amount, payer, receiver)
         self.cycle += 1
         self._transition(ContractState(phase=Phase.SETTLED, cycle=settled_cycle),
                          cause="settlement-executed")
         self._transition(ContractState(phase=Phase.ACCOUNTS_OPEN,
                                        until=now + self.spec.prefund_window),
                          cause="cycle-complete")
-        return SettleOutcome(result=SettleResult.SETTLED, value=f.value, amount=amount,
-                             payer=payer, receiver=receiver)
+        return SettleOutcome(SettleResult.SETTLED, amount, payer, receiver)
 
     def return_fees(self) -> None:
         """Post both termination fees back after regular maturity."""

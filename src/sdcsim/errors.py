@@ -54,8 +54,16 @@ class TimestampMismatch(SdcError):
     pass
 
 
-class MissingSnapshot(SdcError):
+class OracleFailure(SdcError):
+    """The oracle cannot value a period; the engine puts the contract in ERROR."""
+
+
+class MissingSnapshot(OracleFailure):
     pass
+
+
+class ValuationOutOfRange(OracleFailure):
+    """The pricer leaves the float range: an overflow or a non-finite value."""
 
 
 class EmptySamples(SdcError):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 from enum import Enum
 from pathlib import Path
-from typing import Callable
 
 from .errors import (
     InsufficientAllowance,
@@ -58,7 +57,6 @@ class Ledger:
         self._seq = 0
         self._minted = 0
         self._burned = 0
-        self._approval_hooks: list[Callable[[AccountId, AccountId, int], None]] = []
         self.issuer = self.open_account(issuer_label)
 
     # -- accounts and queries --
@@ -137,15 +135,6 @@ class Ledger:
         self._known(spender)
         self._allowances[(owner, spender)] = amount
         self._emit(EventKind.APPROVAL, owner, owner=owner, spender=spender, amount=amount)
-
-    def on_approval(self, hook: Callable[[AccountId, AccountId, int], None]) -> None:
-        self._approval_hooks.append(hook)
-
-    def approve_and_call(self, owner: AccountId, spender: AccountId, amount: int) -> None:
-        """Approve, then notify registered engine hooks (no code execution)."""
-        self.approve(owner, spender, amount)
-        for hook in self._approval_hooks:
-            hook(owner, spender, amount)
 
     def transfer_from(self, spender: AccountId, from_: AccountId, to: AccountId, amount: int) -> None:
         check_amount(amount)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence
 
-from .contract import ContractInstance, ContractSpec, Phase, SettleOutcome, TerminationCause
-from .errors import MissingSnapshot, PreconditionFailed, ScenarioParseError, SdcError
+from .contract import ContractInstance, ContractSpec, Phase, TerminationCause
+from .errors import OracleFailure, PreconditionFailed, ScenarioParseError, SdcError
 from .journal import Clock, EventKind, EventRecord, Journal
 from .ledger import AccountId, Ledger
 from .valuation import SettlementAmount
@@ -113,14 +113,6 @@ class RequestOutcome:
     accepted: bool
     reason: str | None = None
 
-    @classmethod
-    def ok(cls) -> "RequestOutcome":
-        return cls(accepted=True)
-
-    @classmethod
-    def rejected(cls, reason: str) -> "RequestOutcome":
-        return cls(accepted=False, reason=reason)
-
 
 class AgentPolicy(Protocol):
     def on_tick(self, engine: "Engine", party: AccountId) -> None: ...
@@ -128,21 +120,6 @@ class AgentPolicy(Protocol):
 
 class Oracle(Protocol):
     def query(self, binding, period_start: int, period_end: int) -> SettlementAmount: ...
-
-
-@dataclass
-class CycleRecord:
-    """Per-cycle run log row: what the oracle said and what moved."""
-
-    cycle: int
-    period_start: int
-    settle_tick: int
-    value_end: float | None
-    f_value: float
-    amount: int
-    payer: str
-    receiver: str
-    result: str
 
 
 class Engine:
@@ -158,8 +135,6 @@ class Engine:
         self.agents = agents or {}
         self.oracle_account = oracle_account
         self.timeline = build_timeline(contract.spec)
-        self.cycle_log: list[CycleRecord] = []
-        self.init_error: PreconditionFailed | None = None
         self._cursor = 0
 
     @property
@@ -204,8 +179,7 @@ class Engine:
         self.clock.advance_to(start)
         try:
             self.contract.initialize(start)
-        except PreconditionFailed as exc:
-            self.init_error = exc
+        except PreconditionFailed:
             return False
         return True
 
@@ -214,19 +188,19 @@ class Engine:
         at its scheduled tick (which the clock must show) by a contract party
         or the oracle account. A rejection changes nothing."""
         if party not in self.spec.parties and party != self.oracle_account:
-            return RequestOutcome.rejected("NotAuthorized")
+            return RequestOutcome(False, "NotAuthorized")
         if self._cursor >= len(self.timeline):
-            return RequestOutcome.rejected("NotDue")
+            return RequestOutcome(False, "NotDue")
         entry = self.timeline[self._cursor]
         if kind is not entry.kind or now != entry.tick or now != self.clock.now():
-            return RequestOutcome.rejected("NotDue")
+            return RequestOutcome(False, "NotDue")
         self._cursor += 1
         try:
             self._fire(entry)
         except SdcError as exc:
             self._cursor -= 1
-            return RequestOutcome.rejected(str(exc))
-        return RequestOutcome.ok()
+            return RequestOutcome(False, str(exc))
+        return RequestOutcome(True)
 
     def _journal_rejection(self, step: ScriptStep, reason: str) -> None:
         state = self.contract.state().label()
@@ -254,9 +228,7 @@ class Engine:
         elif entry.kind is LifecycleEvent.VALUATION:
             self._run_valuation(entry)
         elif entry.kind is LifecycleEvent.SETTLEMENT:
-            f = c.pending_valuation
-            outcome = c.settle(f, now)
-            self._log_cycle(entry, f, outcome)
+            c.settle(c.pending_valuation, now)
         # OPEN_ACCOUNTS is a no-op (initialization and each settlement reopen
         # the wallets); MATURITY matters only once the contract matured (above).
 
@@ -264,18 +236,10 @@ class Engine:
         grid = self.spec.settlement_times
         try:
             amount = self.oracle.query(self.spec.binding, grid[entry.cycle], grid[entry.cycle + 1])
-        except MissingSnapshot as exc:
+        except OracleFailure as exc:
             self.contract.mark_error(str(exc))
             return
         self.contract.deliver_valuation(amount)
-
-    def _log_cycle(self, entry: TimelineEntry, f: SettlementAmount,
-                   outcome: SettleOutcome) -> None:
-        self.cycle_log.append(CycleRecord(
-            cycle=entry.cycle, period_start=self.spec.settlement_times[entry.cycle],
-            settle_tick=entry.tick, value_end=f.value_end, f_value=outcome.value,
-            amount=outcome.amount, payer=outcome.payer or "", receiver=outcome.receiver or "",
-            result=outcome.result.value))
 
     def _agent_hooks(self) -> None:
         for party in self.spec.parties:

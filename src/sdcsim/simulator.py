@@ -34,10 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from .contract import ContractInstance, ContractSpec, Phase
-from .errors import ScenarioParseError, ScenarioValidationError, UnknownPricer
+from .errors import OracleFailure, ScenarioParseError, ScenarioValidationError, UnknownPricer
 from .journal import Clock, EventKind, Journal, write_atomic
 from .ledger import AccountId, Bucket, Ledger
-from .scheduler import CycleRecord, Engine, Mode
+from .scheduler import Engine, Mode
 from .valuation import (
     Forward,
     MarginOracle,
@@ -47,6 +47,7 @@ from .valuation import (
     VanillaSwap,
     get_pricer,
     margin_buffer,
+    round_to_minor_units,
     settlement_amount,
 )
 
@@ -153,19 +154,16 @@ class WillfulAgent(CompliantAgent):
         super().on_tick(engine, party)
 
     def _projected_exposure(self, engine: Engine, party: AccountId) -> float | None:
-        store = getattr(engine.oracle, "store", None)
         spec = engine.spec
         cycle = engine.contract.cycle
-        if store is None or cycle >= spec.cycles:
+        if getattr(engine.oracle, "store", None) is None or cycle >= spec.cycles:
             return None
-        start = spec.settlement_times[cycle]
-        now = engine.clock.now()
-        if not (store.has(start) and store.has(now)):
+        start, end = spec.settlement_times[cycle:cycle + 2]
+        value, binding = engine.oracle.value, spec.binding
+        try:
+            projected = value(binding, end, engine.clock.now()) - value(binding, end, start)
+        except OracleFailure:  # a missing snapshot or a price out of range
             return None
-        end = spec.settlement_times[cycle + 1]
-        binding = spec.binding
-        projected = engine.oracle.value(binding, end, now) \
-            - engine.oracle.value(binding, end, start)
         pays = projected > 0 if party == spec.party_b else projected < 0
         return abs(projected) if pays else 0.0
 
@@ -273,10 +271,10 @@ def generate_path(model: MarketModel, seed: int, ticks: int,
             spot *= math.exp(drift_term + vol_term * z)
             path.append(MarketSnapshot(as_of=k + 1, spot=spot, zero_rate=model.initial_rate))
     except (OverflowError, ValueError) as exc:
-        raise _spot_out_of_range(exc) from None
+        raise _out_of_range("spot", exc) from None
     # an infinite spot stays infinite or turns NaN, so the last one tells
     if not math.isfinite(spot):
-        raise _spot_out_of_range(spot)
+        raise _out_of_range("spot", spot)
     return path
 
 
@@ -286,13 +284,13 @@ def _log_move_terms(model: MarketModel) -> tuple[float, float]:
     try:
         variance = model.volatility ** 2
     except OverflowError as exc:
-        raise _spot_out_of_range(exc) from None
+        raise _out_of_range("spot", exc) from None
     return (model.drift - 0.5 * variance) * dt, model.volatility * math.sqrt(dt)
 
 
-def _spot_out_of_range(cause) -> ScenarioValidationError:
+def _out_of_range(what: str, cause) -> ScenarioValidationError:
     return ScenarioValidationError(
-        "market", f"the model drives the spot out of the float range ({cause})")
+        "market", f"the model drives the {what} out of the float range ({cause})")
 
 
 def load_path_csv(path: str | Path) -> list[MarketSnapshot]:
@@ -334,7 +332,7 @@ def write_path_csv(snapshots: list[MarketSnapshot], path: str | Path) -> None:
     out.write("time,spot,zero_rate\n")
     for snap in snapshots:
         out.write(f"{snap.as_of},{snap.spot!r},{snap.zero_rate!r}\n")
-    Path(path).write_text(out.getvalue())
+    write_atomic(path, out.getvalue().encode())
 
 
 # -- scenario files --
@@ -539,6 +537,21 @@ def load_scenario(path: str | Path) -> Scenario:
 # -- reports --
 
 
+@dataclass
+class CycleRow:
+    """One report row, read from a journaled Settlement."""
+
+    cycle: int
+    period_start: int
+    settle_tick: int
+    value_end: float | None
+    f_value: float
+    amount: int
+    payer: str
+    receiver: str
+    result: str
+
+
 @dataclass(frozen=True)
 class RunReport:
     scenario_name: str
@@ -546,7 +559,7 @@ class RunReport:
     mode: str
     termination_cause: str | None
     terminated_at: int | None
-    cycles: list[CycleRecord]
+    cycles: list[CycleRow]
     initial_wealth: dict[str, int]
     final_free: dict[str, int]
     final_wealth: dict[str, int]
@@ -570,19 +583,34 @@ def _party_wealth(ledger: Ledger, contract_id: str, party: AccountId) -> int:
             + ledger.segregated_balance(contract_id, party, Bucket.FEE))
 
 
-def _reconcile_settlements(journal: Journal, contract_id: str,
-                           cycles: list[CycleRecord]) -> bool:
-    """Every report row must match exactly one journaled Settlement and
-    vice versa (cycle, tick, moved amount, payer, receiver)."""
-    from_journal = sorted(
-        (int(r.detail("cycle")), r.timestamp, int(r.detail("amount")),
-         r.detail("payer"), r.detail("receiver"))
-        for r in journal.records(EventKind.SETTLEMENT)
-        if r.detail("contract") == contract_id)
-    from_report = sorted(
-        (row.cycle, row.settle_tick, row.amount, row.payer, row.receiver)
-        for row in cycles)
-    return from_journal == from_report
+_RESULTS = {"settled": "SETTLED", "matured": "MATURED", "partial": "FAILED"}
+
+
+def _settlement_rows(journal: Journal, spec: ContractSpec,
+                     oracle: MarginOracle) -> tuple[list[CycleRow], bool]:
+    """Report rows from the journaled Settlements, and whether they reconcile:
+    cycles 0, 1, ... on their period-end ticks (rows stop at the first that is
+    not), values the oracle cached, amounts and payers as `settle` derives them."""
+    grid = spec.settlement_times
+    directions = {1: (spec.party_b, spec.party_a), -1: (spec.party_a, spec.party_b), 0: ("", "")}
+    rows: list[CycleRow] = []
+    ok = True
+    for r in journal.records(EventKind.SETTLEMENT):
+        d = dict(r.details)
+        cycle = int(d["cycle"])
+        if cycle != len(rows) or cycle >= spec.cycles or r.timestamp != grid[cycle + 1]:
+            return rows, False
+        value, amount, outcome = float(d["value"]), int(d["amount"]), d["outcome"]
+        cached = oracle.cached(spec.binding, grid[cycle], grid[cycle + 1])
+        due = abs(round_to_minor_units(value))
+        ok = (ok and cached is not None and cached.value == value and outcome in _RESULTS
+              and (0 <= amount < due if outcome == "partial" else amount == due)
+              and (d["payer"], d["receiver"]) == directions[(value > 0) - (value < 0)])
+        rows.append(CycleRow(
+            cycle=cycle, period_start=grid[cycle], settle_tick=r.timestamp,
+            value_end=cached.value_end if cached else None, f_value=value, amount=amount,
+            payer=d["payer"], receiver=d["receiver"], result=_RESULTS.get(outcome, outcome)))
+    return rows, ok
 
 
 def run_simulation(scenario: Scenario) -> RunArtifacts:
@@ -620,7 +648,7 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
     engine.run(scenario.mode)
 
     state = contract.state()
-    if engine.init_error is not None:
+    if state.phase is Phase.PRE_CHECK:  # initialization was refused
         cause, at = "PRECONDITION_FAILED", None
     elif state.phase is Phase.TERMINATED:
         cause, at = state.cause.value, state.at
@@ -630,13 +658,13 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
         cause, at = None, None
 
     final_wealth = {p: _party_wealth(ledger, spec.contract_id, p) for p in spec.parties}
+    cycles, reconciled = _settlement_rows(journal, spec, oracle)
     checks = {
         "conservation": (ledger.check_conservation()
                          and ledger.total_supply() == initial_supply
                          and sum(final_wealth.values()) == sum(initial_wealth.values())),
         "journal_verified": journal.verify(),
-        "settlements_reconciled": _reconcile_settlements(journal, spec.contract_id,
-                                                         engine.cycle_log),
+        "settlements_reconciled": reconciled,
     }
     report = RunReport(
         scenario_name=scenario.name,
@@ -644,7 +672,7 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
         mode=scenario.mode.value,
         termination_cause=cause,
         terminated_at=at,
-        cycles=list(engine.cycle_log),
+        cycles=cycles,
         initial_wealth=initial_wealth,
         final_free={p: ledger.balance_of(p) for p in spec.parties},
         final_wealth=final_wealth,
@@ -689,21 +717,27 @@ def one_period_samples(scenario: Scenario, trials: int,
         lowest = spot * math.exp(log_moves.min())
         highest = spot * math.exp(log_moves.max())
     except OverflowError as exc:
-        raise _spot_out_of_range(exc) from None
+        raise _out_of_range("spot", exc) from None
     if not 0.0 < lowest <= highest < math.inf:
-        raise _spot_out_of_range(f"spots {lowest!r} to {highest!r}")
+        raise _out_of_range("spot", f"spots {lowest!r} to {highest!r}")
     moves = log_moves.tolist()
     pricer = get_pricer(spec.pricer_version)
     snap_old = MarketSnapshot(start, spot, rate)
-    # settlement_amount's period and tick checks depend only on (start, end):
-    # trial 0 runs them, the other trials share one start-snapshot price
-    samples = [settlement_amount(spec.product, start, end, snap_old,
-                                 MarketSnapshot(end, spot * math.exp(moves[0]), rate),
-                                 spec.tick_years, pricer).value]
-    t = end * spec.tick_years
-    value_start = pricer(spec.product, t, snap_old)
-    samples += [pricer(spec.product, t, MarketSnapshot(end, spot * math.exp(move), rate))
-                - value_start for move in moves[1:]]
+    try:
+        # settlement_amount's period and tick checks depend only on (start, end):
+        # trial 0 runs them, the other trials share one start-snapshot price
+        samples = [settlement_amount(spec.product, start, end, snap_old,
+                                     MarketSnapshot(end, spot * math.exp(moves[0]), rate),
+                                     spec.tick_years, pricer).value]
+        t = end * spec.tick_years
+        value_start = pricer(spec.product, t, snap_old)
+        samples += [pricer(spec.product, t, MarketSnapshot(end, spot * math.exp(move), rate))
+                    - value_start for move in moves[1:]]
+    except OverflowError as exc:
+        raise _out_of_range("settlement value", exc) from None
+    # a NaN would leave margin_buffer's sort silently out of order
+    if not np.isfinite(samples).all():
+        raise _out_of_range("settlement value", "not finite")
     return samples
 
 

@@ -41,6 +41,7 @@ from .errors import (
     PastMaturity,
     TimestampMismatch,
     UnknownPricer,
+    ValuationOutOfRange,
 )
 from .journal import Clock, EventKind, EventRecord, Journal, SYSTEM_ACTOR
 
@@ -209,17 +210,11 @@ class MarketStore:
         self._snapshots[snapshot.as_of] = snapshot
         self._last_tick = snapshot.as_of
 
-    def has(self, tick: int) -> bool:
-        return tick in self._snapshots
-
     def get(self, tick: int) -> MarketSnapshot:
         try:
             return self._snapshots[tick]
         except KeyError:
             raise MissingSnapshot(f"no market snapshot stored for tick {tick}") from None
-
-    def ticks(self) -> list[int]:
-        return sorted(self._snapshots)
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,8 @@ class MarginOracle:
     One valuation per (contract, period): computed by `_compute`, here from
     stored snapshots, journaled as a Valuation event, cached for idempotent
     re-queries. The journaled pricer is `pricer_label`, or the binding's
-    pricer version when that is None.
+    pricer version when that is None. A pricer overflow or a non-finite
+    period value raises ValuationOutOfRange and journals nothing.
 
     `value` prices V(t_end) on one stored snapshot; agents projecting the
     upcoming settlement price through it too. Its memo holds the current
@@ -265,8 +261,11 @@ class MarginOracle:
         value = self._memo.get(as_of)
         if value is None:
             pricer = get_pricer(binding.pricer_version)
-            value = pricer(binding.product, period_end * binding.tick_years,
-                           self.store.get(as_of))
+            try:
+                value = pricer(binding.product, period_end * binding.tick_years,
+                               self.store.get(as_of))
+            except OverflowError as exc:
+                raise ValuationOutOfRange(f"pricing tick {as_of} overflows ({exc})") from None
             self._memo[as_of] = value
         return value
 
@@ -275,6 +274,8 @@ class MarginOracle:
         if key in self._cache:
             return self._cache[key]
         amount = self._compute(binding, period_start, period_end)
+        if not math.isfinite(amount.value):
+            raise ValuationOutOfRange(f"period ({period_start}, {period_end}) is {amount.value!r}")
         self._journal.append(EventRecord.create(
             self._clock.now(), EventKind.VALUATION, SYSTEM_ACTOR,
             contract=binding.contract_id, period_start=period_start,
@@ -282,6 +283,11 @@ class MarginOracle:
             pricer=self.pricer_label or binding.pricer_version))
         self._cache[key] = amount
         return amount
+
+    def cached(self, binding: OracleBinding, period_start: int,
+               period_end: int) -> SettlementAmount | None:
+        """The period's amount if `query` has computed it; never prices or journals."""
+        return self._cache.get((binding.contract_id, period_start, period_end))
 
     def _compute(self, binding: OracleBinding, period_start: int,
                  period_end: int) -> SettlementAmount:

@@ -272,3 +272,43 @@ def test_non_utf8_input_files_are_input_errors(scenario_file, tmp_path, capsys):
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.count("is not UTF-8") == 4
     assert not (tmp_path / "o").exists()
+
+
+PRICER_OUT_OF_RANGE = [
+    {"market__initial_rate": "-1e6"},                           # exp() overflows
+    {"contract__notional": "1e308", "contract__strike": "1e308"},  # -inf - -inf is NaN
+]
+PRICER_OUT_OF_RANGE_IDS = ["overflowing_discount", "nan_settlement_value"]
+
+
+@pytest.mark.parametrize("policy", ["compliant", "willful:1"])
+@pytest.mark.parametrize("overrides", PRICER_OUT_OF_RANGE, ids=PRICER_OUT_OF_RANGE_IDS)
+def test_pricer_out_of_range_is_an_oracle_failure_in_run(scenario_file, tmp_path, capsys,
+                                                         overrides, policy):
+    out = tmp_path / "o"
+    assert main(["run", scenario_file(agents__policy_b=policy, **overrides),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert ": ERROR journal=" in captured.out
+    report = (out / "report.txt").read_text()
+    assert "termination_cause: ERROR" in report and "cycles: 0" in report
+
+
+@pytest.mark.parametrize("overrides", PRICER_OUT_OF_RANGE, ids=PRICER_OUT_OF_RANGE_IDS)
+def test_pricer_out_of_range_is_an_input_error_in_calibrate(scenario_file, capsys, overrides):
+    assert main(["calibrate", scenario_file(**overrides), "--trials", "200"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: market: the model drives the settlement value out of the float range" in err
+
+
+def test_negative_inception_tick_is_an_input_error(scenario_file, tmp_path, capsys):
+    path = scenario_file(contract__settlement_times="-10,0,10,20")
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert main(["calibrate", path, "--trials", "200"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: contract: inception tick must be non-negative, got -10") == 3
+    assert not (tmp_path / "o").exists()

@@ -95,15 +95,6 @@ def test_approve_unknown_spender(funded):
         ledger.approve(a, "ghost#9", 10)
 
 
-def test_approve_and_call_notifies_hook(funded):
-    ledger, a, b = funded
-    seen = []
-    ledger.on_approval(lambda owner, spender, amount: seen.append((owner, spender, amount)))
-    ledger.approve_and_call(a, b, 77)
-    assert seen == [(a, b, 77)]
-    assert ledger.allowance(a, b) == 77
-
-
 def test_transfer_from_decrements_allowance_exactly(funded):
     ledger, a, b = funded
     ledger.approve(a, b, 500)

@@ -81,7 +81,8 @@ def test_compliant_flat_run_matures():
     state = engine.contract.state()
     assert state.cause is TerminationCause.MATURED
     assert engine.contract.fees_returned
-    assert [row.amount for row in engine.cycle_log] == [0, 0, 0]
+    settlements = engine.journal.records(EventKind.SETTLEMENT)
+    assert [int(r.detail("amount")) for r in settlements] == [0, 0, 0]
     assert engine.journal.verify()
 
 
@@ -217,7 +218,7 @@ def test_driver_empty_script_leaves_engine_in_initial_state():
     engine.run(Mode.DRIVER, script=[])
     assert engine.contract.phase is Phase.ACCOUNTS_OPEN  # initialized, nothing fired
     assert engine.contract.cycle == 0
-    assert engine.cycle_log == []
+    assert engine.journal.records(EventKind.SETTLEMENT) == []
 
 
 def test_driver_unauthorized_row_is_rejected():

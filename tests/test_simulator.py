@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace as dc_replace
 from statistics import NormalDist
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdcsim import (
     EventKind,
+    Journal,
     MarketModel,
     MarketSnapshot,
     Mode,
@@ -25,6 +27,7 @@ from sdcsim import simulator
 from sdcsim.errors import ScenarioParseError, ScenarioValidationError, SdcError
 from sdcsim.simulator import (
     VARIATE_CHUNK,
+    _settlement_rows,
     calibrate_buffer,
     generate_path,
     inv_normal_cdf,
@@ -471,16 +474,45 @@ def test_every_mode_reconciles(mode):
     assert all(report.checks.values())
 
 
+def _with_tampered_settlement(journal, cycle, tamper):
+    """A copy of `journal` whose Settlement of `cycle` is `tamper(record)`,
+    re-chained block by block so that `verify` alone passes it."""
+    copy = Journal()
+    for record in journal.records():
+        if record.kind is EventKind.SETTLEMENT and record.detail("cycle") == str(cycle):
+            record = tamper(record)
+        copy.append(record)
+    assert copy.verify()
+    return copy
+
+
+def _with_details(record, **changes):
+    return dc_replace(record, details=tuple(sorted({**dict(record.details), **changes}.items())))
+
+
+SETTLEMENT_TAMPERS = {
+    "amount_off_by_one": lambda r: _with_details(r, amount=str(int(r.detail("amount")) + 1)),
+    "value_not_the_oracles": lambda r: _with_details(
+        r, value=repr(float(r.detail("value")) + 1e-6)),
+    "off_its_grid_tick": lambda r: dc_replace(r, timestamp=r.timestamp + 1),
+    "swapped_payer": lambda r: _with_details(
+        r, payer=r.detail("receiver"), receiver=r.detail("payer")),
+}
+
+
 def test_reconciliation_check_detects_mismatches():
-    from dataclasses import replace as dc_replace
-    from sdcsim.simulator import _reconcile_settlements
     artifacts = run_simulation(make_scenario(market__volatility="0.3"))
-    rows = artifacts.engine.cycle_log
-    cid = "SDC-1"
-    assert _reconcile_settlements(artifacts.journal, cid, rows)
-    assert not _reconcile_settlements(artifacts.journal, cid, rows[:-1])
-    doctored = rows[:-1] + [dc_replace(rows[-1], amount=rows[-1].amount + 1)]
-    assert not _reconcile_settlements(artifacts.journal, cid, doctored)
+    engine = artifacts.engine
+    rows, reconciled = _settlement_rows(artifacts.journal, engine.spec, engine.oracle)
+    assert reconciled and artifacts.report.checks["settlements_reconciled"]
+    assert rows == artifacts.report.cycles
+    # a full settlement that moved money, so every tamper is a real change
+    assert rows[0].result == "SETTLED" and rows[0].amount > 0
+    copy = _with_tampered_settlement(artifacts.journal, 0, lambda r: r)
+    assert _settlement_rows(copy, engine.spec, engine.oracle) == (rows, True)
+    for name, tamper in SETTLEMENT_TAMPERS.items():
+        tampered = _with_tampered_settlement(artifacts.journal, 0, tamper)
+        assert not _settlement_rows(tampered, engine.spec, engine.oracle)[1], name
 
 
 def test_inception_does_not_have_to_sit_on_tick_zero():
@@ -562,12 +594,14 @@ def test_text_report_names_the_termination_cause(tmp_path):
     assert "termination_cause: MATURED" in (tmp_path / "r.txt").read_text()
 
 
-@pytest.mark.parametrize("writer", ["journal", "ledger", "report"])
+@pytest.mark.parametrize("writer", ["journal", "ledger", "report", "path"])
 def test_failed_rename_keeps_the_old_file_and_leaves_no_temp_file(writer, tmp_path, monkeypatch):
     artifacts = run_simulation(make_scenario())
+    path = [MarketSnapshot(0, 100.0, 0.01), MarketSnapshot(1, 101.0, 0.01)]
     write = {"journal": artifacts.journal.export,
              "ledger": artifacts.ledger.export_csv,
-             "report": lambda path: write_report(artifacts.report, path)}[writer]
+             "report": lambda target: write_report(artifacts.report, target),
+             "path": lambda target: write_path_csv(path, target)}[writer]
     target = tmp_path / "artifact.out"
     target.write_bytes(b"previous run")
 

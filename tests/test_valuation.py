@@ -31,6 +31,7 @@ from sdcsim.errors import (
     PastMaturity,
     TimestampMismatch,
     UnknownPricer,
+    ValuationOutOfRange,
 )
 from sdcsim.valuation import get_pricer
 
@@ -292,6 +293,22 @@ def test_oracle_missing_snapshot_refuses():
     oracle = MarginOracle(MarketStore(), Journal(), Clock())
     with pytest.raises(MissingSnapshot, match="tick 0$"):
         oracle.query(binding(), 0, 10)
+
+
+@pytest.mark.parametrize("product,rate", [
+    (Forward(notional=10.0, strike=100.0, maturity=0.2), -1e6),    # exp() overflows
+    (Forward(notional=1e308, strike=1e308, maturity=0.2), 0.0),    # -inf - -inf
+], ids=["overflow", "nan"])
+def test_oracle_out_of_range_value_refuses_and_journals_nothing(product, rate):
+    store = MarketStore()
+    store.add(snap(tick=0, rate=rate))
+    store.add(snap(tick=10, spot=101.0, rate=rate))
+    journal = Journal()
+    oracle = MarginOracle(store, journal, Clock())
+    with pytest.raises(ValuationOutOfRange):
+        oracle.query(binding(product), 0, 10)
+    assert len(journal) == 0
+    assert oracle.cached(binding(product), 0, 10) is None
 
 
 def test_oracle_period_must_advance():
