@@ -1,22 +1,12 @@
 """Deterministic smart derivative contract engine and simulation harness."""
 
-from .contract import (
-    CheckOutcome,
-    ContractInstance,
-    ContractSpec,
-    ContractState,
-    Phase,
-    SettleOutcome,
-    SettleResult,
-    TerminationCause,
-)
+from .contract import ContractInstance, ContractSpec, ContractState, Phase, TerminationCause
 from .errors import SdcError
 from .journal import Clock, EventKind, EventRecord, Journal, JournalBlock, SYSTEM_ACTOR
 from .ledger import AccountId, Bucket, Ledger
 from .scheduler import (
     Engine,
     LifecycleEvent,
-    Mode,
     RequestOutcome,
     ScriptStep,
     TimelineEntry,
@@ -27,6 +17,7 @@ from .scheduler import (
 )
 from .simulator import (
     MarketModel,
+    Mode,
     RunReport,
     Scenario,
     calibrate_buffer,

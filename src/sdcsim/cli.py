@@ -19,8 +19,7 @@ from pathlib import Path
 
 from .errors import SdcError
 from .journal import Journal
-from .scheduler import Mode
-from .simulator import calibrate_buffer, load_scenario, run_simulation, write_report
+from .simulator import Mode, calibrate_buffer, load_scenario, run_simulation, write_report
 
 EXIT_OK = 0
 EXIT_ENGINE_ERROR = 1

@@ -15,6 +15,11 @@ Termination is total and absorbing, with exactly three causes:
   * MATURED -- the final settlement executed; margin remainders return
     immediately and both fee buckets are posted back to their owners.
 
+An oracle failure instead ends the contract in ERROR, which is absorbing
+as well: nothing leaves it, and both margin and fee buckets stay locked.
+The locked amounts remain on the ledger (`MARGIN:`/`FEE:` rows of its
+CSV export) and in each party's wealth.
+
 Every transition, transfer and termination is journaled; a failed call
 raises and changes nothing.
 """
@@ -27,14 +32,13 @@ from functools import cached_property
 
 from .errors import (
     AccountsNotOpen,
-    NoValuation,
     NotAParty,
     PreconditionFailed,
     TimestampMismatch,
     TooEarly,
     WrongState,
 )
-from .journal import Clock, EventKind, EventRecord, Journal, SYSTEM_ACTOR
+from .journal import EventKind, EventRecord, SYSTEM_ACTOR
 from .ledger import AccountId, Bucket, Ledger, check_amount
 from .valuation import OracleBinding, Product, SettlementAmount, round_to_minor_units
 
@@ -143,36 +147,14 @@ class ContractSpec:
                              pricer_version=self.pricer_version, tick_years=self.tick_years)
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    passed: bool
-    deficient: tuple[AccountId, ...] = ()
-
-
-class SettleResult(str, Enum):
-    SETTLED = "SETTLED"
-    MATURED = "MATURED"
-    FAILED = "FAILED"
-
-
-@dataclass(frozen=True)
-class SettleOutcome:
-    result: SettleResult
-    amount: int                  # minor units actually moved
-    payer: AccountId | None
-    receiver: AccountId | None
-
-
 class ContractInstance:
-    """A single contract bound to a ledger, journal and clock."""
+    """A single contract bound to a ledger, on that ledger's journal and clock."""
 
-    def __init__(self, spec: ContractSpec, ledger: Ledger, journal: Journal, clock: Clock):
+    def __init__(self, spec: ContractSpec, ledger: Ledger):
         for party in spec.parties:
             ledger.balance_of(party)  # parties must exist on this ledger
         self.spec = spec
         self.ledger = ledger
-        self._journal = journal
-        self._clock = clock
         self._state = ContractState(phase=Phase.PRE_CHECK)
         self.cycle = 0
         self.pending_valuation: SettlementAmount | None = None
@@ -206,8 +188,8 @@ class ContractInstance:
     def _transition(self, new: ContractState, cause: str) -> None:
         old = self._state
         self._state = new
-        self._journal.append(EventRecord.create(
-            self._clock.now(), EventKind.STATE_TRANSITION, SYSTEM_ACTOR,
+        self.ledger.journal.append(EventRecord.create(
+            self.ledger.clock.now(), EventKind.STATE_TRANSITION, SYSTEM_ACTOR,
             contract=self.spec.contract_id, src=old.label(), dst=new.label(), cause=cause))
 
     def _release(self, party: AccountId, bucket: Bucket, amount: int, to: AccountId) -> None:
@@ -216,14 +198,14 @@ class ContractInstance:
                                            amount, to, actor=SYSTEM_ACTOR)
 
     def _journal_termination(self, cause: TerminationCause, **details) -> None:
-        self._journal.append(EventRecord.create(
-            self._clock.now(), EventKind.TERMINATION, SYSTEM_ACTOR,
+        self.ledger.journal.append(EventRecord.create(
+            self.ledger.clock.now(), EventKind.TERMINATION, SYSTEM_ACTOR,
             contract=self.spec.contract_id, cause=cause.value,
-            tick=self._clock.now(), **details))
+            tick=self.ledger.clock.now(), **details))
 
     # -- lifecycle operations --
 
-    def initialize(self, now: int) -> None:
+    def initialize(self) -> None:
         """Lock both termination fees and open the first prefunding window.
 
         Requires each party's free balance to cover its fee top-up plus
@@ -246,7 +228,7 @@ class ContractInstance:
                 self.ledger.lock_segregated(self.spec.contract_id, party, Bucket.FEE,
                                             top_ups[party], actor=SYSTEM_ACTOR)
         self._transition(ContractState(phase=Phase.ACCOUNTS_OPEN,
-                                       until=now + self.spec.prefund_window),
+                                       until=self.ledger.clock.now() + self.spec.prefund_window),
                          cause="initialized")
 
     def deposit_margin(self, party: AccountId, amount: int) -> None:
@@ -280,14 +262,15 @@ class ContractInstance:
         self.ledger.release_segregated(self.spec.contract_id, party, Bucket.FEE,
                                        check_amount(amount), party, actor=party)
 
-    def close_accounts(self, now: int) -> None:
+    def close_accounts(self) -> None:
         if self._state.phase is not Phase.ACCOUNTS_OPEN:
             raise WrongState(f"cannot close accounts in {self._state.label()}")
+        now = self.ledger.clock.now()
         if now < self._state.until:
             raise TooEarly(f"window open until tick {self._state.until}, now {now}")
         self._transition(ContractState(phase=Phase.MARGIN_CHECK), cause="window-closed")
 
-    def margin_check(self) -> CheckOutcome:
+    def margin_check(self) -> None:
         """Verify both margin buckets cover their buffers; terminate otherwise."""
         if self._state.phase is not Phase.MARGIN_CHECK:
             raise WrongState(f"no margin check due in {self._state.label()}")
@@ -297,7 +280,7 @@ class ContractInstance:
             settle_at = self.spec.settlement_times[self.cycle + 1]
             self._transition(ContractState(phase=Phase.AWAIT_VALUATION, settle_at=settle_at),
                              cause="margins-sufficient")
-            return CheckOutcome(passed=True)
+            return
         # Termination for insufficient prefunding: each deficient party's fee
         # bucket crosses to the counterparty; margins and surviving fees return.
         for party in self.spec.parties:
@@ -307,13 +290,12 @@ class ContractInstance:
             self._release(party, Bucket.MARGIN, self.margin_bucket(party), party)
             if party not in deficient:
                 self._release(party, Bucket.FEE, self.fee_bucket(party), party)
-        now = self._clock.now()
+        now = self.ledger.clock.now()
         self._journal_termination(TerminationCause.INSUFFICIENT_PREFUND,
                                   deficient=",".join(deficient))
         self._transition(ContractState(phase=Phase.TERMINATED,
                                        cause=TerminationCause.INSUFFICIENT_PREFUND, at=now),
                          cause="margin-prefunding-insufficient")
-        return CheckOutcome(passed=False, deficient=deficient)
 
     def deliver_valuation(self, amount: SettlementAmount) -> None:
         if self._state.phase is not Phase.AWAIT_VALUATION:
@@ -326,8 +308,8 @@ class ContractInstance:
                                        settle_at=self._state.settle_at),
                          cause="valuation-delivered")
 
-    def settle(self, f: SettlementAmount | None, now: int) -> SettleOutcome:
-        """Execute the period's settlement out of the payer's margin bucket.
+    def settle(self) -> None:
+        """Execute the delivered valuation out of the payer's margin bucket.
 
         Covered amounts keep the contract alive (reopening the wallets) or
         mature it on the final grid time; an uncovered amount settles
@@ -336,16 +318,14 @@ class ContractInstance:
         """
         if self._state.phase is not Phase.MARGIN_CALCULATION:
             raise WrongState(f"cannot settle in {self._state.label()}")
-        if f is None:
-            raise NoValuation("no settlement amount delivered for this period")
         due = self._state.settle_at
+        now = self.ledger.clock.now()
         if now < due:
             raise TooEarly(f"settlement due at tick {due}, now {now}")
         if now > due:
             raise WrongState(f"settlement was due at tick {due}, now {now}")
-        if f.as_of != due:
-            raise TimestampMismatch(f"valuation is for tick {f.as_of}, settlement due {due}")
 
+        f = self.pending_valuation
         amount = abs(round_to_minor_units(f.value))
         if f.value > 0:
             payer, receiver = self.spec.party_b, self.spec.party_a
@@ -363,7 +343,7 @@ class ContractInstance:
             self._release(payer, Bucket.FEE, self.fee_bucket(payer), receiver)
             self._release(receiver, Bucket.MARGIN, self.margin_bucket(receiver), receiver)
             self._release(receiver, Bucket.FEE, self.fee_bucket(receiver), receiver)
-            self._journal.append(EventRecord.create(
+            self.ledger.journal.append(EventRecord.create(
                 now, EventKind.SETTLEMENT, SYSTEM_ACTOR, contract=cid, cycle=self.cycle,
                 value=repr(f.value), amount=paid, payer=payer, receiver=receiver,
                 outcome="partial"))
@@ -372,11 +352,11 @@ class ContractInstance:
             self._transition(ContractState(phase=Phase.TERMINATED,
                                            cause=TerminationCause.SETTLEMENT_FAILED, at=now),
                              cause="settlement-exceeded-margin")
-            return SettleOutcome(SettleResult.FAILED, paid, payer, receiver)
+            return
 
         if payer is not None and amount > 0:
             self._release(payer, Bucket.MARGIN, amount, receiver)
-        self._journal.append(EventRecord.create(
+        self.ledger.journal.append(EventRecord.create(
             now, EventKind.SETTLEMENT, SYSTEM_ACTOR, contract=cid, cycle=self.cycle,
             value=repr(f.value), amount=amount, payer=payer or "", receiver=receiver or "",
             outcome="matured" if maturing else "settled"))
@@ -391,14 +371,13 @@ class ContractInstance:
             self._transition(ContractState(phase=Phase.TERMINATED,
                                            cause=TerminationCause.MATURED, at=now),
                              cause="matured")
-            return SettleOutcome(SettleResult.MATURED, amount, payer, receiver)
+            return
         self.cycle += 1
         self._transition(ContractState(phase=Phase.SETTLED, cycle=settled_cycle),
                          cause="settlement-executed")
         self._transition(ContractState(phase=Phase.ACCOUNTS_OPEN,
                                        until=now + self.spec.prefund_window),
                          cause="cycle-complete")
-        return SettleOutcome(SettleResult.SETTLED, amount, payer, receiver)
 
     def return_fees(self) -> None:
         """Post both termination fees back after regular maturity."""
@@ -414,7 +393,7 @@ class ContractInstance:
         self.fees_returned = True
 
     def mark_error(self, detail: str) -> None:
-        """Suspend the contract on a persistent oracle failure."""
+        """End the contract in ERROR on an oracle failure: absorbing, every bucket stays locked."""
         if self.is_final:
             raise WrongState(f"contract already final in {self._state.label()}")
         self._transition(ContractState(phase=Phase.ERROR, detail=detail), cause="oracle-failure")

@@ -100,10 +100,6 @@ class TooEarly(SdcError):
     pass
 
 
-class NoValuation(SdcError):
-    pass
-
-
 # --- scenario files ---
 
 class ScenarioParseError(SdcError):

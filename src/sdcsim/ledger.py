@@ -49,8 +49,8 @@ class Ledger:
     """Account balances, allowances and segregated margin/fee buckets."""
 
     def __init__(self, journal: Journal, clock: Clock, issuer_label: str = "issuer"):
-        self._journal = journal
-        self._clock = clock
+        self.journal = journal
+        self.clock = clock
         self._accounts: dict[AccountId, int] = {}
         self._allowances: dict[tuple[AccountId, AccountId], int] = {}
         self._segregated: dict[tuple[str, AccountId, Bucket], int] = {}
@@ -92,7 +92,7 @@ class Ledger:
         return held == self.total_supply()
 
     def _emit(self, kind: EventKind, actor: str, **details) -> None:
-        self._journal.append(EventRecord.create(self._clock.now(), kind, actor, **details))
+        self.journal.append(EventRecord.create(self.clock.now(), kind, actor, **details))
 
     # -- supply --
 

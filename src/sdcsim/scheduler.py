@@ -6,9 +6,8 @@ margin check runs on the following tick, and valuation then settlement
 share the period-end tick t_{i+1} (valuation strictly first). The final
 cycle carries a MATURITY event that posts the termination fees back.
 
-Every mode replays (tick, event, party) rows through one loop. Active
-(the trusted third party) and passive (party A requests each event)
-replay the timeline itself; driver replays a caller's script. Each row
+`Engine.run` replays (tick, event, party) rows through one loop: the
+timeline itself, requested by party A, or a caller's script. Each row
 goes through `request_event`, the single admissibility check: it runs
 only if a contract party or the oracle account names the next-due
 timeline event at that event's scheduled tick, with the clock on that
@@ -17,9 +16,9 @@ no state and is journaled as a rejection.
 
 The loop visits every tick from inception to maturity while the contract
 is live, running that tick's rows first and then the agent hooks, so
-agents act identically in every mode. Past the final grid tick, or once
-the contract has finished, it jumps from row to row. For the same
-scenario the three modes therefore produce bit-identical journals.
+agents act identically whoever requests the events. Past the final grid
+tick, or once the contract has finished, it jumps from row to row. So
+`timeline_script` replays to the timeline's journal, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Protocol, Sequence
 
 from .contract import ContractInstance, ContractSpec, Phase, TerminationCause
 from .errors import OracleFailure, PreconditionFailed, ScenarioParseError, SdcError
-from .journal import Clock, EventKind, EventRecord, Journal
+from .journal import EventKind, EventRecord
 from .ledger import AccountId, Ledger
 from .valuation import SettlementAmount
 
@@ -42,12 +41,6 @@ class LifecycleEvent(str, Enum):
     VALUATION = "VALUATION"
     SETTLEMENT = "SETTLEMENT"
     MATURITY = "MATURITY"
-
-
-class Mode(str, Enum):
-    ACTIVE = "active"
-    PASSIVE = "passive"
-    DRIVER = "driver"
 
 
 @dataclass(frozen=True)
@@ -81,9 +74,9 @@ class ScriptStep:
     party: AccountId
 
 
-def timeline_script(spec: ContractSpec, party: AccountId | None = None) -> list[ScriptStep]:
-    requester = party if party is not None else spec.party_a
-    return [ScriptStep(e.tick, e.kind, requester) for e in build_timeline(spec)]
+def timeline_script(spec: ContractSpec) -> list[ScriptStep]:
+    """The timeline as script rows, every event requested by party A."""
+    return [ScriptStep(e.tick, e.kind, spec.party_a) for e in build_timeline(spec)]
 
 
 def format_script(steps: Sequence[ScriptStep]) -> str:
@@ -123,15 +116,15 @@ class Oracle(Protocol):
 
 
 class Engine:
-    """Single-threaded executor for one contract on one ledger."""
+    """Single-threaded executor for one contract, on its ledger's clock and journal."""
 
-    def __init__(self, contract: ContractInstance, oracle: Oracle, clock: Clock,
-                 journal: Journal, agents: dict[AccountId, AgentPolicy] | None = None,
+    def __init__(self, contract: ContractInstance, oracle: Oracle,
+                 agents: dict[AccountId, AgentPolicy] | None = None,
                  oracle_account: AccountId | None = None):
         self.contract = contract
         self.oracle = oracle
-        self.clock = clock
-        self.journal = journal
+        self.clock = contract.ledger.clock
+        self.journal = contract.ledger.journal
         self.agents = agents or {}
         self.oracle_account = oracle_account
         self.timeline = build_timeline(contract.spec)
@@ -147,11 +140,11 @@ class Engine:
 
     # -- the replay loop --
 
-    def run(self, mode: Mode = Mode.ACTIVE, script: Sequence[ScriptStep] | None = None) -> None:
-        """Replay `script` (driver mode) or the timeline (every other mode)."""
+    def run(self, script: Sequence[ScriptStep] | None = None) -> None:
+        """Replay `script`, or the timeline when it is None."""
         if not self._initialize():
             return
-        if mode is not Mode.DRIVER or script is None:
+        if script is None:
             script = timeline_script(self.spec)
         last = self.spec.settlement_times[-1]
         tick = self.clock.now()
@@ -175,10 +168,9 @@ class Engine:
     def _initialize(self) -> bool:
         if self.contract.phase is not Phase.PRE_CHECK:
             return True
-        start = self.spec.settlement_times[0]
-        self.clock.advance_to(start)
+        self.clock.advance_to(self.spec.settlement_times[0])
         try:
-            self.contract.initialize(start)
+            self.contract.initialize()
         except PreconditionFailed:
             return False
         return True
@@ -220,15 +212,14 @@ class Engine:
                     and c.state().cause is TerminationCause.MATURED):
                 c.return_fees()
             return
-        now = self.clock.now()
         if entry.kind is LifecycleEvent.CLOSE_ACCOUNTS:
-            c.close_accounts(now)
+            c.close_accounts()
         elif entry.kind is LifecycleEvent.MARGIN_CHECK:
             c.margin_check()
         elif entry.kind is LifecycleEvent.VALUATION:
             self._run_valuation(entry)
         elif entry.kind is LifecycleEvent.SETTLEMENT:
-            c.settle(c.pending_valuation, now)
+            c.settle()
         # OPEN_ACCOUNTS is a no-op (initialization and each settlement reopen
         # the wallets); MATURITY matters only once the contract matured (above).
 

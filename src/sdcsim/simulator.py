@@ -29,6 +29,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .contract import ContractInstance, ContractSpec, Phase
 from .errors import OracleFailure, ScenarioParseError, ScenarioValidationError, UnknownPricer
 from .journal import Clock, EventKind, Journal, write_atomic
 from .ledger import AccountId, Bucket, Ledger
-from .scheduler import Engine, Mode
+from .scheduler import Engine
 from .valuation import (
     Forward,
     MarginOracle,
@@ -52,6 +53,10 @@ from .valuation import (
 )
 
 ORACLE_LABEL = "oracle"
+
+# The final settlement tick a scenario may name: the market path holds one
+# snapshot per tick from 0 to it.
+MAX_FINAL_TICK = 10**6
 
 # Philox sub-stream ids; a scenario seed plus one of these pins a variate stream.
 PATH_STREAM = 0
@@ -80,6 +85,16 @@ class MarketModel:
 class PolicySpec:
     kind: str               # compliant | defaulting | willful
     param: int | None = None
+
+
+class Mode(str, Enum):
+    """Who requests the lifecycle events: the trusted third party (active),
+    party A (passive) or a driver script. Every mode replays the timeline, so
+    the mode only labels the scenario and its report."""
+
+    ACTIVE = "active"
+    PASSIVE = "passive"
+    DRIVER = "driver"
 
 
 @dataclass(frozen=True)
@@ -458,6 +473,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         grid = tuple(int(x) for x in _get(cp, "contract", "settlement_times").split(","))
     except ValueError:
         raise ScenarioValidationError("settlement_times", "must be comma-separated ticks") from None
+    if grid[-1] > MAX_FINAL_TICK:
+        raise ScenarioValidationError(
+            "settlement_times", f"final tick must be <= {MAX_FINAL_TICK}, got {grid[-1]}")
 
     product = _parse_product(cp, tick_years, grid)
     pricer_version = _get(cp, "contract", "pricer")
@@ -590,7 +608,8 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
                      oracle: MarginOracle) -> tuple[list[CycleRow], bool]:
     """Report rows from the journaled Settlements, and whether they reconcile:
     cycles 0, 1, ... on their period-end ticks (rows stop at the first that is
-    not), values the oracle cached, amounts and payers as `settle` derives them."""
+    not), values the oracle cached, amounts and payers as `settle` derives them,
+    and no valued period left without its Settlement."""
     grid = spec.settlement_times
     directions = {1: (spec.party_b, spec.party_a), -1: (spec.party_a, spec.party_b), 0: ("", "")}
     rows: list[CycleRow] = []
@@ -610,7 +629,9 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
             cycle=cycle, period_start=grid[cycle], settle_tick=r.timestamp,
             value_end=cached.value_end if cached else None, f_value=value, amount=amount,
             payer=d["payer"], receiver=d["receiver"], result=_RESULTS.get(outcome, outcome)))
-    return rows, ok
+    n = len(rows)
+    unsettled = n < spec.cycles and oracle.cached(spec.binding, grid[n], grid[n + 1]) is not None
+    return rows, ok and not unsettled
 
 
 def run_simulation(scenario: Scenario) -> RunArtifacts:
@@ -636,16 +657,15 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
             store.add(snap)
 
     oracle = MarginOracle(store, journal, clock)
-    contract = ContractInstance(spec, ledger, journal, clock)
+    contract = ContractInstance(spec, ledger)
     agents = {party_a: make_policy(scenario.policy_a),
               party_b: make_policy(scenario.policy_b)}
-    engine = Engine(contract, oracle, clock, journal, agents=agents,
-                    oracle_account=oracle_account)
+    engine = Engine(contract, oracle, agents=agents, oracle_account=oracle_account)
 
     initial_wealth = {p: _party_wealth(ledger, spec.contract_id, p) for p in spec.parties}
     initial_supply = ledger.total_supply()
 
-    engine.run(scenario.mode)
+    engine.run()
 
     state = contract.state()
     if state.phase is Phase.PRE_CHECK:  # initialization was refused

@@ -86,7 +86,7 @@ def make_contract(**kwargs):
     clock, journal, ledger, a, b = make_world(
         kwargs.pop("funding_a", 100_000), kwargs.pop("funding_b", 100_000))
     spec = make_spec(a, b, **kwargs)
-    contract = ContractInstance(spec, ledger, journal, clock)
+    contract = ContractInstance(spec, ledger)
     return contract, clock, journal, ledger
 
 

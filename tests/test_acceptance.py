@@ -15,7 +15,6 @@ from sdcsim import (
     Forward,
     Journal,
     MarketSnapshot,
-    Mode,
     Phase,
     SettlementAmount,
     TerminationCause,
@@ -268,9 +267,9 @@ def _run_case(configs):
                              [float(f) for _, _, f in padded])
     agents = {a: TargetLeveler({i: c[0] for i, c in enumerate(padded)}),
               b: TargetLeveler({i: c[1] for i, c in enumerate(padded)})}
-    engine = Engine(contract, oracle, clock, journal, agents=agents)
+    engine = Engine(contract, oracle, agents=agents)
     total_before = ledger.total_supply()
-    engine.run(Mode.ACTIVE)
+    engine.run()
 
     cause, cycle, causers = _expected(configs)
     state = contract.state()
@@ -356,9 +355,8 @@ def test_acceptance_05_window_enforcement():
     a, b = contract.spec.parties
     fuzzer = FuzzingComplier(random.Random(10005))
     oracle = scripted_oracle(journal, clock, contract.spec, [0.0] * 50)
-    engine = Engine(contract, oracle, clock, journal,
-                    agents={a: fuzzer, b: CompliantAgent()})
-    engine.run(Mode.ACTIVE)
+    engine = Engine(contract, oracle, agents={a: fuzzer, b: CompliantAgent()})
+    engine.run()
 
     assert contract.state().cause is TerminationCause.MATURED
     violations = [(phase, ok) for phase, ok in fuzzer.attempts

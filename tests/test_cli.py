@@ -312,3 +312,19 @@ def test_negative_inception_tick_is_an_input_error(scenario_file, tmp_path, caps
     assert "Traceback" not in err
     assert err.count("error: contract: inception tick must be non-negative, got -10") == 3
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "calibrate"])
+def test_final_tick_above_the_bound_is_an_input_error(scenario_file, tmp_path, capsys, command):
+    # the market path holds one snapshot per tick up to the final settlement
+    path = scenario_file(contract__settlement_times="0,1000000000")
+    extra = {"run": ["--out", str(tmp_path / "o")], "calibrate": ["--trials", "200"]}
+    assert main([command, path, *extra.get(command, [])]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: settlement_times: final tick must be <= 1000000, got 1000000000" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_final_tick_on_the_bound_validates(scenario_file):
+    assert main(["validate", scenario_file(contract__settlement_times="0,10,1000000")]) == 0

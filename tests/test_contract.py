@@ -1,19 +1,20 @@
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from sdcsim import (
     Bucket,
     ContractInstance,
+    EventKind,
     Phase,
-    SettleResult,
     SettlementAmount,
     TerminationCause,
 )
 from sdcsim.errors import (
     AccountsNotOpen,
     InsufficientSegregated,
-    NoValuation,
     NotAParty,
     PreconditionFailed,
     SdcError,
@@ -35,30 +36,41 @@ def fund_margins(contract, amount_a=M, amount_b=M):
 
 def to_margin_check(contract, clock):
     clock.advance_to(contract.state().until)
-    contract.close_accounts(clock.now())
+    contract.close_accounts()
 
 
-def to_settlement(contract, clock, value: float):
-    """Drive the current cycle from its open window to just before settle."""
+class Settled(NamedTuple):
+    amount: int
+    payer: str
+    receiver: str
+    outcome: str
+
+
+def run_cycle(contract, clock, value: float) -> Settled:
+    """Drive the current cycle from its open window through a settlement at
+    `value`; return the facts of the journaled Settlement."""
     to_margin_check(contract, clock)
-    assert contract.margin_check().passed
+    contract.margin_check()
+    assert contract.phase is Phase.AWAIT_VALUATION
     settle_at = contract.state().settle_at
     clock.advance_to(settle_at)
-    f = SettlementAmount(value=value, as_of=settle_at)
-    contract.deliver_valuation(f)
-    return f
+    contract.deliver_valuation(SettlementAmount(value=value, as_of=settle_at))
+    contract.settle()
+    record = contract.ledger.journal.records(EventKind.SETTLEMENT)[-1]
+    return Settled(int(record.detail("amount")), record.detail("payer"),
+                   record.detail("receiver"), record.detail("outcome"))
 
 
-def run_cycle(contract, clock, value: float):
-    f = to_settlement(contract, clock, value)
-    return contract.settle(f, clock.now())
+def deficient(journal) -> str:
+    (termination,) = journal.records(EventKind.TERMINATION)
+    return termination.detail("deficient")
 
 
 # -- initialization --
 
 def test_initialize_locks_fees_at_exact_funding_boundary():
     contract, clock, journal, ledger = make_contract(funding_a=P + M, funding_b=P + M)
-    contract.initialize(0)
+    contract.initialize()
     for party in contract.spec.parties:
         assert contract.fee_bucket(party) == P
         assert ledger.balance_of(party) == M
@@ -70,7 +82,7 @@ def test_initialize_names_the_deficient_party_and_touches_nothing():
     contract, clock, journal, ledger = make_contract(funding_a=P + M, funding_b=P + M - 1)
     csv_before, blocks_before = ledger.to_csv(), len(journal)
     with pytest.raises(PreconditionFailed) as exc:
-        contract.initialize(0)
+        contract.initialize()
     assert exc.value.party == contract.spec.party_b
     assert ledger.to_csv() == csv_before
     assert len(journal) == blocks_before
@@ -79,16 +91,16 @@ def test_initialize_names_the_deficient_party_and_touches_nothing():
 
 def test_duplicate_initialize_rejected():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     with pytest.raises(WrongState):
-        contract.initialize(0)
+        contract.initialize()
 
 
 def test_early_fee_posting_reduces_the_top_up():
     contract, clock, journal, ledger = make_contract()
     a = contract.spec.party_a
     contract.deposit_fee(a, 50)
-    contract.initialize(0)
+    contract.initialize()
     assert contract.fee_bucket(a) == P
     assert ledger.balance_of(a) == 100_000 - P
 
@@ -97,14 +109,14 @@ def test_early_fee_posting_reduces_the_top_up():
 
 def test_deposit_inside_window_grows_bucket():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     contract.deposit_margin(contract.spec.party_a, 150)
     assert contract.margin_bucket(contract.spec.party_a) == 150
 
 
 def test_deposit_after_close_rejected():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     to_margin_check(contract, clock)
     with pytest.raises(AccountsNotOpen):
         contract.deposit_margin(contract.spec.party_a, 1)
@@ -113,14 +125,14 @@ def test_deposit_after_close_rejected():
 def test_third_account_is_not_a_party():
     contract, clock, journal, ledger = make_contract()
     stranger = ledger.open_account("stranger")
-    contract.initialize(0)
+    contract.initialize()
     with pytest.raises(NotAParty):
         contract.deposit_margin(stranger, 1)
 
 
 def test_withdraw_full_buffer_during_window():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     a = contract.spec.party_a
     contract.deposit_margin(a, M)
     contract.withdraw_margin(a, M)
@@ -129,7 +141,7 @@ def test_withdraw_full_buffer_during_window():
 
 def test_withdraw_when_closed_rejected():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract)
     to_margin_check(contract, clock)
     with pytest.raises(AccountsNotOpen):
@@ -138,7 +150,7 @@ def test_withdraw_when_closed_rejected():
 
 def test_withdraw_beyond_bucket_rejected():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     contract.deposit_margin(contract.spec.party_a, 10)
     with pytest.raises(InsufficientSegregated):
         contract.withdraw_margin(contract.spec.party_a, 11)
@@ -148,21 +160,21 @@ def test_withdraw_beyond_bucket_rejected():
 
 def test_fee_posting_after_initialization_rejected():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     with pytest.raises(WrongState):
         contract.deposit_fee(contract.spec.party_a, 1)
 
 
 def test_fee_withdrawal_while_alive_rejected():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     with pytest.raises(WrongState):
         contract.withdraw_fee(contract.spec.party_a, 1)
 
 
 def test_fee_withdrawal_after_maturity_returns_to_free():
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     for _ in range(3):
         fund_margins(contract)
         run_cycle(contract, clock, 0.0)
@@ -178,50 +190,53 @@ def test_fee_withdrawal_after_maturity_returns_to_free():
 
 def test_close_accounts_at_window_end():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     clock.advance_to(3)
-    contract.close_accounts(3)
+    contract.close_accounts()
     assert contract.phase is Phase.MARGIN_CHECK
 
 
 def test_close_accounts_one_tick_early_rejected():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     with pytest.raises(TooEarly):
-        contract.close_accounts(2)
+        contract.close_accounts()  # the clock at 0
+    clock.advance_to(2)
+    with pytest.raises(TooEarly):
+        contract.close_accounts()
     assert contract.phase is Phase.ACCOUNTS_OPEN
 
 
 def test_close_accounts_twice_rejected():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     to_margin_check(contract, clock)
+    clock.advance_to(4)
     with pytest.raises(WrongState):
-        contract.close_accounts(4)
+        contract.close_accounts()
 
 
 # -- margin check --
 
 def test_margin_check_passes_at_exact_buffer():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract, M, M)
     to_margin_check(contract, clock)
-    assert contract.margin_check().passed
+    contract.margin_check()
     assert contract.phase is Phase.AWAIT_VALUATION
     assert contract.state().settle_at == 10
 
 
 def test_margin_check_one_unit_short_terminates_and_crosses_fee():
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     a, b = contract.spec.parties
     fund_margins(contract, M - 1, M)
     to_margin_check(contract, clock)
     free_a, free_b = ledger.balance_of(a), ledger.balance_of(b)
-    outcome = contract.margin_check()
-    assert not outcome.passed
-    assert outcome.deficient == (a,)
+    contract.margin_check()
+    assert deficient(journal) == a
     state = contract.state()
     assert state.phase is Phase.TERMINATED
     assert state.cause is TerminationCause.INSUFFICIENT_PREFUND
@@ -237,13 +252,13 @@ def test_margin_check_both_deficient_crosses_both_fees():
     # Decision table for the two-sided case: each deficient party's fee goes
     # to the other, margins return to their owners.
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     a, b = contract.spec.parties
     fund_margins(contract, M - 1, 0)
     to_margin_check(contract, clock)
     free_a, free_b = ledger.balance_of(a), ledger.balance_of(b)
-    outcome = contract.margin_check()
-    assert outcome.deficient == (a, b)
+    contract.margin_check()
+    assert deficient(journal) == f"{a},{b}"
     assert ledger.balance_of(a) == free_a + (M - 1) + P  # own margin back + b's fee
     assert ledger.balance_of(b) == free_b + 0 + P        # own margin back + a's fee
     assert contract.state().cause is TerminationCause.INSUFFICIENT_PREFUND
@@ -251,7 +266,7 @@ def test_margin_check_both_deficient_crosses_both_fees():
 
 def test_margin_check_wrong_state():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     with pytest.raises(WrongState):
         contract.margin_check()
 
@@ -260,13 +275,12 @@ def test_margin_check_wrong_state():
 
 def test_zero_settlement_advances_cycle_without_transfer():
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract)
     a, b = contract.spec.parties
     free = (ledger.balance_of(a), ledger.balance_of(b))
-    outcome = run_cycle(contract, clock, 0.0)
-    assert outcome.result is SettleResult.SETTLED
-    assert outcome.amount == 0
+    settled = run_cycle(contract, clock, 0.0)
+    assert settled == Settled(0, "", "", "settled")
     assert (ledger.balance_of(a), ledger.balance_of(b)) == free
     assert contract.cycle == 1
     assert contract.phase is Phase.ACCOUNTS_OPEN
@@ -274,13 +288,12 @@ def test_zero_settlement_advances_cycle_without_transfer():
 
 def test_settlement_equal_to_bucket_keeps_contract_alive():
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract)
     a, b = contract.spec.parties
     free_a = ledger.balance_of(a)
-    outcome = run_cycle(contract, clock, float(M))  # B pays A exactly the buffer
-    assert outcome.result is SettleResult.SETTLED
-    assert outcome.payer == b and outcome.receiver == a
+    settled = run_cycle(contract, clock, float(M))  # B pays A exactly the buffer
+    assert settled == Settled(M, b, a, "settled")
     assert contract.margin_bucket(b) == 0
     assert ledger.balance_of(a) == free_a + M
     assert contract.phase is Phase.ACCOUNTS_OPEN
@@ -288,13 +301,12 @@ def test_settlement_equal_to_bucket_keeps_contract_alive():
 
 def test_settlement_beyond_bucket_pays_partially_and_terminates():
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract)
     a, b = contract.spec.parties
     free_a = ledger.balance_of(a)
-    outcome = run_cycle(contract, clock, float(M + 100))
-    assert outcome.result is SettleResult.FAILED
-    assert outcome.amount == M  # the whole bucket, not the owed amount
+    settled = run_cycle(contract, clock, float(M + 100))
+    assert settled == Settled(M, b, a, "partial")  # the whole bucket, not the owed amount
     assert ledger.balance_of(a) == free_a + M + P + M + P  # partial + b's fee + own buckets
     state = contract.state()
     assert state.cause is TerminationCause.SETTLEMENT_FAILED
@@ -305,33 +317,32 @@ def test_settlement_beyond_bucket_pays_partially_and_terminates():
 
 def test_negative_value_means_party_a_pays():
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract)
     a, b = contract.spec.parties
     free_b = ledger.balance_of(b)
-    outcome = run_cycle(contract, clock, -120.0)
-    assert outcome.payer == a and outcome.receiver == b
+    settled = run_cycle(contract, clock, -120.0)
+    assert (settled.payer, settled.receiver) == (a, b)
     assert ledger.balance_of(b) == free_b + 120
 
 
 def test_sub_half_unit_settlement_rounds_to_nothing():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract)
-    outcome = run_cycle(contract, clock, 0.4)
-    assert outcome.amount == 0
-    outcome = run_cycle(contract, clock, 0.5)
-    assert outcome.amount == 1
+    assert run_cycle(contract, clock, 0.4).amount == 0
+    assert run_cycle(contract, clock, 0.5).amount == 1
 
 
 def test_final_settlement_matures_and_returns_margin_buffers():
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     a, b = contract.spec.parties
     for expected_cycle in range(3):
         fund_margins(contract)
-        outcome = run_cycle(contract, clock, 100.0)
-        assert outcome.amount == 100
+        settled = run_cycle(contract, clock, 100.0)
+        assert settled.amount == 100
+        assert settled.outcome == ("matured" if expected_cycle == 2 else "settled")
     state = contract.state()
     assert state.cause is TerminationCause.MATURED
     assert state.at == 30
@@ -345,37 +356,41 @@ def test_final_settlement_matures_and_returns_margin_buffers():
 
 
 def test_settle_guards():
-    contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract, clock, journal, _ = make_contract()
+    contract.initialize()
     fund_margins(contract)
-    f = to_settlement(contract, clock, 5.0)
-    with pytest.raises(NoValuation):
-        contract.settle(None, 10)
+    to_margin_check(contract, clock)
+    contract.margin_check()
+    clock.advance_to(10)
+    state, blocks = contract.state(), len(journal)
     with pytest.raises(TimestampMismatch):
-        contract.settle(SettlementAmount(5.0, as_of=20), 10)
-    contract.settle(f, 10)
+        contract.deliver_valuation(SettlementAmount(5.0, as_of=20))
+    assert contract.state() == state and len(journal) == blocks
+    assert contract.pending_valuation is None
+    contract.deliver_valuation(SettlementAmount(5.0, as_of=10))
+    contract.settle()
     with pytest.raises(WrongState):
-        contract.settle(f, 10)
+        contract.settle()
 
 
 def test_settle_timing_is_pinned_to_the_grid():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract)
     to_margin_check(contract, clock)
     contract.margin_check()
-    f = SettlementAmount(1.0, as_of=10)
     clock.advance_to(9)
-    contract.deliver_valuation(f)
+    contract.deliver_valuation(SettlementAmount(1.0, as_of=10))
     with pytest.raises(TooEarly):
-        contract.settle(f, 9)
+        contract.settle()
+    clock.advance_to(11)
     with pytest.raises(WrongState):
-        contract.settle(f, 11)
+        contract.settle()
 
 
 def test_terminated_is_absorbing():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     to_margin_check(contract, clock)
     contract.margin_check()  # no margin funded: terminates
     assert contract.is_final
@@ -389,7 +404,7 @@ def test_terminated_is_absorbing():
 
 def test_mark_error_suspends():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     fund_margins(contract)
     to_margin_check(contract, clock)
     contract.margin_check()
@@ -397,6 +412,9 @@ def test_mark_error_suspends():
     assert contract.phase is Phase.ERROR
     with pytest.raises(WrongState):
         contract.deliver_valuation(SettlementAmount(0.0, as_of=10))
+    # ERROR is absorbing: both parties' margin and fee buckets stay locked
+    for party in contract.spec.parties:
+        assert (contract.margin_bucket(party), contract.fee_bucket(party)) == (M, P)
 
 
 # -- closed transition graph --
@@ -405,7 +423,7 @@ def _fresh(phase: str):
     contract, clock, journal, ledger = make_contract()
     if phase == "PRE_CHECK":
         return contract, clock
-    contract.initialize(0)
+    contract.initialize()
     if phase == "ACCOUNTS_OPEN":
         return contract, clock
     fund_margins(contract)
@@ -424,7 +442,7 @@ def _fresh(phase: str):
 
 def _terminated(cause: str):
     contract, clock, journal, ledger = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     if cause == "INSUFFICIENT_PREFUND":
         to_margin_check(contract, clock)
         contract.margin_check()
@@ -440,24 +458,22 @@ def _terminated(cause: str):
 
 def _errored():
     contract, clock, *_ = make_contract()
-    contract.initialize(0)
+    contract.initialize()
     contract.mark_error("boom")
     return contract, clock
 
 
 OPS = {
-    "initialize": lambda c, clk: c.initialize(clk.now()),
+    "initialize": lambda c, clk: c.initialize(),
     "deposit_margin": lambda c, clk: c.deposit_margin(c.spec.party_a, 1),
     "withdraw_margin": lambda c, clk: c.withdraw_margin(c.spec.party_a, 1),
     "deposit_fee": lambda c, clk: c.deposit_fee(c.spec.party_a, 1),
     "withdraw_fee": lambda c, clk: c.withdraw_fee(c.spec.party_a, 1),
-    "close_accounts": lambda c, clk: c.close_accounts(clk.now()),
+    "close_accounts": lambda c, clk: c.close_accounts(),
     "margin_check": lambda c, clk: c.margin_check(),
     "deliver_valuation": lambda c, clk: c.deliver_valuation(
         SettlementAmount(0.0, as_of=c.state().settle_at if c.state().settle_at else 0)),
-    "settle": lambda c, clk: c.settle(
-        SettlementAmount(0.0, as_of=c.state().settle_at if c.state().settle_at else 0),
-        clk.now()),
+    "settle": lambda c, clk: c.settle(),
     "return_fees": lambda c, clk: c.return_fees(),
     "mark_error": lambda c, clk: c.mark_error("x"),
 }

@@ -12,7 +12,6 @@ from sdcsim import (
     MarginOracle,
     MarketSnapshot,
     MarketStore,
-    Mode,
     Phase,
     ScriptStep,
     TerminationCause,
@@ -33,7 +32,7 @@ def make_engine(values=(0.0, 0.0, 0.0), compliant=True, **kwargs):
     contract, clock, journal, ledger = make_contract(**kwargs)
     oracle = scripted_oracle(journal, clock, contract.spec, values)
     agents = {p: CompliantAgent() for p in contract.spec.parties} if compliant else {}
-    return Engine(contract, oracle, clock, journal, agents=agents)
+    return Engine(contract, oracle, agents=agents)
 
 
 # -- timeline construction --
@@ -73,11 +72,11 @@ def test_cycle_event_ordering():
                               E.VALUATION, E.SETTLEMENT]
 
 
-# -- active mode --
+# -- timeline runs --
 
 def test_compliant_flat_run_matures():
     engine = make_engine(values=(0.0, 0.0, 0.0))
-    engine.run(Mode.ACTIVE)
+    engine.run()
     state = engine.contract.state()
     assert state.cause is TerminationCause.MATURED
     assert engine.contract.fees_returned
@@ -106,7 +105,7 @@ def test_withdrawal_in_cycle_two_triggers_prefund_termination_there():
     engine = make_engine()
     party_b = engine.spec.party_b
     engine.agents[party_b] = WalletEmptier(at_cycle=2)
-    engine.run(Mode.ACTIVE)
+    engine.run()
     state = engine.contract.state()
     assert state.cause is TerminationCause.INSUFFICIENT_PREFUND
     assert engine.contract.cycle == 2
@@ -120,14 +119,14 @@ def test_missing_snapshot_suspends():
     # no snapshot at the first settlement tick 10
     oracle = MarginOracle(store, journal, clock)
     agents = {p: CompliantAgent() for p in contract.spec.parties}
-    engine = Engine(contract, oracle, clock, journal, agents=agents)
-    engine.run(Mode.ACTIVE)
+    engine = Engine(contract, oracle, agents=agents)
+    engine.run()
     assert contract.phase is Phase.ERROR
     assert "tick 10" in contract.state().detail
     assert journal.verify()
 
 
-# -- passive mode & admissibility --
+# -- admissibility --
 
 def test_request_event_admissibility():
     engine = make_engine()
@@ -167,26 +166,18 @@ def test_rejected_requests_change_nothing():
     assert len(engine.journal) == blocks
 
 
-def test_passive_run_completes_like_active():
-    active = make_engine()
-    active.run(Mode.ACTIVE)
-    passive = make_engine()
-    passive.run(Mode.PASSIVE)
-    assert passive.contract.state().cause is TerminationCause.MATURED
-    assert passive.journal.final_hash() == active.journal.final_hash()
+# -- driver scripts --
 
+@pytest.mark.parametrize("values", [(0.0, 0.0, 0.0), (12.5, -40.0, 3.3), (7.0, -3.0, 2.0)])
+def test_driver_replay_of_active_sequence_is_bit_identical(values):
+    timeline = make_engine(values=values)
+    timeline.run()
+    assert timeline.contract.state().cause is TerminationCause.MATURED
 
-# -- driver mode --
-
-def test_driver_replay_of_active_sequence_is_bit_identical():
-    active = make_engine(values=(7.0, -3.0, 2.0))
-    active.run(Mode.ACTIVE)
-    assert active.contract.state().cause is TerminationCause.MATURED
-
-    driver = make_engine(values=(7.0, -3.0, 2.0))
-    driver.run(Mode.DRIVER, script=timeline_script(driver.spec))
-    assert driver.journal.final_hash() == active.journal.final_hash()
-    assert driver.ledger.to_csv() == active.ledger.to_csv()
+    driver = make_engine(values=values)
+    driver.run(script=timeline_script(driver.spec))
+    assert driver.journal.final_hash() == timeline.journal.final_hash()
+    assert driver.ledger.to_csv() == timeline.ledger.to_csv()
 
 
 def rejections(engine):
@@ -206,7 +197,7 @@ def test_driver_duplicate_settlement_is_journaled_as_rejected():
     script = timeline_script(engine.spec)
     settle_i = next(i for i, s in enumerate(script) if s.kind is E.SETTLEMENT)
     script.insert(settle_i + 1, script[settle_i])
-    engine.run(Mode.DRIVER, script=script)
+    engine.run(script=script)
     rejected = rejections(engine)
     assert len(rejected) == 1
     assert rejected[0].detail("event") == "SETTLEMENT"
@@ -215,7 +206,7 @@ def test_driver_duplicate_settlement_is_journaled_as_rejected():
 
 def test_driver_empty_script_leaves_engine_in_initial_state():
     engine = make_engine()
-    engine.run(Mode.DRIVER, script=[])
+    engine.run(script=[])
     assert engine.contract.phase is Phase.ACCOUNTS_OPEN  # initialized, nothing fired
     assert engine.contract.cycle == 0
     assert engine.journal.records(EventKind.SETTLEMENT) == []
@@ -224,14 +215,14 @@ def test_driver_empty_script_leaves_engine_in_initial_state():
 def test_driver_unauthorized_row_is_rejected():
     engine = make_engine()
     script = [ScriptStep(0, E.OPEN_ACCOUNTS, "nobody#99")] + timeline_script(engine.spec)
-    engine.run(Mode.DRIVER, script=script)
+    engine.run(script=script)
     assert [r.detail("reason") for r in rejections(engine)] == ["NotAuthorized"]
     assert engine.contract.state().cause is TerminationCause.MATURED
 
 
 def test_driver_early_valuation_is_rejected_before_the_oracle_is_asked():
     engine = make_engine(values=(7.0, -3.0, 2.0))
-    engine.run(Mode.DRIVER, script=moved(timeline_script(engine.spec), E.VALUATION, 5))
+    engine.run(script=moved(timeline_script(engine.spec), E.VALUATION, 5))
     valuations = engine.journal.records(EventKind.VALUATION)
     assert all(r.timestamp >= int(r.detail("period_end")) for r in valuations)
     first = rejections(engine)[0]
@@ -241,7 +232,7 @@ def test_driver_early_valuation_is_rejected_before_the_oracle_is_asked():
 
 def test_driver_late_close_accounts_is_rejected_and_the_window_stays_open():
     engine = make_engine()
-    engine.run(Mode.DRIVER, script=moved(timeline_script(engine.spec), E.CLOSE_ACCOUNTS, 8))
+    engine.run(script=moved(timeline_script(engine.spec), E.CLOSE_ACCOUNTS, 8))
     assert [(r.timestamp, r.detail("event"), r.detail("reason"))
             for r in rejections(engine)[:2]] \
         == [(4, "MARGIN_CHECK", "NotDue"), (8, "CLOSE_ACCOUNTS", "NotDue")]
@@ -264,7 +255,7 @@ def test_driver_row_far_past_maturity_costs_one_step():
     engine = make_engine()
     counter = engine.agents[engine.spec.party_b] = CountingAgent()
     script = timeline_script(engine.spec) + [ScriptStep(10**12, E.SETTLEMENT, engine.spec.party_a)]
-    engine.run(Mode.DRIVER, script=script)
+    engine.run(script=script)
     grid = engine.spec.settlement_times
     every_tick = grid[-1] - grid[0] + 1
     assert every_tick < counter.calls <= every_tick + len(script)
@@ -273,22 +264,11 @@ def test_driver_row_far_past_maturity_costs_one_step():
     assert (last.timestamp, last.detail("reason")) == (10**12, "NotDue")
 
 
-# -- mode equivalence and timestamps --
-
-@pytest.mark.parametrize("values", [(0.0, 0.0, 0.0), (12.5, -40.0, 3.3)])
-def test_three_modes_share_one_journal_hash(values):
-    hashes = set()
-    for mode in Mode:
-        engine = make_engine(values=values)
-        engine.run(mode)
-        assert engine.contract.state().cause is TerminationCause.MATURED
-        hashes.add(engine.journal.final_hash())
-    assert len(hashes) == 1
-
+# -- timestamps --
 
 def test_journal_timestamps_never_decrease():
     engine = make_engine(values=(5.0, 5.0, 5.0))
-    engine.run(Mode.ACTIVE)
+    engine.run()
     stamps = [r.timestamp for r in engine.journal.records()]
     assert stamps == sorted(stamps)
 
@@ -312,6 +292,6 @@ def test_willful_agent_on_a_scripted_oracle_neither_crashes_nor_triggers():
     contract, clock, journal, ledger = make_contract()
     oracle = scripted_oracle(journal, clock, contract.spec, (300.0, -300.0, 300.0))
     agents = {p: WillfulAgent(threshold=0) for p in contract.spec.parties}
-    Engine(contract, oracle, clock, journal, agents=agents).run()
+    Engine(contract, oracle, agents=agents).run()
     assert not any(agent.triggered for agent in agents.values())
     assert contract.state().cause is TerminationCause.MATURED

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import replace as dc_replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -17,6 +18,7 @@ from sdcsim import (
     Mode,
     VanillaSwap,
     load_path_csv,
+    load_scenario,
     margin_buffer,
     parse_scenario,
     run_simulation,
@@ -43,6 +45,8 @@ from support import (
     reference_normal_variates,
     reference_one_period_samples,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 BASE = {
     "contract": {
@@ -475,13 +479,15 @@ def test_every_mode_reconciles(mode):
 
 
 def _with_tampered_settlement(journal, cycle, tamper):
-    """A copy of `journal` whose Settlement of `cycle` is `tamper(record)`,
-    re-chained block by block so that `verify` alone passes it."""
+    """A copy of `journal` whose Settlement of `cycle` is `tamper(record)`
+    (dropped if that is None), re-chained block by block so that `verify`
+    alone passes it."""
     copy = Journal()
     for record in journal.records():
         if record.kind is EventKind.SETTLEMENT and record.detail("cycle") == str(cycle):
             record = tamper(record)
-        copy.append(record)
+        if record is not None:
+            copy.append(record)
     assert copy.verify()
     return copy
 
@@ -513,6 +519,15 @@ def test_reconciliation_check_detects_mismatches():
     for name, tamper in SETTLEMENT_TAMPERS.items():
         tampered = _with_tampered_settlement(artifacts.journal, 0, tamper)
         assert not _settlement_rows(tampered, engine.spec, engine.oracle)[1], name
+    # a valued period must have settled: cut a run's last Settlement, whether
+    # it failed (this run) or matured (the bundled volatile forward)
+    volatile = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini"))
+    assert volatile.report.termination_cause == "MATURED"
+    for run in (artifacts, volatile):
+        assert all(run.report.checks.values())
+        cut = _with_tampered_settlement(run.journal, run.report.cycles[-1].cycle, lambda r: None)
+        assert len(cut) == len(run.journal) - 1
+        assert not _settlement_rows(cut, run.engine.spec, run.engine.oracle)[1]
 
 
 def test_inception_does_not_have_to_sit_on_tick_zero():
