@@ -12,6 +12,7 @@ from sdcsim import (
     MarginOracle,
     MarketSnapshot,
     MarketStore,
+    Mode,
     Phase,
     ScriptStep,
     TerminationCause,
@@ -168,16 +169,49 @@ def test_rejected_requests_change_nothing():
 
 # -- driver scripts --
 
-@pytest.mark.parametrize("values", [(0.0, 0.0, 0.0), (12.5, -40.0, 3.3), (7.0, -3.0, 2.0)])
-def test_driver_replay_of_active_sequence_is_bit_identical(values):
-    timeline = make_engine(values=values)
+def test_driver_replay_of_active_sequence_is_bit_identical():
+    timeline = make_engine(values=(7.0, -3.0, 2.0))
     timeline.run()
     assert timeline.contract.state().cause is TerminationCause.MATURED
 
-    driver = make_engine(values=values)
+    driver = make_engine(values=(7.0, -3.0, 2.0))
     driver.run(script=timeline_script(driver.spec))
     assert driver.journal.final_hash() == timeline.journal.final_hash()
     assert driver.ledger.to_csv() == timeline.ledger.to_csv()
+
+
+def requested_by_party_b(spec):
+    return [replace(s, party=spec.party_b) for s in timeline_script(spec)]
+
+
+def test_passive_run_completes_like_active():
+    active = make_engine()
+    active.run()
+    passive = make_engine()
+    passive.run(script=requested_by_party_b(passive.spec))
+    assert passive.contract.state().cause is TerminationCause.MATURED
+    assert rejections(passive) == []
+    assert passive.journal.final_hash() == active.journal.final_hash()
+
+
+MODE_SCRIPTS = {
+    Mode.ACTIVE: lambda spec: None,
+    Mode.PASSIVE: requested_by_party_b,
+    Mode.DRIVER: lambda spec: parse_script(format_script(timeline_script(spec))),
+}
+
+
+@pytest.mark.parametrize("values", [(0.0, 0.0, 0.0), (12.5, -40.0, 3.3)])
+def test_three_modes_share_one_journal_hash(values):
+    """The engine's own timeline, the counterparty requesting every event and
+    a driver script read back from text produce one journal."""
+    hashes = set()
+    for mode in Mode:
+        engine = make_engine(values=values)
+        engine.run(script=MODE_SCRIPTS[mode](engine.spec))
+        assert engine.contract.state().cause is TerminationCause.MATURED
+        hashes.add(engine.journal.final_hash())
+    assert len(hashes) == 1
 
 
 def rejections(engine):
