@@ -36,7 +36,6 @@ from .valuation import (
     MarketSnapshot,
     MarketStore,
     OracleBinding,
-    ScriptedOracle,
     SettlementAmount,
     VanillaSwap,
     discount_factor,

@@ -4,7 +4,8 @@ One instance walks a fixed settlement grid t_0 < t_1 < ... < t_n. Each
 cycle i runs: accounts open at t_i for `prefund_window` ticks (the only
 window in which parties may move margin), accounts close, margin buckets
 are checked against the required buffers, the period's settlement amount
-is delivered by the oracle, and the settlement executes at t_{i+1}.
+is delivered by the oracle and journaled, and the settlement executes at
+t_{i+1}.
 
 Termination is total and absorbing, with exactly three causes:
 
@@ -298,12 +299,17 @@ class ContractInstance:
                          cause="margin-prefunding-insufficient")
 
     def deliver_valuation(self, amount: SettlementAmount) -> None:
+        """Journal the period's delivered valuation and await its settlement."""
         if self._state.phase is not Phase.AWAIT_VALUATION:
             raise WrongState(f"no valuation awaited in {self._state.label()}")
         if amount.as_of != self._state.settle_at:
             raise TimestampMismatch(
                 f"valuation is for tick {amount.as_of}, settlement due {self._state.settle_at}")
         self.pending_valuation = amount
+        self.ledger.journal.append(EventRecord.create(
+            self.ledger.clock.now(), EventKind.VALUATION, SYSTEM_ACTOR,
+            contract=self.spec.contract_id, period_start=self.spec.settlement_times[self.cycle],
+            period_end=amount.as_of, value=repr(amount.value), pricer=self.spec.pricer_version))
         self._transition(ContractState(phase=Phase.MARGIN_CALCULATION,
                                        settle_at=self._state.settle_at),
                          cause="valuation-delivered")

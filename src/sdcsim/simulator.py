@@ -58,6 +58,10 @@ ORACLE_LABEL = "oracle"
 # snapshot per tick from 0 to it.
 MAX_FINAL_TICK = 10**6
 
+# The most variates one buffer calibration may draw: trials times the first
+# period's length in ticks.
+MAX_CALIBRATION_VARIATES = 10**7
+
 # Philox sub-stream ids; a scenario seed plus one of these pins a variate stream.
 PATH_STREAM = 0
 CALIBRATION_STREAM = 1
@@ -171,7 +175,7 @@ class WillfulAgent(CompliantAgent):
     def _projected_exposure(self, engine: Engine, party: AccountId) -> float | None:
         spec = engine.spec
         cycle = engine.contract.cycle
-        if getattr(engine.oracle, "store", None) is None or cycle >= spec.cycles:
+        if cycle >= spec.cycles:
             return None
         start, end = spec.settlement_times[cycle:cycle + 2]
         value, binding = engine.oracle.value, spec.binding
@@ -656,7 +660,7 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
                                   ticks=spec.settlement_times[-1] + 1):
             store.add(snap)
 
-    oracle = MarginOracle(store, journal, clock)
+    oracle = MarginOracle(store)
     contract = ContractInstance(spec, ledger)
     agents = {party_a: make_policy(scenario.policy_a),
               party_b: make_policy(scenario.policy_b)}
@@ -722,6 +726,10 @@ def one_period_samples(scenario: Scenario, trials: int,
     spec = scenario.contract
     start, end = spec.settlement_times[0], spec.settlement_times[1]
     gap = end - start
+    if trials * gap > MAX_CALIBRATION_VARIATES:
+        raise ScenarioValidationError(
+            "trials", f"trials x first-period ticks must be <= {MAX_CALIBRATION_VARIATES}, "
+                      f"got {trials} x {gap}")
     shocks = normal_variates(scenario.seed, stream, trials * gap).reshape(trials, gap)
     if trials == 0:
         return []
@@ -753,7 +761,7 @@ def one_period_samples(scenario: Scenario, trials: int,
         value_start = pricer(spec.product, t, snap_old)
         samples += [pricer(spec.product, t, MarketSnapshot(end, spot * math.exp(move), rate))
                     - value_start for move in moves[1:]]
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise _out_of_range("settlement value", exc) from None
     # a NaN would leave margin_buffer's sort silently out of order
     if not np.isfinite(samples).all():

@@ -19,13 +19,14 @@ Valuations are plain floats at minor-unit scale and are rounded
 half-away-from-zero to integer minor units only when money actually
 moves on the ledger.
 
-The MarginOracle wraps a snapshot store and a pinned pricer version and is
-the one place a contract's period-end value V(t_end) is priced. The
-settlement amount for a (contract, period) pair is computed once, journaled
-once and cached, so repeated queries by either party see one number. The
-value terms behind it are memoized for the current (contract, period end):
-the willful agents' projections on every open-window tick and the
-settlement itself read one price per snapshot.
+The MarginOracle wraps a snapshot store and is the one place a contract's
+period-end value V(t_end) is priced, with the pricer version the contract
+pins. It only prices: the settlement amount for a (contract, period) pair
+is computed once and cached, so repeated queries by either party see one
+number, and the contract journals the amount it is delivered. The value
+terms behind it are memoized for the current (contract, period end): the
+willful agents' projections on every open-window tick and the settlement
+itself read one price per snapshot.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .errors import (
     UnknownPricer,
     ValuationOutOfRange,
 )
-from .journal import Clock, EventKind, EventRecord, Journal, SYSTEM_ACTOR
 
 
 @dataclass(frozen=True)
@@ -230,11 +230,10 @@ class OracleBinding:
 class MarginOracle:
     """Settlement-amount source shared by both parties.
 
-    One valuation per (contract, period): computed by `_compute`, here from
-    stored snapshots, journaled as a Valuation event, cached for idempotent
-    re-queries. The journaled pricer is `pricer_label`, or the binding's
-    pricer version when that is None. A pricer overflow or a non-finite
-    period value raises ValuationOutOfRange and journals nothing.
+    One valuation per (contract, period): computed from stored snapshots and
+    cached for idempotent re-queries; nothing is journaled here. A pricer
+    overflow, a discount factor that underflows to zero or a non-finite
+    period value raises ValuationOutOfRange and caches nothing.
 
     `value` prices V(t_end) on one stored snapshot; agents projecting the
     upcoming settlement price through it too. Its memo holds the current
@@ -242,12 +241,8 @@ class MarginOracle:
     holds more than one period's snapshots (window ticks, start and end).
     """
 
-    pricer_label: str | None = None
-
-    def __init__(self, store: MarketStore | None, journal: Journal, clock: Clock):
+    def __init__(self, store: MarketStore):
         self.store = store
-        self._journal = journal
-        self._clock = clock
         self._cache: dict[tuple[str, int, int], SettlementAmount] = {}
         self._memo_key: tuple[str, int] | None = None
         self._memo: dict[int, float] = {}
@@ -264,63 +259,31 @@ class MarginOracle:
             try:
                 value = pricer(binding.product, period_end * binding.tick_years,
                                self.store.get(as_of))
-            except OverflowError as exc:
+            except (OverflowError, ZeroDivisionError) as exc:
                 raise ValuationOutOfRange(f"pricing tick {as_of} overflows ({exc})") from None
             self._memo[as_of] = value
         return value
 
     def query(self, binding: OracleBinding, period_start: int, period_end: int) -> SettlementAmount:
         key = (binding.contract_id, period_start, period_end)
-        if key in self._cache:
-            return self._cache[key]
-        amount = self._compute(binding, period_start, period_end)
-        if not math.isfinite(amount.value):
-            raise ValuationOutOfRange(f"period ({period_start}, {period_end}) is {amount.value!r}")
-        self._journal.append(EventRecord.create(
-            self._clock.now(), EventKind.VALUATION, SYSTEM_ACTOR,
-            contract=binding.contract_id, period_start=period_start,
-            period_end=period_end, value=repr(amount.value),
-            pricer=self.pricer_label or binding.pricer_version))
-        self._cache[key] = amount
+        amount = self._cache.get(key)
+        if amount is None:
+            # settlement_amount's period check and formula (end term first),
+            # both terms read through the value memo; passing settlement_amount
+            # a memo-reading pricer instead measurably slowed long forward grids
+            if period_start >= period_end:
+                raise TimestampMismatch(f"period must advance: {period_start} -> {period_end}")
+            self.store.get(period_start)  # a missing start is reported before a missing end
+            value_end = self.value(binding, period_end, period_end)
+            amount = SettlementAmount(value_end - self.value(binding, period_end, period_start),
+                                      period_end, value_end)
+            if not math.isfinite(amount.value):
+                raise ValuationOutOfRange(
+                    f"period ({period_start}, {period_end}) is {amount.value!r}")
+            self._cache[key] = amount
         return amount
 
     def cached(self, binding: OracleBinding, period_start: int,
                period_end: int) -> SettlementAmount | None:
-        """The period's amount if `query` has computed it; never prices or journals."""
+        """The period's amount if `query` has computed it; never prices."""
         return self._cache.get((binding.contract_id, period_start, period_end))
-
-    def _compute(self, binding: OracleBinding, period_start: int,
-                 period_end: int) -> SettlementAmount:
-        # settlement_amount's period check and formula (end term first),
-        # both terms read through the value memo; passing settlement_amount
-        # a memo-reading pricer instead measurably slowed long forward grids
-        if period_start >= period_end:
-            raise TimestampMismatch(f"period must advance: {period_start} -> {period_end}")
-        self.store.get(period_start)  # a missing start is reported before a missing end
-        value_end = self.value(binding, period_end, period_end)
-        return SettlementAmount(value_end - self.value(binding, period_end, period_start),
-                                period_end, value_end)
-
-
-class ScriptedOracle(MarginOracle):
-    """Oracle returning prescribed per-period values (test/driver use).
-
-    It has no snapshot store; caching and journaling are MarginOracle's,
-    with the pricer journaled as "scripted".
-    """
-
-    pricer_label = "scripted"
-
-    def __init__(self, journal: Journal, clock: Clock,
-                 values: dict[tuple[int, int], float]):
-        super().__init__(None, journal, clock)
-        self._values = dict(values)
-
-    def _compute(self, binding: OracleBinding, period_start: int,
-                 period_end: int) -> SettlementAmount:
-        try:
-            value = self._values[(period_start, period_end)]
-        except KeyError:
-            raise MissingSnapshot(
-                f"no scripted value for period ({period_start}, {period_end})") from None
-        return SettlementAmount(value=value, as_of=period_end)

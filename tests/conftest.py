@@ -14,10 +14,11 @@ from sdcsim import (
     Forward,
     Journal,
     Ledger,
-    ScriptedOracle,
+    SettlementAmount,
     price,
     register_pricer,
 )
+from sdcsim.errors import MissingSnapshot
 
 COUNTING_PRICER = "counting-test"
 
@@ -90,8 +91,24 @@ def make_contract(**kwargs):
     return contract, clock, journal, ledger
 
 
-def scripted_oracle(journal, clock, spec, values_by_cycle) -> ScriptedOracle:
+class ScriptedValues:
+    """Oracle fake: prescribed per-period settlement values, no market snapshots."""
+
+    def __init__(self, values: dict[tuple[int, int], float]):
+        self.values = values
+
+    def query(self, binding, period_start: int, period_end: int) -> SettlementAmount:
+        try:
+            return SettlementAmount(self.values[(period_start, period_end)], period_end)
+        except KeyError:
+            raise MissingSnapshot(
+                f"no scripted value for period ({period_start}, {period_end})") from None
+
+    def value(self, binding, period_end: int, as_of: int) -> float:
+        raise MissingSnapshot(f"no market snapshot stored for tick {as_of}")
+
+
+def scripted_oracle(spec, values_by_cycle) -> ScriptedValues:
     """Map per-cycle settlement values onto the spec's period keys."""
     grid = spec.settlement_times
-    values = {(grid[i], grid[i + 1]): v for i, v in enumerate(values_by_cycle)}
-    return ScriptedOracle(journal, clock, values)
+    return ScriptedValues({(grid[i], grid[i + 1]): v for i, v in enumerate(values_by_cycle)})

@@ -263,8 +263,7 @@ def _run_case(configs):
     contract, clock, journal, ledger = make_contract(
         margin=MARGIN, fee_a=FEE_A, fee_b=FEE_B, funding_a=10_000, funding_b=10_000)
     a, b = contract.spec.parties
-    oracle = scripted_oracle(journal, clock, contract.spec,
-                             [float(f) for _, _, f in padded])
+    oracle = scripted_oracle(contract.spec, [float(f) for _, _, f in padded])
     agents = {a: TargetLeveler({i: c[0] for i, c in enumerate(padded)}),
               b: TargetLeveler({i: c[1] for i, c in enumerate(padded)})}
     engine = Engine(contract, oracle, agents=agents)
@@ -354,7 +353,7 @@ def test_acceptance_05_window_enforcement():
         funding_a=10_000_000, funding_b=10_000_000)
     a, b = contract.spec.parties
     fuzzer = FuzzingComplier(random.Random(10005))
-    oracle = scripted_oracle(journal, clock, contract.spec, [0.0] * 50)
+    oracle = scripted_oracle(contract.spec, [0.0] * 50)
     engine = Engine(contract, oracle, agents={a: fuzzer, b: CompliantAgent()})
     engine.run()
 

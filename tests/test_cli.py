@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from sdcsim import MarketModel, generate_path, write_path_csv
+from sdcsim import MarketModel, generate_path, simulator, write_path_csv
 from sdcsim.cli import main
 from sdcsim.journal import ZERO_HASH, block_hash
 
@@ -277,8 +277,12 @@ def test_non_utf8_input_files_are_input_errors(scenario_file, tmp_path, capsys):
 PRICER_OUT_OF_RANGE = [
     {"market__initial_rate": "-1e6"},                           # exp() overflows
     {"contract__notional": "1e308", "contract__strike": "1e308"},  # -inf - -inf is NaN
+    # df(t, T_j) underflows to 0.0 and the swap's forward rate divides by it
+    {"contract__product": "vanilla_swap", "contract__payment_times": "0.06,0.12",
+     "contract__accruals": "0.06,0.06", "contract__strike": "0.02",
+     "market__initial_rate": "1e6"},
 ]
-PRICER_OUT_OF_RANGE_IDS = ["overflowing_discount", "nan_settlement_value"]
+PRICER_OUT_OF_RANGE_IDS = ["overflowing_discount", "nan_settlement_value", "zero_discount"]
 
 
 @pytest.mark.parametrize("policy", ["compliant", "willful:1"])
@@ -328,3 +332,23 @@ def test_final_tick_above_the_bound_is_an_input_error(scenario_file, tmp_path, c
 
 def test_final_tick_on_the_bound_validates(scenario_file):
     assert main(["validate", scenario_file(contract__settlement_times="0,10,1000000")]) == 0
+
+
+class Drawn(Exception):
+    pass
+
+
+def test_calibration_trials_above_the_bound_are_an_input_error(scenario_file, capsys,
+                                                                monkeypatch):
+    def no_draws(*args):
+        raise Drawn
+    monkeypatch.setattr(simulator, "normal_variates", no_draws)
+    path = scenario_file()  # the first period is 10 ticks long
+    on_bound = simulator.MAX_CALIBRATION_VARIATES // 10
+    assert main(["calibrate", path, "--trials", str(on_bound + 1)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"error: trials: trials x first-period ticks must be <= "
+            f"{simulator.MAX_CALIBRATION_VARIATES}, got {on_bound + 1} x 10") in err
+    with pytest.raises(Drawn):  # on the bound, the variates are drawn
+        main(["calibrate", path, "--trials", str(on_bound)])

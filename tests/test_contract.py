@@ -373,6 +373,25 @@ def test_settle_guards():
         contract.settle()
 
 
+def test_deliver_valuation_journals_the_valuation_before_its_transition():
+    contract, clock, journal, _ = make_contract()
+    contract.initialize()
+    fund_margins(contract)
+    run_cycle(contract, clock, 0.0)  # a zero settlement leaves both buffers funded
+    to_margin_check(contract, clock)
+    contract.margin_check()
+    clock.advance_to(18)
+    blocks = len(journal)
+    contract.deliver_valuation(SettlementAmount(-12.5, as_of=20, value_end=3.0))
+    valuation, transition = journal.records()[blocks:]
+    assert (valuation.kind, valuation.timestamp) == (EventKind.VALUATION, 18)
+    assert dict(valuation.details) == {
+        "contract": "SDC-TEST", "period_start": "10", "period_end": "20",
+        "value": "-12.5", "pricer": "flat-curve-v1"}
+    assert transition.kind is EventKind.STATE_TRANSITION
+    assert transition.detail("cause") == "valuation-delivered"
+
+
 def test_settle_timing_is_pinned_to_the_grid():
     contract, clock, *_ = make_contract()
     contract.initialize()

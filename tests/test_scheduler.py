@@ -31,7 +31,7 @@ E = LifecycleEvent
 
 def make_engine(values=(0.0, 0.0, 0.0), compliant=True, **kwargs):
     contract, clock, journal, ledger = make_contract(**kwargs)
-    oracle = scripted_oracle(journal, clock, contract.spec, values)
+    oracle = scripted_oracle(contract.spec, values)
     agents = {p: CompliantAgent() for p in contract.spec.parties} if compliant else {}
     return Engine(contract, oracle, agents=agents)
 
@@ -118,7 +118,7 @@ def test_missing_snapshot_suspends():
     store = MarketStore()
     store.add(MarketSnapshot(as_of=0, spot=100.0, zero_rate=0.0))
     # no snapshot at the first settlement tick 10
-    oracle = MarginOracle(store, journal, clock)
+    oracle = MarginOracle(store)
     agents = {p: CompliantAgent() for p in contract.spec.parties}
     engine = Engine(contract, oracle, agents=agents)
     engine.run()
@@ -324,7 +324,7 @@ def test_script_parse_errors_carry_line_numbers():
 def test_willful_agent_on_a_scripted_oracle_neither_crashes_nor_triggers():
     # a scripted oracle has no snapshot store, so there is nothing to project
     contract, clock, journal, ledger = make_contract()
-    oracle = scripted_oracle(journal, clock, contract.spec, (300.0, -300.0, 300.0))
+    oracle = scripted_oracle(contract.spec, (300.0, -300.0, 300.0))
     agents = {p: WillfulAgent(threshold=0) for p in contract.spec.parties}
     Engine(contract, oracle, agents=agents).run()
     assert not any(agent.triggered for agent in agents.values())

@@ -1,17 +1,16 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdcsim import (
-    Clock,
-    EventKind,
     Forward,
-    Journal,
     MarginOracle,
     MarketSnapshot,
     MarketStore,
@@ -33,6 +32,7 @@ from sdcsim.errors import (
     UnknownPricer,
     ValuationOutOfRange,
 )
+from sdcsim import valuation
 from sdcsim.valuation import get_pricer
 
 from conftest import COUNTING_PRICER
@@ -276,7 +276,7 @@ def test_oracle_matches_direct_settlement_amount():
     old, new = snap(tick=0, spot=100.0, rate=0.0), MarketSnapshot(10, 104.0, 0.0)
     store.add(old)
     store.add(new)
-    oracle = MarginOracle(store, Journal(), Clock())
+    oracle = MarginOracle(store)
     b = binding()
     got = oracle.query(b, 0, 10)
     want = settlement_amount(b.product, 0, 10, old, new, b.tick_years)
@@ -286,11 +286,11 @@ def test_oracle_matches_direct_settlement_amount():
 def test_oracle_missing_snapshot_refuses():
     store = MarketStore()
     store.add(snap(tick=0))
-    oracle = MarginOracle(store, Journal(), Clock())
+    oracle = MarginOracle(store)
     with pytest.raises(MissingSnapshot, match="tick 10$"):
         oracle.query(binding(), 0, 10)
     # with both missing, the journaled reason names the period start
-    oracle = MarginOracle(MarketStore(), Journal(), Clock())
+    oracle = MarginOracle(MarketStore())
     with pytest.raises(MissingSnapshot, match="tick 0$"):
         oracle.query(binding(), 0, 10)
 
@@ -298,23 +298,24 @@ def test_oracle_missing_snapshot_refuses():
 @pytest.mark.parametrize("product,rate", [
     (Forward(notional=10.0, strike=100.0, maturity=0.2), -1e6),    # exp() overflows
     (Forward(notional=1e308, strike=1e308, maturity=0.2), 0.0),    # -inf - -inf
-], ids=["overflow", "nan"])
+    # df(t, T_j) underflows to 0.0 and the forward rate divides by it
+    (VanillaSwap(notional=100.0, fixed_rate=0.02, payment_times=(0.15, 0.2),
+                 accruals=(0.15, 0.05)), 1e6),
+], ids=["overflow", "nan", "zero_discount"])
 def test_oracle_out_of_range_value_refuses_and_journals_nothing(product, rate):
     store = MarketStore()
     store.add(snap(tick=0, rate=rate))
     store.add(snap(tick=10, spot=101.0, rate=rate))
-    journal = Journal()
-    oracle = MarginOracle(store, journal, Clock())
+    oracle = MarginOracle(store)
     with pytest.raises(ValuationOutOfRange):
         oracle.query(binding(product), 0, 10)
-    assert len(journal) == 0
     assert oracle.cached(binding(product), 0, 10) is None
 
 
 def test_oracle_period_must_advance():
     store = MarketStore()
     store.add(snap(tick=10))
-    oracle = MarginOracle(store, Journal(), Clock())
+    oracle = MarginOracle(store)
     with pytest.raises(TimestampMismatch):
         oracle.query(binding(), 10, 10)
 
@@ -323,13 +324,23 @@ def test_oracle_is_idempotent_per_period():
     store = MarketStore()
     store.add(snap(tick=0, spot=100.0))
     store.add(MarketSnapshot(10, 107.0, 0.02))
-    journal = Journal()
-    oracle = MarginOracle(store, journal, Clock())
+    oracle = MarginOracle(store)
     first = oracle.query(binding(), 0, 10)
-    again = oracle.query(binding(), 0, 10)
-    assert first == again
-    valuations = [r for r in journal.records() if r.kind is EventKind.VALUATION]
-    assert len(valuations) == 1
+    assert oracle.query(binding(), 0, 10) is first
+    assert oracle.cached(binding(), 0, 10) is first
+
+
+def test_pricing_module_imports_nothing_from_the_journal():
+    # the oracle only prices; the contract journals the valuation it is delivered
+    tree = ast.parse(Path(valuation.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert "journal" not in imported
 
 
 # -- the oracle's per-period value memo --
@@ -352,7 +363,7 @@ def swap_binding(pricer_version=COUNTING_PRICER, contract_id="SDC-1") -> OracleB
 
 
 def test_oracle_prices_each_period_end_and_snapshot_once(counting_pricer):
-    oracle = MarginOracle(rate_store(11), Journal(), Clock())
+    oracle = MarginOracle(rate_store(11))
     b = swap_binding()
     for _ in range(3):
         for as_of in (0, 1, 2, 3):
@@ -364,7 +375,7 @@ def test_oracle_prices_each_period_end_and_snapshot_once(counting_pricer):
 
 def test_repeated_oracle_value_is_the_identical_float(counting_pricer):
     store = rate_store(11)
-    oracle = MarginOracle(store, Journal(), Clock())
+    oracle = MarginOracle(store)
     b = swap_binding()
     first = oracle.value(b, 10, 3)
     assert oracle.value(b, 10, 3) is first
@@ -373,7 +384,7 @@ def test_repeated_oracle_value_is_the_identical_float(counting_pricer):
 
 
 def test_oracle_value_memo_holds_only_the_current_period(counting_pricer):
-    oracle = MarginOracle(rate_store(21), Journal(), Clock())
+    oracle = MarginOracle(rate_store(21))
     b = swap_binding()
     oracle.value(b, 10, 0)
     oracle.value(b, 10, 1)
@@ -387,7 +398,7 @@ def test_oracle_value_memo_holds_only_the_current_period(counting_pricer):
 
 def test_query_through_a_warm_memo_equals_settlement_amount():
     store = rate_store(11)
-    oracle = MarginOracle(store, Journal(), Clock())
+    oracle = MarginOracle(store)
     b = swap_binding(pricer_version="flat-curve-v1")
     for as_of in (0, 4, 10):
         oracle.value(b, 10, as_of)
