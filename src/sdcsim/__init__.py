@@ -9,8 +9,6 @@ from .scheduler import (
     LifecycleEvent,
     RequestOutcome,
     ScriptStep,
-    TimelineEntry,
-    build_timeline,
     format_script,
     parse_script,
     timeline_script,

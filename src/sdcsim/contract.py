@@ -159,7 +159,6 @@ class ContractInstance:
         self._state = ContractState(phase=Phase.PRE_CHECK)
         self.cycle = 0
         self.pending_valuation: SettlementAmount | None = None
-        self.fees_returned = False
 
     # -- reads --
 
@@ -386,17 +385,15 @@ class ContractInstance:
                          cause="cycle-complete")
 
     def return_fees(self) -> None:
-        """Post both termination fees back after regular maturity."""
+        """Post both termination fees back after regular maturity; a second
+        call finds both buckets empty and changes nothing."""
         if not (self._state.phase is Phase.TERMINATED
                 and self._state.cause is TerminationCause.MATURED):
             raise WrongState("fees are only posted back after maturity")
-        if self.fees_returned:
-            return
         for party in self.spec.parties:
             held = self.fee_bucket(party)
             if held:
                 self.withdraw_fee(party, held)
-        self.fees_returned = True
 
     def mark_error(self, detail: str) -> None:
         """End the contract in ERROR on an oracle failure: absorbing, every bucket stays locked."""

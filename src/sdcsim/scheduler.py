@@ -1,24 +1,24 @@
 """Event timeline and the one replay loop behind the three trigger regimes.
 
-The timeline lays one cycle per settlement interval onto the integer
-tick grid: wallets open at t_i, close `prefund_window` ticks later, the
-margin check runs on the following tick, and valuation then settlement
-share the period-end tick t_{i+1} (valuation strictly first). The final
-cycle carries a MATURITY event that posts the termination fees back.
+The timeline (`timeline_script`) lays one cycle per settlement interval
+onto the integer tick grid: wallets open at t_i, close `prefund_window`
+ticks later, the margin check runs on the next tick, and valuation then
+settlement share the period-end tick t_{i+1} (valuation strictly first).
+The final cycle carries a MATURITY event that posts the fees back.
 
 `Engine.run` replays (tick, event, party) rows through one loop: the
-timeline itself, requested by party A, or a caller's script. Each row
-goes through `request_event`, the single admissibility check: it runs
-only if a contract party or the oracle account names the next-due
-timeline event at that event's scheduled tick, with the clock on that
-tick. Any other row (an early VALUATION, a late CLOSE_ACCOUNTS) changes
-no state and is journaled as a rejection.
+engine's timeline or a caller's script. Each row goes through
+`request_event`, the single admissibility check: it runs only if a
+contract party or the oracle account names the next-due timeline row's
+event at its scheduled tick, with the clock on that tick. Any other row
+(an early VALUATION, a late CLOSE_ACCOUNTS) changes no state and is
+journaled as a rejection.
 
 The loop visits every tick from inception to maturity while the contract
 is live, running that tick's rows first and then the agent hooks, so
 agents act identically whoever requests the events. Past the final grid
-tick, or once the contract has finished, it jumps from row to row. So
-`timeline_script` replays to the timeline's journal, bit for bit.
+tick, or once the contract is final, it jumps from row to row. So any
+party requesting the timeline's rows yields the same journal, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,30 +44,6 @@ class LifecycleEvent(str, Enum):
 
 
 @dataclass(frozen=True)
-class TimelineEntry:
-    tick: int
-    kind: LifecycleEvent
-    cycle: int
-
-
-def build_timeline(spec: ContractSpec) -> list[TimelineEntry]:
-    """One cycle per settlement interval; the last cycle carries MATURITY."""
-    entries: list[TimelineEntry] = []
-    grid = spec.settlement_times
-    for i in range(spec.cycles):
-        t_open = grid[i]
-        t_settle = grid[i + 1]
-        entries.append(TimelineEntry(t_open, LifecycleEvent.OPEN_ACCOUNTS, i))
-        entries.append(TimelineEntry(t_open + spec.prefund_window, LifecycleEvent.CLOSE_ACCOUNTS, i))
-        entries.append(TimelineEntry(t_open + spec.prefund_window + 1, LifecycleEvent.MARGIN_CHECK, i))
-        entries.append(TimelineEntry(t_settle, LifecycleEvent.VALUATION, i))
-        entries.append(TimelineEntry(t_settle, LifecycleEvent.SETTLEMENT, i))
-    entries.append(TimelineEntry(grid[-1], LifecycleEvent.MATURITY, spec.cycles - 1))
-    assert all(a.tick <= b.tick for a, b in zip(entries, entries[1:]))
-    return entries
-
-
-@dataclass(frozen=True)
 class ScriptStep:
     tick: int
     kind: LifecycleEvent
@@ -75,8 +51,19 @@ class ScriptStep:
 
 
 def timeline_script(spec: ContractSpec) -> list[ScriptStep]:
-    """The timeline as script rows, every event requested by party A."""
-    return [ScriptStep(e.tick, e.kind, spec.party_a) for e in build_timeline(spec)]
+    """The timeline: one cycle per settlement interval, the last cycle
+    carrying MATURITY, every event requested by party A."""
+    a, window, grid = spec.party_a, spec.prefund_window, spec.settlement_times
+    E = LifecycleEvent
+    steps: list[ScriptStep] = []
+    for t_open, t_settle in zip(grid, grid[1:]):
+        steps += (ScriptStep(t_open, E.OPEN_ACCOUNTS, a),
+                  ScriptStep(t_open + window, E.CLOSE_ACCOUNTS, a),
+                  ScriptStep(t_open + window + 1, E.MARGIN_CHECK, a),
+                  ScriptStep(t_settle, E.VALUATION, a),
+                  ScriptStep(t_settle, E.SETTLEMENT, a))
+    steps.append(ScriptStep(grid[-1], E.MATURITY, a))
+    return steps
 
 
 def format_script(steps: Sequence[ScriptStep]) -> str:
@@ -94,6 +81,8 @@ def parse_script(text: str) -> list[ScriptStep]:
             raise ScenarioParseError("expected 'tick,event_kind,requesting_party'", line=lineno)
         try:
             tick = int(parts[0])
+            if tick >= 1 << 64:
+                raise ValueError(f"tick {tick} does not fit the journal's 8-byte timestamp")
             kind = LifecycleEvent(parts[1].strip())
         except ValueError as exc:
             raise ScenarioParseError(str(exc), line=lineno) from None
@@ -127,7 +116,7 @@ class Engine:
         self.journal = contract.ledger.journal
         self.agents = agents or {}
         self.oracle_account = oracle_account
-        self.timeline = build_timeline(contract.spec)
+        self.timeline = timeline_script(contract.spec)
         self._cursor = 0
 
     @property
@@ -145,7 +134,7 @@ class Engine:
         if not self._initialize():
             return
         if script is None:
-            script = timeline_script(self.spec)
+            script = self.timeline
         last = self.spec.settlement_times[-1]
         tick = self.clock.now()
         i = 0
@@ -158,7 +147,7 @@ class Engine:
                 if not outcome.accepted:
                     self._journal_rejection(step, outcome.reason)
             self._agent_hooks()
-            if tick < last and not self._finished():
+            if tick < last and not self.contract.is_final:
                 tick += 1
             elif i < len(script):
                 tick = script[i].tick  # nothing can fire in between: jump to the next row
@@ -183,12 +172,12 @@ class Engine:
             return RequestOutcome(False, "NotAuthorized")
         if self._cursor >= len(self.timeline):
             return RequestOutcome(False, "NotDue")
-        entry = self.timeline[self._cursor]
-        if kind is not entry.kind or now != entry.tick or now != self.clock.now():
+        due = self.timeline[self._cursor]
+        if kind is not due.kind or now != due.tick or now != self.clock.now():
             return RequestOutcome(False, "NotDue")
         self._cursor += 1
         try:
-            self._fire(entry)
+            self._fire(kind)
         except SdcError as exc:
             self._cursor -= 1
             return RequestOutcome(False, str(exc))
@@ -203,30 +192,29 @@ class Engine:
 
     # -- event execution --
 
-    def _fire(self, entry: TimelineEntry) -> None:
+    def _fire(self, kind: LifecycleEvent) -> None:
         c = self.contract
         if c.phase is Phase.ERROR:
             return
         if c.phase is Phase.TERMINATED:
-            if (entry.kind is LifecycleEvent.MATURITY
-                    and c.state().cause is TerminationCause.MATURED):
+            if kind is LifecycleEvent.MATURITY and c.state().cause is TerminationCause.MATURED:
                 c.return_fees()
             return
-        if entry.kind is LifecycleEvent.CLOSE_ACCOUNTS:
+        if kind is LifecycleEvent.CLOSE_ACCOUNTS:
             c.close_accounts()
-        elif entry.kind is LifecycleEvent.MARGIN_CHECK:
+        elif kind is LifecycleEvent.MARGIN_CHECK:
             c.margin_check()
-        elif entry.kind is LifecycleEvent.VALUATION:
-            self._run_valuation(entry)
-        elif entry.kind is LifecycleEvent.SETTLEMENT:
+        elif kind is LifecycleEvent.VALUATION:
+            self._run_valuation()
+        elif kind is LifecycleEvent.SETTLEMENT:
             c.settle()
         # OPEN_ACCOUNTS is a no-op (initialization and each settlement reopen
         # the wallets); MATURITY matters only once the contract matured (above).
 
-    def _run_valuation(self, entry: TimelineEntry) -> None:
-        grid = self.spec.settlement_times
+    def _run_valuation(self) -> None:
+        grid, cycle = self.spec.settlement_times, self.contract.cycle
         try:
-            amount = self.oracle.query(self.spec.binding, grid[entry.cycle], grid[entry.cycle + 1])
+            amount = self.oracle.query(self.spec.binding, grid[cycle], grid[cycle + 1])
         except OracleFailure as exc:
             self.contract.mark_error(str(exc))
             return
@@ -237,11 +225,3 @@ class Engine:
             policy = self.agents.get(party)
             if policy is not None:
                 policy.on_tick(self, party)
-
-    def _finished(self) -> bool:
-        if self.contract.phase is Phase.ERROR:
-            return True
-        if self.contract.phase is Phase.TERMINATED:
-            state = self.contract.state()
-            return state.cause is not TerminationCause.MATURED or self.contract.fees_returned
-        return False

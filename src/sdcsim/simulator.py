@@ -608,14 +608,29 @@ def _party_wealth(ledger: Ledger, contract_id: str, party: AccountId) -> int:
 _RESULTS = {"settled": "SETTLED", "matured": "MATURED", "partial": "FAILED"}
 
 
+def _valued(journal: Journal, spec: ContractSpec) -> list[str | None]:
+    """Each journaled Valuation's value string, or None where the c-th is not
+    this contract's valuation of period c on that period's end tick."""
+    grid = spec.settlement_times
+    values: list[str | None] = []
+    for c, r in enumerate(journal.records(EventKind.VALUATION)):
+        d = dict(r.details)
+        value = d.pop("value", None)
+        values.append(value if c < spec.cycles and r.timestamp == grid[c + 1] and d == {
+            "contract": spec.contract_id, "period_start": str(grid[c]),
+            "period_end": str(grid[c + 1]), "pricer": spec.pricer_version} else None)
+    return values
+
+
 def _settlement_rows(journal: Journal, spec: ContractSpec,
                      oracle: MarginOracle) -> tuple[list[CycleRow], bool]:
     """Report rows from the journaled Settlements, and whether they reconcile:
     cycles 0, 1, ... on their period-end ticks (rows stop at the first that is
-    not), values the oracle cached, amounts and payers as `settle` derives them,
-    and no valued period left without its Settlement."""
+    not), values the oracle cached and the period's Valuation carries, amounts
+    and payers as `settle` derives them, and no valued period left unsettled."""
     grid = spec.settlement_times
     directions = {1: (spec.party_b, spec.party_a), -1: (spec.party_a, spec.party_b), 0: ("", "")}
+    valued = _valued(journal, spec)  # strings only, before decoding Settlements: a lower peak
     rows: list[CycleRow] = []
     ok = True
     for r in journal.records(EventKind.SETTLEMENT):
@@ -627,6 +642,7 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
         cached = oracle.cached(spec.binding, grid[cycle], grid[cycle + 1])
         due = abs(round_to_minor_units(value))
         ok = (ok and cached is not None and cached.value == value and outcome in _RESULTS
+              and cycle < len(valued) and valued[cycle] == d["value"]
               and (0 <= amount < due if outcome == "partial" else amount == due)
               and (d["payer"], d["receiver"]) == directions[(value > 0) - (value < 0)])
         rows.append(CycleRow(
@@ -634,7 +650,8 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
             value_end=cached.value_end if cached else None, f_value=value, amount=amount,
             payer=d["payer"], receiver=d["receiver"], result=_RESULTS.get(outcome, outcome)))
     n = len(rows)
-    unsettled = n < spec.cycles and oracle.cached(spec.binding, grid[n], grid[n + 1]) is not None
+    unsettled = len(valued) > n or (
+        n < spec.cycles and oracle.cached(spec.binding, grid[n], grid[n + 1]) is not None)
     return rows, ok and not unsettled
 
 

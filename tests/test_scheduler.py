@@ -16,7 +16,6 @@ from sdcsim import (
     Phase,
     ScriptStep,
     TerminationCause,
-    build_timeline,
     format_script,
     parse_script,
     timeline_script,
@@ -40,37 +39,41 @@ def make_engine(values=(0.0, 0.0, 0.0), compliant=True, **kwargs):
 
 def test_three_settlements_make_three_cycles_plus_maturity():
     contract, *_ = make_contract(grid=(0, 10, 20, 30))
-    entries = build_timeline(contract.spec)
-    assert [e.cycle for e in entries if e.kind is E.SETTLEMENT] == [0, 1, 2]
-    assert entries[-1].kind is E.MATURITY
-    assert entries[-1].tick == 30
+    steps = timeline_script(contract.spec)
+    assert [s.tick for s in steps if s.kind is E.SETTLEMENT] == [10, 20, 30]
+    assert steps[-1].kind is E.MATURITY
+    assert steps[-1].tick == 30
+    assert [s.kind for s in steps].count(E.MATURITY) == 1
+    assert {s.party for s in steps} == {contract.spec.party_a}
 
 
 def test_single_settlement_time_is_one_cycle():
     contract, *_ = make_contract(grid=(0, 10))
-    entries = build_timeline(contract.spec)
-    assert [e.cycle for e in entries if e.kind is E.SETTLEMENT] == [0]
+    steps = timeline_script(contract.spec)
+    assert [s.tick for s in steps if s.kind is E.SETTLEMENT] == [10]
 
 
 def test_widest_window_puts_close_one_tick_before_margin_check():
     contract, *_ = make_contract(grid=(0, 10, 20, 30), window=9)
-    entries = build_timeline(contract.spec)
-    close = next(e for e in entries if e.kind is E.CLOSE_ACCOUNTS)
-    check = next(e for e in entries if e.kind is E.MARGIN_CHECK)
+    steps = timeline_script(contract.spec)
+    close = next(s for s in steps if s.kind is E.CLOSE_ACCOUNTS)
+    check = next(s for s in steps if s.kind is E.MARGIN_CHECK)
     assert check.tick - close.tick == 1
 
 
 def test_cycle_event_ordering():
-    contract, *_ = make_contract(grid=(5, 17, 29), window=4)
-    entries = build_timeline(contract.spec)
+    grid = (5, 17, 29)
+    contract, *_ = make_contract(grid=grid, window=4)
+    steps = timeline_script(contract.spec)
+    assert len(steps) == 5 * contract.spec.cycles + 1
     for cycle in (0, 1):
-        ticks = {e.kind: e.tick for e in entries if e.cycle == cycle
-                 and e.kind is not E.MATURITY}
-        assert ticks[E.OPEN_ACCOUNTS] < ticks[E.CLOSE_ACCOUNTS] < ticks[E.MARGIN_CHECK]
-        assert ticks[E.MARGIN_CHECK] <= ticks[E.VALUATION] <= ticks[E.SETTLEMENT]
-    kinds_in_order = [e.kind for e in entries if e.cycle == 0 and e.kind is not E.MATURITY]
-    assert kinds_in_order == [E.OPEN_ACCOUNTS, E.CLOSE_ACCOUNTS, E.MARGIN_CHECK,
-                              E.VALUATION, E.SETTLEMENT]
+        rows = steps[5 * cycle:5 * cycle + 5]
+        assert [s.kind for s in rows] == [E.OPEN_ACCOUNTS, E.CLOSE_ACCOUNTS, E.MARGIN_CHECK,
+                                          E.VALUATION, E.SETTLEMENT]
+        ticks = [s.tick for s in rows]
+        assert ticks[0] == grid[cycle] and ticks[-1] == grid[cycle + 1]
+        assert ticks[0] < ticks[1] < ticks[2] <= ticks[3] == ticks[4]
+    assert [s.tick for s in steps] == sorted(s.tick for s in steps)
 
 
 # -- timeline runs --
@@ -80,10 +83,36 @@ def test_compliant_flat_run_matures():
     engine.run()
     state = engine.contract.state()
     assert state.cause is TerminationCause.MATURED
-    assert engine.contract.fees_returned
+    assert [engine.contract.fee_bucket(p) for p in engine.spec.parties] == [0, 0]
     settlements = engine.journal.records(EventKind.SETTLEMENT)
     assert [int(r.detail("amount")) for r in settlements] == [0, 0, 0]
     assert engine.journal.verify()
+
+
+def test_maturity_row_alone_posts_the_fees_back_once():
+    engine = make_engine()
+    a, b = engine.spec.parties
+    engine.run(script=[s for s in timeline_script(engine.spec) if s.kind is not E.MATURITY])
+    assert engine.contract.state().label() == "Terminated[MATURED@30]"
+    assert [engine.contract.fee_bucket(p) for p in (a, b)] == [200, 200]
+    assert engine.request_event(b, E.MATURITY, 30).accepted
+    assert [engine.contract.fee_bucket(p) for p in (a, b)] == [0, 0]
+    blocks = len(engine.journal)
+    engine.contract.return_fees()
+    assert len(engine.journal) == blocks
+
+
+def test_run_replays_the_timeline_built_once_per_engine(monkeypatch):
+    import sdcsim.scheduler as scheduler
+    built = []
+    monkeypatch.setattr(scheduler, "timeline_script",
+                        lambda spec: built.append(spec) or timeline_script(spec))
+    engine = make_engine()
+    assert len(built) == 1
+    engine.run()
+    assert len(built) == 1  # run() replays engine.timeline, it builds no second schedule
+    assert engine.timeline == timeline_script(engine.spec)
+    assert engine.contract.state().cause is TerminationCause.MATURED
 
 
 class WalletEmptier(CompliantAgent):
@@ -319,6 +348,13 @@ def test_script_parse_errors_carry_line_numbers():
     with pytest.raises(ScenarioParseError) as exc:
         parse_script("0,OPEN_ACCOUNTS,a\nnot-a-row\n")
     assert exc.value.line == 2
+
+
+def test_script_tick_must_fit_the_journal_timestamp():
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_script(f"{2**64},SETTLEMENT,x\n")
+    assert exc.value.line == 1
+    assert parse_script(f"{2**64 - 1},SETTLEMENT,x\n") == [ScriptStep(2**64 - 1, E.SETTLEMENT, "x")]
 
 
 def test_willful_agent_on_a_scripted_oracle_neither_crashes_nor_triggers():

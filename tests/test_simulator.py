@@ -478,18 +478,22 @@ def test_every_mode_reconciles(mode):
     assert all(report.checks.values())
 
 
-def _with_tampered_settlement(journal, cycle, tamper):
-    """A copy of `journal` whose Settlement of `cycle` is `tamper(record)`
+def _rechained(journal, tamper):
+    """A copy of `journal` with each record replaced by `tamper(record)`
     (dropped if that is None), re-chained block by block so that `verify`
     alone passes it."""
     copy = Journal()
-    for record in journal.records():
-        if record.kind is EventKind.SETTLEMENT and record.detail("cycle") == str(cycle):
-            record = tamper(record)
+    for record in map(tamper, journal.records()):
         if record is not None:
             copy.append(record)
     assert copy.verify()
     return copy
+
+
+def _with_tampered_settlement(journal, cycle, tamper):
+    """A re-chained copy of `journal` whose Settlement of `cycle` is `tamper(record)`."""
+    return _rechained(journal, lambda r: tamper(r) if r.kind is EventKind.SETTLEMENT
+                      and r.detail("cycle") == str(cycle) else r)
 
 
 def _with_details(record, **changes):
@@ -519,15 +523,42 @@ def test_reconciliation_check_detects_mismatches():
     for name, tamper in SETTLEMENT_TAMPERS.items():
         tampered = _with_tampered_settlement(artifacts.journal, 0, tamper)
         assert not _settlement_rows(tampered, engine.spec, engine.oracle)[1], name
+    # the Settlement must carry the value its period's Valuation record carries
+    first = artifacts.journal.records(EventKind.VALUATION)[0]
+    raised = _rechained(artifacts.journal, lambda r: _with_details(
+        r, value=repr(float(r.detail("value")) + 1000)) if r == first else r)
+    unvalued = _rechained(artifacts.journal,
+                          lambda r: None if r.kind is EventKind.VALUATION else r)
+    assert (len(artifacts.journal), len(unvalued)) == (27, 25)
+    repriced = _rechained(artifacts.journal, lambda r: _with_details(
+        r, pricer="other-v1") if r == first else r)
+    for tampered in (raised, unvalued, repriced):
+        assert not _settlement_rows(tampered, engine.spec, engine.oracle)[1]
     # a valued period must have settled: cut a run's last Settlement, whether
-    # it failed (this run) or matured (the bundled volatile forward)
+    # it failed (this run) or matured (the bundled volatile forward); the
+    # journaled Valuation alone tells, even if the oracle forgot the period
     volatile = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini"))
     assert volatile.report.termination_cause == "MATURED"
     for run in (artifacts, volatile):
         assert all(run.report.checks.values())
-        cut = _with_tampered_settlement(run.journal, run.report.cycles[-1].cycle, lambda r: None)
+        last = run.report.cycles[-1]
+        cut = _with_tampered_settlement(run.journal, last.cycle, lambda r: None)
         assert len(cut) == len(run.journal) - 1
         assert not _settlement_rows(cut, run.engine.spec, run.engine.oracle)[1]
+        forgetful = ForgetfulOracle(run.engine.oracle, last.period_start)
+        assert not _settlement_rows(cut, run.engine.spec, forgetful)[1]
+
+
+class ForgetfulOracle:
+    """An oracle's cache without one period in it."""
+
+    def __init__(self, oracle, period_start):
+        self.oracle, self.period_start = oracle, period_start
+
+    def cached(self, binding, period_start, period_end):
+        if period_start == self.period_start:
+            return None
+        return self.oracle.cached(binding, period_start, period_end)
 
 
 def test_inception_does_not_have_to_sit_on_tick_zero():
