@@ -25,6 +25,14 @@ unknown kind) raises CorruptJournal.
 On-disk block layout (repeated per block, no file header):
 
     index(8 BE) || prev_hash(32) || payload_len(4 BE) || payload || hash(32)
+
+`Journal.load` (the `verify` command) checks a file in two passes: first
+that every block is complete and chains from the one before, then that
+every payload would decode (`check_payload`), which it tells from the
+length prefixes alone for an all-ASCII payload. A failure raises
+CorruptJournal naming the first bad block, counted from 0 in file order
+("chain verification failed at block 17", "block 17: truncated string
+data"); a chain break is reported even when a payload is also malformed.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorruptJournal
 
@@ -85,6 +94,7 @@ def _pack_str(s: str) -> bytes:
 # record's kind without decoding it.
 _KIND_TAGS = {kind: _pack_str(kind.value) for kind in EventKind}
 _KINDS_BY_NAME = {kind.value: kind for kind in EventKind}
+_KIND_NAMES = frozenset(kind.value.encode("utf-8") for kind in EventKind)
 
 # Detail keys come from the engine's small vocabulary, so each is packed once.
 _packed_key = functools.lru_cache(maxsize=1024)(_pack_str)
@@ -161,6 +171,37 @@ def _read_strings(buf: bytes, off: int, count: int, out: list[str]) -> int:
     return off
 
 
+def check_payload(payload: bytes) -> None:
+    """Raise CorruptJournal exactly when `EventRecord.from_bytes(payload)`
+    would, with the same message, without decoding a plain payload.
+
+    The fast path walks the length prefixes and decodes no string: a known
+    kind, lengths that end exactly at the end of the payload, and only
+    ASCII bytes after the timestamp (ASCII is valid UTF-8; the timestamp
+    may hold any byte) mean the payload decodes. Anything else, such as a
+    short read, non-ASCII text or a string of 128 bytes or more (its length
+    prefix holds a byte >= 0x80), is left to `from_bytes`, which raises its
+    error or accepts the payload.
+    """
+    unpack = _U32.unpack_from
+    try:
+        (n,) = unpack(payload, 8)
+        off = 12 + n
+        if payload[12:off] in _KIND_NAMES:
+            (n,) = unpack(payload, off)
+            off += 4 + n
+            (count,) = unpack(payload, off)
+            off += 4
+            for _ in range(2 * count):
+                (n,) = unpack(payload, off)
+                off += 4 + n
+            if off == len(payload) and payload[8:].isascii():
+                return
+    except struct.error:  # a length prefix past the end
+        pass
+    EventRecord.from_bytes(payload)
+
+
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Replace `path` with `data`, or leave it as it was.
 
@@ -184,8 +225,11 @@ def block_hash(index: int, prev_hash: bytes, payload: bytes) -> bytes:
     return hashlib.sha256(_U64.pack(index) + prev_hash + payload).digest()
 
 
-@dataclass(frozen=True)
-class JournalBlock:
+# index, prev_hash and payload_len: the fixed-width head of an on-disk block
+_BLOCK_HEAD = struct.Struct(">Q32sI")
+
+
+class JournalBlock(NamedTuple):
     index: int
     prev_hash: bytes
     payload: bytes
@@ -209,20 +253,22 @@ class Journal:
         payload = record.to_bytes()
         index = len(self._blocks)
         prev = self._blocks[-1].hash if self._blocks else ZERO_HASH
-        block = JournalBlock(index=index, prev_hash=prev, payload=payload,
-                             hash=block_hash(index, prev, payload))
+        block = JournalBlock(index, prev, payload, block_hash(index, prev, payload))
         self._blocks.append(block)
         return block
 
     def verify(self) -> bool:
+        return self._chain_break() is None
+
+    def _chain_break(self) -> int | None:
+        """Position of the first block whose index, prev_hash or hash does
+        not follow from the blocks before it; None if the chain holds."""
         prev = ZERO_HASH
-        for i, block in enumerate(self._blocks):
-            if block.index != i or block.prev_hash != prev:
-                return False
-            if block_hash(block.index, block.prev_hash, block.payload) != block.hash:
-                return False
-            prev = block.hash
-        return True
+        for i, (index, prev_hash, payload, digest) in enumerate(self._blocks):
+            if index != i or prev_hash != prev or block_hash(index, prev_hash, payload) != digest:
+                return i
+            prev = digest
+        return None
 
     def final_hash(self) -> bytes:
         return self._blocks[-1].hash if self._blocks else ZERO_HASH
@@ -253,30 +299,28 @@ class Journal:
 
     @classmethod
     def load(cls, path: str | Path) -> "Journal":
-        """Read a journal file back; raises CorruptJournal if the file is
-        truncated, malformed or fails chain verification."""
+        """Read a journal file back; raises CorruptJournal naming the first
+        bad block if the file is truncated, fails chain verification, or
+        holds a payload that does not decode (see the module docstring)."""
         data = Path(path).read_bytes()
         journal = cls()
+        blocks = journal._blocks
+        head = _BLOCK_HEAD.unpack_from
         off = 0
         while off < len(data):
-            if off + 8 + 32 + 4 > len(data):
-                raise CorruptJournal("truncated block header")
-            (index,) = _U64.unpack_from(data, off)
-            off += 8
-            prev = data[off:off + 32]
-            off += 32
-            (plen,) = _U32.unpack_from(data, off)
-            off += 4
-            if off + plen + 32 > len(data):
-                raise CorruptJournal("truncated block body")
-            payload = data[off:off + plen]
-            off += plen
-            digest = data[off:off + 32]
-            off += 32
-            journal._blocks.append(JournalBlock(index=index, prev_hash=prev,
-                                                payload=payload, hash=digest))
+            if off + _BLOCK_HEAD.size > len(data):
+                raise CorruptJournal(f"block {len(blocks)}: truncated block header")
+            index, prev, plen = head(data, off)
+            start = off + _BLOCK_HEAD.size
+            off = start + plen + 32
+            if off > len(data):
+                raise CorruptJournal(f"block {len(blocks)}: truncated block body")
+            blocks.append(JournalBlock(index, prev, data[start:off - 32], data[off - 32:off]))
         if not journal.verify():
-            raise CorruptJournal("chain verification failed")
-        for block in journal._blocks:
-            EventRecord.from_bytes(block.payload)  # payloads must decode
+            raise CorruptJournal(f"chain verification failed at block {journal._chain_break()}")
+        for i, block in enumerate(blocks):
+            try:
+                check_payload(block.payload)
+            except CorruptJournal as exc:
+                raise CorruptJournal(f"block {i}: {exc}") from None
         return journal

@@ -120,6 +120,19 @@ def rechain(blocks) -> bool:
     return True
 
 
+def write_chained(path, payloads, break_at: int | None = None) -> None:
+    """Write `payloads` as a journal file whose blocks chain correctly with
+    raw hashlib, however malformed a payload is; with `break_at`, that
+    block's stored hash is zeroed so the chain breaks there."""
+    blob, prev = b"", b"\x00" * 32
+    for index, payload in enumerate(payloads):
+        head = struct.pack(">Q", index) + prev
+        digest = hashlib.sha256(head + payload).digest() if index != break_at else bytes(32)
+        blob += head + struct.pack(">I", len(payload)) + payload + digest
+        prev = digest
+    path.write_bytes(blob)
+
+
 def _pack_str(s: str) -> bytes:
     data = s.encode("utf-8")
     return struct.pack(">I", len(data)) + data

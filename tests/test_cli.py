@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from sdcsim import MarketModel, generate_path, simulator, write_path_csv
+from sdcsim import EventKind, EventRecord, MarketModel, generate_path, simulator, write_path_csv
 from sdcsim.cli import main
 from sdcsim.journal import ZERO_HASH, block_hash
 
+from support import write_chained
 from test_simulator import scenario_text
 
 
@@ -109,6 +110,19 @@ def test_verify_rejects_rehashed_journal_with_invalid_utf8(tmp_path, capsys):
                      + payload + block_hash(0, ZERO_HASH, payload))
     assert main(["verify", str(path)]) == 2
     assert "UTF-8" in capsys.readouterr().err
+
+
+def test_verify_names_the_first_bad_block(tmp_path, capsys):
+    payloads = [EventRecord.create(i, EventKind.TRANSFER, "a", amount=i).to_bytes()
+                for i in range(6)]
+    payloads[4] = payloads[4][:-1]
+    path = tmp_path / "journal.bin"
+    write_chained(path, payloads)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: block 4: truncated string data\n"
+    write_chained(path, payloads, break_at=2)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: chain verification failed at block 2\n"
 
 
 def test_verify_accepts_empty_journal(tmp_path):

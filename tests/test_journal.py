@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdcsim import Clock, EventKind, EventRecord, Journal
+from sdcsim import Clock, EventKind, EventRecord, Journal, load_scenario, run_simulation
 from sdcsim.errors import CorruptJournal
-from sdcsim.journal import ZERO_HASH, JournalBlock, block_hash
+from sdcsim.journal import ZERO_HASH, JournalBlock, block_hash, check_payload
 
-from support import rechain, reference_decode, reference_encode
+from support import rechain, reference_decode, reference_encode, write_chained
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def record(i: int = 0, kind: EventKind = EventKind.TRANSFER, **details) -> EventRecord:
@@ -90,6 +93,38 @@ def test_every_truncation_of_a_payload_is_corrupt(rec):
             EventRecord.from_bytes(payload[:cut])
     with pytest.raises(CorruptJournal):
         EventRecord.from_bytes(payload + b"\x00")
+
+
+# ASCII and non-ASCII text, and a string whose length prefix has a byte >= 0x80
+mixed_text = st.one_of(st.text(max_size=10), st.text("ab#1.-", max_size=10),
+                       st.sampled_from(["bänk", "x" * 130]))
+mixed_records = st.builds(
+    lambda ts, kind, actor, details: EventRecord.create(ts, kind, actor, **details),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(EventKind),
+    mixed_text,
+    st.dictionaries(mixed_text, mixed_text, max_size=4),
+)
+
+
+def _verdict(check, payload: bytes) -> str | None:
+    try:
+        check(payload)
+    except CorruptJournal as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_records)
+def test_load_payload_check_agrees_with_the_decoder(rec):
+    payload = rec.to_bytes()
+    variants = [payload[:cut] for cut in range(len(payload))] + [payload + b"\x00"]
+    variants += [payload[:i] + bytes([byte]) + payload[i + 1:]
+                 for i in range(len(payload)) for byte in (0x00, 0x80, 0xC3, 0xFF)]
+    assert _verdict(check_payload, payload) is None
+    for variant in variants:
+        assert _verdict(check_payload, variant) == _verdict(EventRecord.from_bytes, variant)
 
 
 def test_invalid_utf8_payload_is_corrupt():
@@ -215,6 +250,83 @@ def test_flipped_byte_on_disk_is_corrupt(tmp_path):
     data[len(data) // 2] ^= 0x10
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptJournal):
+        Journal.load(path)
+
+
+def _count_decodes(monkeypatch) -> list:
+    """Record every payload `EventRecord.from_bytes` is asked to decode."""
+    calls = []
+    decode = EventRecord.from_bytes
+
+    def counting(cls, payload):
+        calls.append(payload)
+        return decode(payload)
+    monkeypatch.setattr(EventRecord, "from_bytes", classmethod(counting))
+    return calls
+
+
+def test_an_ascii_journal_loads_without_decoding_a_record(tmp_path, monkeypatch):
+    journal = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini")).journal
+    path = tmp_path / "journal.bin"
+    journal.export(path)
+    decoded = _count_decodes(monkeypatch)
+    assert len(Journal.load(path)) == len(journal) > 0
+    assert decoded == []
+
+
+def test_a_non_ascii_journal_loads_through_the_decoder(tmp_path, monkeypatch):
+    journal = Journal()
+    for i in range(6):
+        journal.append(EventRecord.create(i, EventKind.TRANSFER, "bänk" if i % 2 else "bank",
+                                          src="a", dst="b", amount=i))
+    path = tmp_path / "journal.bin"
+    journal.export(path)
+    decoded = _count_decodes(monkeypatch)
+    loaded = Journal.load(path)
+    assert len(decoded) == 3
+    assert loaded.records() == journal.records()
+
+
+def _transfers(count: int) -> list[bytes]:
+    return [record(i).to_bytes() for i in range(count)]
+
+
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_load_names_the_block_whose_payload_does_not_decode(tmp_path, k):
+    payloads = _transfers(6)
+    payloads[k] = payloads[k][:-1]  # re-chained below, so only the payload is wrong
+    path = tmp_path / "journal.bin"
+    write_chained(path, payloads)
+    with pytest.raises(CorruptJournal, match=rf"^block {k}: truncated string data$"):
+        Journal.load(path)
+
+
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_load_names_the_first_block_that_breaks_the_chain(tmp_path, k):
+    path = tmp_path / "journal.bin"
+    write_chained(path, _transfers(6), break_at=k)
+    with pytest.raises(CorruptJournal, match=rf"^chain verification failed at block {k}$"):
+        Journal.load(path)
+
+
+def test_a_chain_break_is_reported_before_a_malformed_payload(tmp_path):
+    payloads = _transfers(6)
+    payloads[1] = payloads[1][:-1]
+    path = tmp_path / "journal.bin"
+    write_chained(path, payloads, break_at=4)
+    with pytest.raises(CorruptJournal, match=r"^chain verification failed at block 4$"):
+        Journal.load(path)
+
+
+def test_a_truncated_file_names_the_block_it_cuts(tmp_path):
+    path = tmp_path / "journal.bin"
+    write_chained(path, _transfers(3))
+    data = path.read_bytes()
+    path.write_bytes(data[:-7])
+    with pytest.raises(CorruptJournal, match=r"^block 2: truncated block body$"):
+        Journal.load(path)
+    path.write_bytes(data + bytes(43))
+    with pytest.raises(CorruptJournal, match=r"^block 3: truncated block header$"):
         Journal.load(path)
 
 
