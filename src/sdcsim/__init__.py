@@ -32,8 +32,6 @@ from .valuation import (
     Forward,
     MarginOracle,
     MarketSnapshot,
-    MarketStore,
-    OracleBinding,
     SettlementAmount,
     VanillaSwap,
     discount_factor,

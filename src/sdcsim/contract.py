@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import (
     AccountsNotOpen,
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .journal import EventKind, EventRecord, SYSTEM_ACTOR
 from .ledger import AccountId, Bucket, Ledger, check_amount
-from .valuation import OracleBinding, Product, SettlementAmount, round_to_minor_units
+from .valuation import Product, SettlementAmount, round_to_minor_units
 
 
 class Phase(str, Enum):
@@ -141,11 +140,6 @@ class ContractSpec:
 
     def other(self, party: AccountId) -> AccountId:
         return self.party_b if party == self.party_a else self.party_a
-
-    @cached_property
-    def binding(self) -> OracleBinding:
-        return OracleBinding(contract_id=self.contract_id, product=self.product,
-                             pricer_version=self.pricer_version, tick_years=self.tick_years)
 
 
 class ContractInstance:

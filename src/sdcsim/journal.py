@@ -66,10 +66,10 @@ class EventKind(str, Enum):
 
 
 class Clock:
-    """Simulated integer clock; time only moves forward."""
+    """Simulated integer clock from tick 0; time only moves forward."""
 
-    def __init__(self, start: int = 0):
-        self._tick = start
+    def __init__(self):
+        self._tick = 0
 
     def now(self) -> int:
         return self._tick

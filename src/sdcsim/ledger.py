@@ -48,7 +48,7 @@ def check_amount(amount: int) -> int:
 class Ledger:
     """Account balances, allowances and segregated margin/fee buckets."""
 
-    def __init__(self, journal: Journal, clock: Clock, issuer_label: str = "issuer"):
+    def __init__(self, journal: Journal, clock: Clock):
         self.journal = journal
         self.clock = clock
         self._accounts: dict[AccountId, int] = {}
@@ -57,7 +57,7 @@ class Ledger:
         self._seq = 0
         self._minted = 0
         self._burned = 0
-        self.issuer = self.open_account(issuer_label)
+        self.issuer = self.open_account("issuer")
 
     # -- accounts and queries --
 

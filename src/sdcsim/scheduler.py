@@ -101,7 +101,7 @@ class AgentPolicy(Protocol):
 
 
 class Oracle(Protocol):
-    def query(self, binding, period_start: int, period_end: int) -> SettlementAmount: ...
+    def query(self, period_start: int, period_end: int) -> SettlementAmount: ...
 
 
 class Engine:
@@ -214,7 +214,7 @@ class Engine:
     def _run_valuation(self) -> None:
         grid, cycle = self.spec.settlement_times, self.contract.cycle
         try:
-            amount = self.oracle.query(self.spec.binding, grid[cycle], grid[cycle + 1])
+            amount = self.oracle.query(grid[cycle], grid[cycle + 1])
         except OracleFailure as exc:
             self.contract.mark_error(str(exc))
             return

@@ -43,7 +43,6 @@ from .valuation import (
     Forward,
     MarginOracle,
     MarketSnapshot,
-    MarketStore,
     Product,
     VanillaSwap,
     get_pricer,
@@ -178,9 +177,9 @@ class WillfulAgent(CompliantAgent):
         if cycle >= spec.cycles:
             return None
         start, end = spec.settlement_times[cycle:cycle + 2]
-        value, binding = engine.oracle.value, spec.binding
+        value = engine.oracle.value
         try:
-            projected = value(binding, end, engine.clock.now()) - value(binding, end, start)
+            projected = value(end, engine.clock.now()) - value(end, start)
         except OracleFailure:  # a missing snapshot or a price out of range
             return None
         pays = projected > 0 if party == spec.party_b else projected < 0
@@ -639,7 +638,7 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
         if cycle != len(rows) or cycle >= spec.cycles or r.timestamp != grid[cycle + 1]:
             return rows, False
         value, amount, outcome = float(d["value"]), int(d["amount"]), d["outcome"]
-        cached = oracle.cached(spec.binding, grid[cycle], grid[cycle + 1])
+        cached = oracle.cached(grid[cycle], grid[cycle + 1])
         due = abs(round_to_minor_units(value))
         ok = (ok and cached is not None and cached.value == value and outcome in _RESULTS
               and cycle < len(valued) and valued[cycle] == d["value"]
@@ -651,7 +650,7 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
             payer=d["payer"], receiver=d["receiver"], result=_RESULTS.get(outcome, outcome)))
     n = len(rows)
     unsettled = len(valued) > n or (
-        n < spec.cycles and oracle.cached(spec.binding, grid[n], grid[n + 1]) is not None)
+        n < spec.cycles and oracle.cached(grid[n], grid[n + 1]) is not None)
     return rows, ok and not unsettled
 
 
@@ -668,16 +667,11 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
     ledger.mint(ledger.issuer, party_b, scenario.funding_b)
     spec = replace(template, party_a=party_a, party_b=party_b)
 
-    store = MarketStore()
     if scenario.path_file is not None:
-        for snap in load_path_csv(scenario.path_file):
-            store.add(snap)
+        path = load_path_csv(scenario.path_file)
     else:
-        for snap in generate_path(scenario.market, scenario.seed,
-                                  ticks=spec.settlement_times[-1] + 1):
-            store.add(snap)
-
-    oracle = MarginOracle(store)
+        path = generate_path(scenario.market, scenario.seed, ticks=spec.settlement_times[-1] + 1)
+    oracle = MarginOracle(path, spec.product, spec.pricer_version, spec.tick_years)
     contract = ContractInstance(spec, ledger)
     agents = {party_a: make_policy(scenario.policy_a),
               party_b: make_policy(scenario.policy_b)}

@@ -19,14 +19,12 @@ Valuations are plain floats at minor-unit scale and are rounded
 half-away-from-zero to integer minor units only when money actually
 moves on the ledger.
 
-The MarginOracle wraps a snapshot store and is the one place a contract's
-period-end value V(t_end) is priced, with the pricer version the contract
-pins. It only prices: the settlement amount for a (contract, period) pair
-is computed once and cached, so repeated queries by either party see one
-number, and the contract journals the amount it is delivered. The value
-terms behind it are memoized for the current (contract, period end): the
-willful agents' projections on every open-window tick and the settlement
-itself read one price per snapshot.
+The MarginOracle, built once per contract over its market path with the
+terms the contract pins, is the one place a run prices the period-end value
+V(t_end). It only prices: a period's settlement amount is computed once and
+cached, so both parties see one number, and the contract journals the amount
+it is delivered. The value terms are memoized for the current period end, so
+the willful agents' projections and the settlement read one price per snapshot.
 """
 
 from __future__ import annotations
@@ -196,76 +194,58 @@ def get_pricer(version: str) -> Callable[[Product, float, MarketSnapshot], float
         raise UnknownPricer(f"no pricer registered under {version!r}") from None
 
 
-class MarketStore:
-    """Snapshot history keyed by tick; single writer, asOf strictly increasing."""
+class MarginOracle:
+    """Settlement-amount source shared by both parties of one contract.
 
-    def __init__(self):
-        self._snapshots: dict[int, MarketSnapshot] = {}
-        self._last_tick: int | None = None
+    Built over the contract's market path (ticks strictly increasing) with
+    the terms it pins. One valuation per period, cached for idempotent
+    re-queries; nothing is journaled here. A pricer overflow, a discount
+    factor that underflows to zero or a non-finite period value raises
+    ValuationOutOfRange and caches nothing.
 
-    def add(self, snapshot: MarketSnapshot) -> None:
-        if self._last_tick is not None and snapshot.as_of <= self._last_tick:
-            raise ValueError(f"snapshots must arrive in increasing tick order "
-                             f"({self._last_tick} then {snapshot.as_of})")
-        self._snapshots[snapshot.as_of] = snapshot
-        self._last_tick = snapshot.as_of
+    `value` prices V(t_end) on one snapshot; agents projecting the upcoming
+    settlement price through it too. Its memo holds the current period end
+    only and restarts when that changes, so it never holds more than one
+    period's snapshots (window ticks, start and end).
+    """
 
-    def get(self, tick: int) -> MarketSnapshot:
+    def __init__(self, path: Sequence[MarketSnapshot], product: Product,
+                 pricer_version: str, tick_years: float):
+        for prev, snapshot in zip(path, path[1:]):
+            if snapshot.as_of <= prev.as_of:
+                raise ValueError(f"snapshots must arrive in increasing tick order "
+                                 f"({prev.as_of} then {snapshot.as_of})")
+        self._snapshots = {snapshot.as_of: snapshot for snapshot in path}
+        self.product = product
+        self.pricer_version = pricer_version
+        self.tick_years = tick_years
+        self._cache: dict[tuple[int, int], SettlementAmount] = {}
+        self._memo_end: int | None = None
+        self._memo: dict[int, float] = {}
+
+    def _snapshot(self, tick: int) -> MarketSnapshot:
         try:
             return self._snapshots[tick]
         except KeyError:
             raise MissingSnapshot(f"no market snapshot stored for tick {tick}") from None
 
-
-@dataclass(frozen=True)
-class OracleBinding:
-    """What a contract pins: the product, pricer version and tick scale."""
-
-    contract_id: str
-    product: Product
-    pricer_version: str
-    tick_years: float
-
-
-class MarginOracle:
-    """Settlement-amount source shared by both parties.
-
-    One valuation per (contract, period): computed from stored snapshots and
-    cached for idempotent re-queries; nothing is journaled here. A pricer
-    overflow, a discount factor that underflows to zero or a non-finite
-    period value raises ValuationOutOfRange and caches nothing.
-
-    `value` prices V(t_end) on one stored snapshot; agents projecting the
-    upcoming settlement price through it too. Its memo holds the current
-    (contract, period end) only and restarts when that changes, so it never
-    holds more than one period's snapshots (window ticks, start and end).
-    """
-
-    def __init__(self, store: MarketStore):
-        self.store = store
-        self._cache: dict[tuple[str, int, int], SettlementAmount] = {}
-        self._memo_key: tuple[str, int] | None = None
-        self._memo: dict[int, float] = {}
-
-    def value(self, binding: OracleBinding, period_end: int, as_of: int) -> float:
-        """V(t_end) of the bound product on the stored snapshot at `as_of`."""
-        key = (binding.contract_id, period_end)
-        if key != self._memo_key:
-            self._memo_key = key
+    def value(self, period_end: int, as_of: int) -> float:
+        """V(t_end) of the contract's product on the snapshot at `as_of`."""
+        if period_end != self._memo_end:
+            self._memo_end = period_end
             self._memo = {}
         value = self._memo.get(as_of)
         if value is None:
-            pricer = get_pricer(binding.pricer_version)
+            pricer = get_pricer(self.pricer_version)
             try:
-                value = pricer(binding.product, period_end * binding.tick_years,
-                               self.store.get(as_of))
+                value = pricer(self.product, period_end * self.tick_years, self._snapshot(as_of))
             except (OverflowError, ZeroDivisionError) as exc:
                 raise ValuationOutOfRange(f"pricing tick {as_of} overflows ({exc})") from None
             self._memo[as_of] = value
         return value
 
-    def query(self, binding: OracleBinding, period_start: int, period_end: int) -> SettlementAmount:
-        key = (binding.contract_id, period_start, period_end)
+    def query(self, period_start: int, period_end: int) -> SettlementAmount:
+        key = (period_start, period_end)
         amount = self._cache.get(key)
         if amount is None:
             # settlement_amount's period check and formula (end term first),
@@ -273,9 +253,9 @@ class MarginOracle:
             # a memo-reading pricer instead measurably slowed long forward grids
             if period_start >= period_end:
                 raise TimestampMismatch(f"period must advance: {period_start} -> {period_end}")
-            self.store.get(period_start)  # a missing start is reported before a missing end
-            value_end = self.value(binding, period_end, period_end)
-            amount = SettlementAmount(value_end - self.value(binding, period_end, period_start),
+            self._snapshot(period_start)  # a missing start is reported before a missing end
+            value_end = self.value(period_end, period_end)
+            amount = SettlementAmount(value_end - self.value(period_end, period_start),
                                       period_end, value_end)
             if not math.isfinite(amount.value):
                 raise ValuationOutOfRange(
@@ -283,7 +263,6 @@ class MarginOracle:
             self._cache[key] = amount
         return amount
 
-    def cached(self, binding: OracleBinding, period_start: int,
-               period_end: int) -> SettlementAmount | None:
+    def cached(self, period_start: int, period_end: int) -> SettlementAmount | None:
         """The period's amount if `query` has computed it; never prices."""
-        return self._cache.get((binding.contract_id, period_start, period_end))
+        return self._cache.get((period_start, period_end))

@@ -97,14 +97,14 @@ class ScriptedValues:
     def __init__(self, values: dict[tuple[int, int], float]):
         self.values = values
 
-    def query(self, binding, period_start: int, period_end: int) -> SettlementAmount:
+    def query(self, period_start: int, period_end: int) -> SettlementAmount:
         try:
             return SettlementAmount(self.values[(period_start, period_end)], period_end)
         except KeyError:
             raise MissingSnapshot(
                 f"no scripted value for period ({period_start}, {period_end})") from None
 
-    def value(self, binding, period_end: int, as_of: int) -> float:
+    def value(self, period_end: int, as_of: int) -> float:
         raise MissingSnapshot(f"no market snapshot stored for tick {as_of}")
 
 

@@ -11,7 +11,6 @@ from sdcsim import (
     LifecycleEvent,
     MarginOracle,
     MarketSnapshot,
-    MarketStore,
     Mode,
     Phase,
     ScriptStep,
@@ -144,10 +143,10 @@ def test_withdrawal_in_cycle_two_triggers_prefund_termination_there():
 
 def test_missing_snapshot_suspends():
     contract, clock, journal, ledger = make_contract()
-    store = MarketStore()
-    store.add(MarketSnapshot(as_of=0, spot=100.0, zero_rate=0.0))
+    spec = contract.spec
     # no snapshot at the first settlement tick 10
-    oracle = MarginOracle(store)
+    oracle = MarginOracle([MarketSnapshot(as_of=0, spot=100.0, zero_rate=0.0)],
+                          spec.product, spec.pricer_version, spec.tick_years)
     agents = {p: CompliantAgent() for p in contract.spec.parties}
     engine = Engine(contract, oracle, agents=agents)
     engine.run()

@@ -555,10 +555,10 @@ class ForgetfulOracle:
     def __init__(self, oracle, period_start):
         self.oracle, self.period_start = oracle, period_start
 
-    def cached(self, binding, period_start, period_end):
+    def cached(self, period_start, period_end):
         if period_start == self.period_start:
             return None
-        return self.oracle.cached(binding, period_start, period_end)
+        return self.oracle.cached(period_start, period_end)
 
 
 def test_inception_does_not_have_to_sit_on_tick_zero():

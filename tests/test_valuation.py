@@ -13,8 +13,6 @@ from sdcsim import (
     Forward,
     MarginOracle,
     MarketSnapshot,
-    MarketStore,
-    OracleBinding,
     VanillaSwap,
     discount_factor,
     margin_buffer,
@@ -254,45 +252,38 @@ def test_buffer_coverage_property(seed, q):
     assert exceed <= (1 - q) + 2 / math.sqrt(len(samples))
 
 
-# -- market store and oracle --
+# -- the oracle over a market path --
+
+FORWARD = Forward(notional=10.0, strike=100.0, maturity=0.2)
+
+
+def oracle_over(path, product=FORWARD, pricer_version="flat-curve-v1",
+                tick_years=0.01) -> MarginOracle:
+    return MarginOracle(path, product, pricer_version, tick_years)
+
 
 def test_store_requires_increasing_ticks():
-    store = MarketStore()
-    store.add(snap(tick=1))
-    with pytest.raises(ValueError):
-        store.add(snap(tick=1))
-    with pytest.raises(MissingSnapshot):
-        store.get(2)
-
-
-def binding(product=None) -> OracleBinding:
-    product = product or Forward(notional=10.0, strike=100.0, maturity=0.2)
-    return OracleBinding(contract_id="SDC-1", product=product,
-                         pricer_version="flat-curve-v1", tick_years=0.01)
+    for path in ([snap(tick=1), snap(tick=1)], [snap(tick=2), snap(tick=1)]):
+        with pytest.raises(ValueError, match="increasing tick order"):
+            oracle_over(path)
+    with pytest.raises(MissingSnapshot, match="tick 2$"):
+        oracle_over([snap(tick=1)]).value(2, 2)
 
 
 def test_oracle_matches_direct_settlement_amount():
-    store = MarketStore()
     old, new = snap(tick=0, spot=100.0, rate=0.0), MarketSnapshot(10, 104.0, 0.0)
-    store.add(old)
-    store.add(new)
-    oracle = MarginOracle(store)
-    b = binding()
-    got = oracle.query(b, 0, 10)
-    want = settlement_amount(b.product, 0, 10, old, new, b.tick_years)
+    oracle = oracle_over([old, new])
+    got = oracle.query(0, 10)
+    want = settlement_amount(FORWARD, 0, 10, old, new, 0.01)
     assert got == want
 
 
 def test_oracle_missing_snapshot_refuses():
-    store = MarketStore()
-    store.add(snap(tick=0))
-    oracle = MarginOracle(store)
     with pytest.raises(MissingSnapshot, match="tick 10$"):
-        oracle.query(binding(), 0, 10)
+        oracle_over([snap(tick=0)]).query(0, 10)
     # with both missing, the journaled reason names the period start
-    oracle = MarginOracle(MarketStore())
     with pytest.raises(MissingSnapshot, match="tick 0$"):
-        oracle.query(binding(), 0, 10)
+        oracle_over([]).query(0, 10)
 
 
 @pytest.mark.parametrize("product,rate", [
@@ -303,35 +294,29 @@ def test_oracle_missing_snapshot_refuses():
                  accruals=(0.15, 0.05)), 1e6),
 ], ids=["overflow", "nan", "zero_discount"])
 def test_oracle_out_of_range_value_refuses_and_journals_nothing(product, rate):
-    store = MarketStore()
-    store.add(snap(tick=0, rate=rate))
-    store.add(snap(tick=10, spot=101.0, rate=rate))
-    oracle = MarginOracle(store)
+    oracle = oracle_over([snap(tick=0, rate=rate), snap(tick=10, spot=101.0, rate=rate)],
+                         product)
     with pytest.raises(ValuationOutOfRange):
-        oracle.query(binding(product), 0, 10)
-    assert oracle.cached(binding(product), 0, 10) is None
+        oracle.query(0, 10)
+    assert oracle.cached(0, 10) is None
 
 
 def test_oracle_period_must_advance():
-    store = MarketStore()
-    store.add(snap(tick=10))
-    oracle = MarginOracle(store)
     with pytest.raises(TimestampMismatch):
-        oracle.query(binding(), 10, 10)
+        oracle_over([snap(tick=10)]).query(10, 10)
 
 
 def test_oracle_is_idempotent_per_period():
-    store = MarketStore()
-    store.add(snap(tick=0, spot=100.0))
-    store.add(MarketSnapshot(10, 107.0, 0.02))
-    oracle = MarginOracle(store)
-    first = oracle.query(binding(), 0, 10)
-    assert oracle.query(binding(), 0, 10) is first
-    assert oracle.cached(binding(), 0, 10) is first
+    oracle = oracle_over([snap(tick=0, spot=100.0), MarketSnapshot(10, 107.0, 0.02)])
+    first = oracle.query(0, 10)
+    assert oracle.query(0, 10) is first
+    assert oracle.cached(0, 10) is first
 
 
-def test_pricing_module_imports_nothing_from_the_journal():
-    # the oracle only prices; the contract journals the valuation it is delivered
+@pytest.mark.parametrize("module", ["journal", "contract"])
+def test_pricing_module_imports_nothing_from(module):
+    # the oracle only prices, taking the contract's terms as plain values;
+    # the contract journals the valuation it is delivered
     tree = ast.parse(Path(valuation.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -340,70 +325,60 @@ def test_pricing_module_imports_nothing_from_the_journal():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported.update(alias.name.split("."))
-    assert "journal" not in imported
+    assert module not in imported
 
 
 # -- the oracle's per-period value memo --
 
 TICK_YEARS = 0.01
+SWAP = VanillaSwap(notional=1e6, fixed_rate=0.02,
+                   payment_times=(0.1, 0.2, 0.3), accruals=(0.1, 0.1, 0.1))
 
 
-def rate_store(ticks: int) -> MarketStore:
-    store = MarketStore()
-    for k in range(ticks):
-        store.add(snap(tick=k, rate=0.02 + 0.001 * (k % 5)))
-    return store
+def rate_path(ticks: int) -> list[MarketSnapshot]:
+    return [snap(tick=k, rate=0.02 + 0.001 * (k % 5)) for k in range(ticks)]
 
 
-def swap_binding(pricer_version=COUNTING_PRICER, contract_id="SDC-1") -> OracleBinding:
-    swap = VanillaSwap(notional=1e6, fixed_rate=0.02,
-                       payment_times=(0.1, 0.2, 0.3), accruals=(0.1, 0.1, 0.1))
-    return OracleBinding(contract_id=contract_id, product=swap,
-                         pricer_version=pricer_version, tick_years=TICK_YEARS)
+def swap_oracle(path, pricer_version=COUNTING_PRICER) -> MarginOracle:
+    return oracle_over(path, SWAP, pricer_version, TICK_YEARS)
 
 
 def test_oracle_prices_each_period_end_and_snapshot_once(counting_pricer):
-    oracle = MarginOracle(rate_store(11))
-    b = swap_binding()
+    oracle = swap_oracle(rate_path(11))
     for _ in range(3):
         for as_of in (0, 1, 2, 3):
-            oracle.value(b, 10, as_of)
-    oracle.query(b, 0, 10)
+            oracle.value(10, as_of)
+    oracle.query(0, 10)
     t = 10 * TICK_YEARS
     assert sorted(counting_pricer) == [(t, 0), (t, 1), (t, 2), (t, 3), (t, 10)]
 
 
 def test_repeated_oracle_value_is_the_identical_float(counting_pricer):
-    store = rate_store(11)
-    oracle = MarginOracle(store)
-    b = swap_binding()
-    first = oracle.value(b, 10, 3)
-    assert oracle.value(b, 10, 3) is first
-    assert first == price(b.product, 10 * TICK_YEARS, store.get(3))
+    path = rate_path(11)
+    oracle = swap_oracle(path)
+    first = oracle.value(10, 3)
+    assert oracle.value(10, 3) is first
+    assert first == price(SWAP, 10 * TICK_YEARS, path[3])
     assert len(counting_pricer) == 1
 
 
 def test_oracle_value_memo_holds_only_the_current_period(counting_pricer):
-    oracle = MarginOracle(rate_store(21))
-    b = swap_binding()
-    oracle.value(b, 10, 0)
-    oracle.value(b, 10, 1)
-    oracle.value(b, 20, 10)     # a new period: the memo restarts
-    oracle.value(b, 20, 10)     # kept
-    oracle.value(b, 10, 0)      # dropped with its period, so priced again
-    oracle.value(swap_binding(contract_id="SDC-2"), 10, 0)  # another contract's period
+    oracle = swap_oracle(rate_path(21))
+    oracle.value(10, 0)
+    oracle.value(10, 1)
+    oracle.value(20, 10)     # a new period: the memo restarts
+    oracle.value(20, 10)     # kept
+    oracle.value(10, 0)      # dropped with its period, so priced again
     t10, t20 = 10 * TICK_YEARS, 20 * TICK_YEARS
-    assert counting_pricer == [(t10, 0), (t10, 1), (t20, 10), (t10, 0), (t10, 0)]
+    assert counting_pricer == [(t10, 0), (t10, 1), (t20, 10), (t10, 0)]
 
 
 def test_query_through_a_warm_memo_equals_settlement_amount():
-    store = rate_store(11)
-    oracle = MarginOracle(store)
-    b = swap_binding(pricer_version="flat-curve-v1")
+    path = rate_path(11)
+    oracle = swap_oracle(path, pricer_version="flat-curve-v1")
     for as_of in (0, 4, 10):
-        oracle.value(b, 10, as_of)
-    assert oracle.query(b, 0, 10) == settlement_amount(
-        b.product, 0, 10, store.get(0), store.get(10), TICK_YEARS)
+        oracle.value(10, as_of)
+    assert oracle.query(0, 10) == settlement_amount(SWAP, 0, 10, path[0], path[10], TICK_YEARS)
 
 
 def test_pricer_registry_round_trip():
