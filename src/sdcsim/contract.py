@@ -38,7 +38,8 @@ from .errors import (
     TooEarly,
     WrongState,
 )
-from .journal import EventKind, EventRecord, SYSTEM_ACTOR
+from .journal import (FAILED_TERMINATION, MATURED_TERMINATION, PREFUND_TERMINATION, SETTLEMENT,
+                      SYSTEM_ACTOR, TRANSITION, VALUATION, RecordShape)
 from .ledger import AccountId, Bucket, Ledger, check_amount
 from .valuation import Product, SettlementAmount, round_to_minor_units
 
@@ -182,20 +183,16 @@ class ContractInstance:
     def _transition(self, new: ContractState, cause: str) -> None:
         old = self._state
         self._state = new
-        self.ledger.journal.append(EventRecord.create(
-            self.ledger.clock.now(), EventKind.STATE_TRANSITION, SYSTEM_ACTOR,
-            contract=self.spec.contract_id, src=old.label(), dst=new.label(), cause=cause))
+        self._journal(TRANSITION, cause, self.spec.contract_id, new.label(), old.label())
 
     def _release(self, party: AccountId, bucket: Bucket, amount: int, to: AccountId) -> None:
         if amount > 0:
             self.ledger.release_segregated(self.spec.contract_id, party, bucket,
                                            amount, to, actor=SYSTEM_ACTOR)
 
-    def _journal_termination(self, cause: TerminationCause, **details) -> None:
-        self.ledger.journal.append(EventRecord.create(
-            self.ledger.clock.now(), EventKind.TERMINATION, SYSTEM_ACTOR,
-            contract=self.spec.contract_id, cause=cause.value,
-            tick=self.ledger.clock.now(), **details))
+    def _journal(self, shape: RecordShape, *values) -> None:
+        """Journal a `shape` record by the system, now; `values` in its key order."""
+        self.ledger.journal.append(shape.pack(self.ledger.clock.now(), SYSTEM_ACTOR, *values))
 
     # -- lifecycle operations --
 
@@ -285,8 +282,8 @@ class ContractInstance:
             if party not in deficient:
                 self._release(party, Bucket.FEE, self.fee_bucket(party), party)
         now = self.ledger.clock.now()
-        self._journal_termination(TerminationCause.INSUFFICIENT_PREFUND,
-                                  deficient=",".join(deficient))
+        self._journal(PREFUND_TERMINATION, TerminationCause.INSUFFICIENT_PREFUND.value,
+                      self.spec.contract_id, ",".join(deficient), now)
         self._transition(ContractState(phase=Phase.TERMINATED,
                                        cause=TerminationCause.INSUFFICIENT_PREFUND, at=now),
                          cause="margin-prefunding-insufficient")
@@ -299,10 +296,9 @@ class ContractInstance:
             raise TimestampMismatch(
                 f"valuation is for tick {amount.as_of}, settlement due {self._state.settle_at}")
         self.pending_valuation = amount
-        self.ledger.journal.append(EventRecord.create(
-            self.ledger.clock.now(), EventKind.VALUATION, SYSTEM_ACTOR,
-            contract=self.spec.contract_id, period_start=self.spec.settlement_times[self.cycle],
-            period_end=amount.as_of, value=repr(amount.value), pricer=self.spec.pricer_version))
+        self._journal(VALUATION, self.spec.contract_id, amount.as_of,
+                      self.spec.settlement_times[self.cycle], self.spec.pricer_version,
+                      repr(amount.value))
         self._transition(ContractState(phase=Phase.MARGIN_CALCULATION,
                                        settle_at=self._state.settle_at),
                          cause="valuation-delivered")
@@ -342,12 +338,10 @@ class ContractInstance:
             self._release(payer, Bucket.FEE, self.fee_bucket(payer), receiver)
             self._release(receiver, Bucket.MARGIN, self.margin_bucket(receiver), receiver)
             self._release(receiver, Bucket.FEE, self.fee_bucket(receiver), receiver)
-            self.ledger.journal.append(EventRecord.create(
-                now, EventKind.SETTLEMENT, SYSTEM_ACTOR, contract=cid, cycle=self.cycle,
-                value=repr(f.value), amount=paid, payer=payer, receiver=receiver,
-                outcome="partial"))
-            self._journal_termination(TerminationCause.SETTLEMENT_FAILED, payer=payer,
-                                      owed=amount, covered=paid)
+            self._journal(SETTLEMENT, paid, cid, self.cycle, "partial", payer, receiver,
+                          repr(f.value))
+            self._journal(FAILED_TERMINATION, TerminationCause.SETTLEMENT_FAILED.value, cid,
+                          paid, amount, payer, now)
             self._transition(ContractState(phase=Phase.TERMINATED,
                                            cause=TerminationCause.SETTLEMENT_FAILED, at=now),
                              cause="settlement-exceeded-margin")
@@ -355,16 +349,14 @@ class ContractInstance:
 
         if payer is not None and amount > 0:
             self._release(payer, Bucket.MARGIN, amount, receiver)
-        self.ledger.journal.append(EventRecord.create(
-            now, EventKind.SETTLEMENT, SYSTEM_ACTOR, contract=cid, cycle=self.cycle,
-            value=repr(f.value), amount=amount, payer=payer or "", receiver=receiver or "",
-            outcome="matured" if maturing else "settled"))
+        self._journal(SETTLEMENT, amount, cid, self.cycle, "matured" if maturing else "settled",
+                      payer or "", receiver or "", repr(f.value))
         settled_cycle = self.cycle
         self.pending_valuation = None
         if maturing:
             for party in self.spec.parties:
                 self._release(party, Bucket.MARGIN, self.margin_bucket(party), party)
-            self._journal_termination(TerminationCause.MATURED)
+            self._journal(MATURED_TERMINATION, TerminationCause.MATURED.value, cid, now)
             self._transition(ContractState(phase=Phase.SETTLED, cycle=settled_cycle),
                              cause="final-settlement-executed")
             self._transition(ContractState(phase=Phase.TERMINATED,

@@ -1,26 +1,23 @@
 """Append-only, hash-chained event journal.
 
-Every ledger mutation and contract state change is serialized into an
-EventRecord and appended as a block. Block k stores
+Every ledger mutation and contract state change is serialized into a
+record payload and appended as a block. Block k stores
 ``hash = SHA256(index(8 BE) || prev_hash(32) || payload)``, with block 0
 chaining from 32 zero bytes, so any bit flipped anywhere in the history
 invalidates verification of the chain.
 
-Serialization is canonical: fixed field order, length-prefixed UTF-8
-strings, fixed-width big-endian integers, detail pairs sorted by key.
-The same sequence of records therefore always produces the same final
-hash, which is what the run-determinism and mode-equivalence checks
-compare.
-
-Record payload layout (every string is a 4-byte big-endian length, then
-that many UTF-8 bytes):
+Serialization is canonical (fixed field order, detail pairs sorted by
+key), so the same records always give the same final hash, which the
+run-determinism and mode-equivalence checks compare. Record payload
+layout, every string a 4-byte big-endian length and that many UTF-8 bytes:
 
     timestamp(8 BE) || kind || actor || detail_count(4 BE) || (key || value)*
 
-Because the kind string always starts at byte 8, `Journal.records(kind)`
-picks out one kind's blocks by that prefix and decodes only those; a
-payload that does not decode (truncated, trailing bytes, bad UTF-8,
-unknown kind) raises CorruptJournal.
+The engine writes every record through a `RecordShape` (a kind and its
+sorted detail keys) and `Journal.append(payload)`. `Journal.payloads(kind)`
+picks one kind's blocks by the kind string at byte 8. A payload that does
+not decode (truncated, trailing bytes, bad UTF-8, unknown kind), or is not
+of the shape unpacking it, raises CorruptJournal.
 
 On-disk block layout (repeated per block, no file header):
 
@@ -37,7 +34,6 @@ data"); a chain break is reported even when a payload is also malformed.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import struct
@@ -96,9 +92,6 @@ _KIND_TAGS = {kind: _pack_str(kind.value) for kind in EventKind}
 _KINDS_BY_NAME = {kind.value: kind for kind in EventKind}
 _KIND_NAMES = frozenset(kind.value.encode("utf-8") for kind in EventKind)
 
-# Detail keys come from the engine's small vocabulary, so each is packed once.
-_packed_key = functools.lru_cache(maxsize=1024)(_pack_str)
-
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -124,12 +117,10 @@ class EventRecord:
         raise KeyError(key)
 
     def to_bytes(self) -> bytes:
-        actor = self.actor.encode("utf-8")
-        parts = [_U64.pack(self.timestamp), _KIND_TAGS[self.kind],
-                 _U32.pack(len(actor)), actor, _U32.pack(len(self.details))]
+        parts = [_U64.pack(self.timestamp), _KIND_TAGS[self.kind], _pack_str(self.actor),
+                 _U32.pack(len(self.details))]
         for k, v in self.details:
-            data = v.encode("utf-8")
-            parts += (_packed_key(k), _U32.pack(len(data)), data)
+            parts += (_pack_str(k), _pack_str(v))
         return b"".join(parts)
 
     @classmethod
@@ -153,6 +144,72 @@ class EventRecord:
             raise CorruptJournal(f"unknown event kind {kind_s!r}")
         pairs = iter(details)
         return cls(_U64.unpack_from(payload)[0], kind, actor, tuple(zip(pairs, pairs)))
+
+
+class RecordShape:
+    """One record layout: an event kind and its detail keys, in sorted order.
+
+    `pack(timestamp, actor, *values)` takes the values in key order, each
+    through `str`, into one ASCII template of the pre-packed kind, count and
+    keys; `unpack` slices an ASCII payload at its length prefixes. Anything
+    else goes through `EventRecord`'s UTF-8 codec.
+    """
+
+    def __init__(self, kind: EventKind, keys: str):
+        self.kind, self.keys = kind, tuple(keys.split())
+        # the bytes before each length prefix: kind, count and first key, keys
+        first, *rest = self.keys
+        self._seps = (_KIND_TAGS[kind], _U32.pack(len(self.keys)) + _pack_str(first),
+                      *map(_pack_str, rest))
+        self._template = "".join(  # a length under 128 packs as three NULs and one ASCII char
+            sep.decode("latin-1").replace("%", "%%") + "\0\0\0%c%s" for sep in self._seps)
+
+    def pack(self, timestamp: int, actor: str, *values) -> bytes:
+        args = [len(actor), actor]
+        for value in values:
+            value = str(value)
+            args += (len(value), value)
+        try:
+            return _U64.pack(timestamp) + (self._template % tuple(args)).encode("ascii")
+        except (UnicodeEncodeError, OverflowError):  # %c of a length >= 128 is not ASCII
+            details = tuple(zip(self.keys, map(str, values)))
+            return EventRecord(timestamp, self.kind, actor, details).to_bytes()
+
+    def unpack(self, payload: bytes) -> tuple[int, str, tuple[str, ...]]:
+        off, cuts = 8, []
+        if payload[8:].isascii():
+            try:
+                for sep in self._seps:
+                    if not payload.startswith(sep, off):
+                        break
+                    (n,) = _U32.unpack_from(payload, off + len(sep))
+                    off += len(sep) + 4 + n
+                    cuts.append((off - n, off))
+            except struct.error:  # a length prefix past the end
+                pass
+            if len(cuts) == len(self._seps) and off == len(payload):
+                actor, *values = [payload[a:b].decode("ascii") for a, b in cuts]
+                return _U64.unpack_from(payload)[0], actor, tuple(values)
+        record = EventRecord.from_bytes(payload)
+        if record.kind is not self.kind or tuple(k for k, _ in record.details) != self.keys:
+            raise CorruptJournal(f"not a {self.kind.value} record with keys {' '.join(self.keys)}")
+        return record.timestamp, record.actor, tuple(v for _, v in record.details)
+
+
+# The record shapes. README "File formats" names each writer; the last three have no engine caller.
+TRANSFER = RecordShape(EventKind.TRANSFER, "amount dst src")
+LOCK = RecordShape(EventKind.LOCK, "amount bucket contract party")
+RELEASE = RecordShape(EventKind.RELEASE, "amount bucket contract dst party")
+TRANSITION = RecordShape(EventKind.STATE_TRANSITION, "cause contract dst src")
+REJECTION = RecordShape(EventKind.STATE_TRANSITION, "cause contract dst event reason src")
+VALUATION = RecordShape(EventKind.VALUATION, "contract period_end period_start pricer value")
+SETTLEMENT = RecordShape(EventKind.SETTLEMENT, "amount contract cycle outcome payer receiver value")
+PREFUND_TERMINATION = RecordShape(EventKind.TERMINATION, "cause contract deficient tick")
+FAILED_TERMINATION = RecordShape(EventKind.TERMINATION, "cause contract covered owed payer tick")
+MATURED_TERMINATION = RecordShape(EventKind.TERMINATION, "cause contract tick")
+APPROVAL = RecordShape(EventKind.APPROVAL, "amount owner spender")
+BURN = RecordShape(EventKind.BURN, "amount src")
+TRANSFER_FROM = RecordShape(EventKind.TRANSFER, "amount dst spender src")
 
 
 def _read_strings(buf: bytes, off: int, count: int, out: list[str]) -> int:
@@ -237,7 +294,7 @@ class JournalBlock(NamedTuple):
 
 
 class Journal:
-    """Single-writer block chain of EventRecords."""
+    """Single-writer block chain of record payloads."""
 
     def __init__(self):
         self._blocks: list[JournalBlock] = []
@@ -249,8 +306,7 @@ class Journal:
     def blocks(self) -> list[JournalBlock]:
         return list(self._blocks)
 
-    def append(self, record: EventRecord) -> JournalBlock:
-        payload = record.to_bytes()
+    def append(self, payload: bytes) -> JournalBlock:
         index = len(self._blocks)
         prev = self._blocks[-1].hash if self._blocks else ZERO_HASH
         block = JournalBlock(index, prev, payload, block_hash(index, prev, payload))
@@ -273,18 +329,16 @@ class Journal:
     def final_hash(self) -> bytes:
         return self._blocks[-1].hash if self._blocks else ZERO_HASH
 
-    def records(self, kind: EventKind | None = None) -> list[EventRecord]:
-        """Decoded records in journal order; with `kind`, only that kind's.
-
-        A filtered read decodes only the blocks whose payload carries the
-        kind's tag, so finding the settlements of a long run does not
-        decode its transfers and locks.
-        """
-        decode = EventRecord.from_bytes
+    def payloads(self, kind: EventKind | None = None) -> list[bytes]:
+        """Block payloads in journal order; with `kind`, only that kind's."""
         if kind is None:
-            return [decode(b.payload) for b in self._blocks]
+            return [b.payload for b in self._blocks]
         tag = _KIND_TAGS[kind]
-        return [decode(b.payload) for b in self._blocks if b.payload.startswith(tag, 8)]
+        return [b.payload for b in self._blocks if b.payload.startswith(tag, 8)]
+
+    def records(self, kind: EventKind | None = None) -> list[EventRecord]:
+        """`payloads(kind)`, each decoded into an `EventRecord`."""
+        return [EventRecord.from_bytes(p) for p in self.payloads(kind)]
 
     def export(self, path: str | Path) -> None:
         """Write all blocks to `path` atomically (see `write_atomic`)."""

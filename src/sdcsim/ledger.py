@@ -25,7 +25,8 @@ from .errors import (
     NotIssuer,
     UnknownAccount,
 )
-from .journal import Clock, EventKind, EventRecord, Journal, write_atomic
+from .journal import (APPROVAL, BURN, LOCK, RELEASE, TRANSFER, TRANSFER_FROM, Clock, Journal,
+                      write_atomic)
 
 AccountId = str
 
@@ -91,9 +92,6 @@ class Ledger:
         held = sum(self._accounts.values()) + sum(self._segregated.values())
         return held == self.total_supply()
 
-    def _emit(self, kind: EventKind, actor: str, **details) -> None:
-        self.journal.append(EventRecord.create(self.clock.now(), kind, actor, **details))
-
     # -- supply --
 
     def mint(self, caller: AccountId, to: AccountId, amount: int) -> None:
@@ -103,7 +101,7 @@ class Ledger:
         self._known(to)
         self._accounts[to] += amount
         self._minted += amount
-        self._emit(EventKind.TRANSFER, caller, src=MINT_SOURCE, dst=to, amount=amount)
+        self.journal.append(TRANSFER.pack(self.clock.now(), caller, amount, to, MINT_SOURCE))
 
     def burn(self, caller: AccountId, from_: AccountId, amount: int) -> None:
         check_amount(amount)
@@ -114,7 +112,7 @@ class Ledger:
             raise InsufficientBalance(f"{from_} holds {self._accounts[from_]}, cannot burn {amount}")
         self._accounts[from_] -= amount
         self._burned += amount
-        self._emit(EventKind.BURN, caller, src=from_, amount=amount)
+        self.journal.append(BURN.pack(self.clock.now(), caller, amount, from_))
 
     # -- transfers and allowances --
 
@@ -126,7 +124,7 @@ class Ledger:
             raise InsufficientBalance(f"{from_} holds {self._accounts[from_]}, cannot send {amount}")
         self._accounts[from_] -= amount
         self._accounts[to] += amount
-        self._emit(EventKind.TRANSFER, actor or from_, src=from_, dst=to, amount=amount)
+        self.journal.append(TRANSFER.pack(self.clock.now(), actor or from_, amount, to, from_))
 
     def approve(self, owner: AccountId, spender: AccountId, amount: int) -> None:
         """Set (not add to) the spender allowance."""
@@ -134,7 +132,7 @@ class Ledger:
         self._known(owner)
         self._known(spender)
         self._allowances[(owner, spender)] = amount
-        self._emit(EventKind.APPROVAL, owner, owner=owner, spender=spender, amount=amount)
+        self.journal.append(APPROVAL.pack(self.clock.now(), owner, amount, owner, spender))
 
     def transfer_from(self, spender: AccountId, from_: AccountId, to: AccountId, amount: int) -> None:
         check_amount(amount)
@@ -148,7 +146,7 @@ class Ledger:
         self._allowances[(from_, spender)] = allowed - amount
         self._accounts[from_] -= amount
         self._accounts[to] += amount
-        self._emit(EventKind.TRANSFER, spender, src=from_, dst=to, amount=amount, spender=spender)
+        self.journal.append(TRANSFER_FROM.pack(self.clock.now(), spender, amount, to, spender, from_))
 
     # -- segregated buckets --
 
@@ -161,8 +159,8 @@ class Ledger:
         self._accounts[party] -= amount
         key = (contract_id, party, bucket)
         self._segregated[key] = self._segregated.get(key, 0) + amount
-        self._emit(EventKind.LOCK, actor or party, contract=contract_id, party=party,
-                   bucket=bucket.value, amount=amount)
+        self.journal.append(LOCK.pack(self.clock.now(), actor or party,
+                                      amount, bucket.value, contract_id, party))
 
     def release_segregated(self, contract_id: str, party: AccountId, bucket: Bucket,
                            amount: int, to: AccountId, actor: str | None = None) -> None:
@@ -175,8 +173,8 @@ class Ledger:
                 f"{party} {bucket.value} bucket holds {held}, cannot release {amount}")
         self._segregated[key] = held - amount
         self._accounts[to] += amount
-        self._emit(EventKind.RELEASE, actor or party, contract=contract_id, party=party,
-                   bucket=bucket.value, amount=amount, dst=to)
+        self.journal.append(RELEASE.pack(self.clock.now(), actor or party,
+                                         amount, bucket.value, contract_id, to, party))
 
     # -- export --
 

@@ -29,7 +29,7 @@ from typing import Protocol, Sequence
 
 from .contract import ContractInstance, ContractSpec, Phase, TerminationCause
 from .errors import OracleFailure, PreconditionFailed, ScenarioParseError, SdcError
-from .journal import EventKind, EventRecord
+from .journal import REJECTION
 from .ledger import AccountId, Ledger
 from .valuation import SettlementAmount
 
@@ -184,11 +184,9 @@ class Engine:
         return RequestOutcome(True)
 
     def _journal_rejection(self, step: ScriptStep, reason: str) -> None:
-        state = self.contract.state().label()
-        self.journal.append(EventRecord.create(
-            self.clock.now(), EventKind.STATE_TRANSITION, step.party,
-            contract=self.spec.contract_id, src=state, dst=state, cause="rejected",
-            event=step.kind.value, reason=reason))
+        state, cid = self.contract.state().label(), self.spec.contract_id
+        self.journal.append(REJECTION.pack(self.clock.now(), step.party, "rejected", cid, state,
+                                           step.kind.value, reason, state))
 
     # -- event execution --
 

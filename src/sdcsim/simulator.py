@@ -35,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .contract import ContractInstance, ContractSpec, Phase
-from .errors import OracleFailure, ScenarioParseError, ScenarioValidationError, UnknownPricer
-from .journal import Clock, EventKind, Journal, write_atomic
+from .errors import (CorruptJournal, OracleFailure, ScenarioParseError, ScenarioValidationError,
+                     UnknownPricer)
+from .journal import SETTLEMENT, VALUATION, Clock, EventKind, Journal, write_atomic
 from .ledger import AccountId, Bucket, Ledger
 from .scheduler import Engine
 from .valuation import (
@@ -607,47 +608,45 @@ def _party_wealth(ledger: Ledger, contract_id: str, party: AccountId) -> int:
 _RESULTS = {"settled": "SETTLED", "matured": "MATURED", "partial": "FAILED"}
 
 
-def _valued(journal: Journal, spec: ContractSpec) -> list[str | None]:
-    """Each journaled Valuation's value string, or None where the c-th is not
-    this contract's valuation of period c on that period's end tick."""
-    grid = spec.settlement_times
-    values: list[str | None] = []
-    for c, r in enumerate(journal.records(EventKind.VALUATION)):
-        d = dict(r.details)
-        value = d.pop("value", None)
-        values.append(value if c < spec.cycles and r.timestamp == grid[c + 1] and d == {
-            "contract": spec.contract_id, "period_start": str(grid[c]),
-            "period_end": str(grid[c + 1]), "pricer": spec.pricer_version} else None)
-    return values
-
-
 def _settlement_rows(journal: Journal, spec: ContractSpec,
                      oracle: MarginOracle) -> tuple[list[CycleRow], bool]:
-    """Report rows from the journaled Settlements, and whether they reconcile:
-    cycles 0, 1, ... on their period-end ticks (rows stop at the first that is
-    not), values the oracle cached and the period's Valuation carries, amounts
-    and payers as `settle` derives them, and no valued period left unsettled."""
+    """Report rows from the journaled Settlements, and whether they reconcile: cycles 0,
+    1, ... on their period-end ticks (rows stop at the first that is not, or does not fit
+    its shape and numbers), values the oracle cached and the period's Valuation carries,
+    amounts and payers as `settle` derives them, and no valued period left unsettled."""
     grid = spec.settlement_times
     directions = {1: (spec.party_b, spec.party_a), -1: (spec.party_a, spec.party_b), 0: ("", "")}
-    valued = _valued(journal, spec)  # strings only, before decoding Settlements: a lower peak
+    valued: list[str | None] = []  # the c-th Valuation's value, or None unless it values period c
+    for c, payload in enumerate(journal.payloads(EventKind.VALUATION)):
+        try:
+            ts, _, fields = VALUATION.unpack(payload)  # contract, end, start, pricer, value
+        except CorruptJournal:
+            ts, fields = None, ()
+        valued.append(fields[-1] if c < spec.cycles and ts == grid[c + 1] and fields[:-1] == (
+            spec.contract_id, str(grid[c + 1]), str(grid[c]), spec.pricer_version) else None)
     rows: list[CycleRow] = []
     ok = True
-    for r in journal.records(EventKind.SETTLEMENT):
-        d = dict(r.details)
-        cycle = int(d["cycle"])
-        if cycle != len(rows) or cycle >= spec.cycles or r.timestamp != grid[cycle + 1]:
+    for payload in journal.payloads(EventKind.SETTLEMENT):
+        cycle = len(rows)
+        try:
+            ts, _, (amount_s, contract, cycle_s, outcome, payer, receiver, value_s) = \
+                SETTLEMENT.unpack(payload)
+            value, amount = float(value_s), int(amount_s)
+            due = abs(round_to_minor_units(value))
+        except (CorruptJournal, ValueError, OverflowError):  # inf or nan rounds to no int
             return rows, False
-        value, amount, outcome = float(d["value"]), int(d["amount"]), d["outcome"]
+        if cycle_s != str(cycle) or cycle >= spec.cycles or ts != grid[cycle + 1]:
+            return rows, False
         cached = oracle.cached(grid[cycle], grid[cycle + 1])
-        due = abs(round_to_minor_units(value))
         ok = (ok and cached is not None and cached.value == value and outcome in _RESULTS
-              and cycle < len(valued) and valued[cycle] == d["value"]
+              and contract == spec.contract_id and cycle < len(valued) and valued[cycle] == value_s
+              and amount_s == str(amount)
               and (0 <= amount < due if outcome == "partial" else amount == due)
-              and (d["payer"], d["receiver"]) == directions[(value > 0) - (value < 0)])
+              and (payer, receiver) == directions[(value > 0) - (value < 0)])
         rows.append(CycleRow(
-            cycle=cycle, period_start=grid[cycle], settle_tick=r.timestamp,
+            cycle=cycle, period_start=grid[cycle], settle_tick=ts,
             value_end=cached.value_end if cached else None, f_value=value, amount=amount,
-            payer=d["payer"], receiver=d["receiver"], result=_RESULTS.get(outcome, outcome)))
+            payer=payer, receiver=receiver, result=_RESULTS.get(outcome, outcome)))
     n = len(rows)
     unsettled = len(valued) > n or (
         n < spec.cycles and oracle.cached(grid[n], grid[n + 1]) is not None)

@@ -421,7 +421,7 @@ def test_acceptance_07_tamper_detection():
     for length in range(1, 201):
         journal = Journal()
         for i in range(length):
-            journal.append(journal_record(i, amount=i * 13 + length))
+            journal.append(journal_record(i, amount=i * 13 + length).to_bytes())
         assert journal.verify()
         for _ in range(5):
             if _tampered_copy(journal, rng).verify():

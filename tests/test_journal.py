@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import ast
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdcsim import Clock, EventKind, EventRecord, Journal, load_scenario, run_simulation
+import sdcsim
+from sdcsim import Clock, EventKind, EventRecord, Journal, Ledger, load_scenario, run_simulation
+from sdcsim import journal as journal_module
 from sdcsim.errors import CorruptJournal
-from sdcsim.journal import ZERO_HASH, JournalBlock, block_hash, check_payload
+from sdcsim.journal import (SETTLEMENT, ZERO_HASH, JournalBlock, RecordShape, block_hash,
+                            check_payload)
 
 from support import rechain, reference_decode, reference_encode, write_chained
 
@@ -23,7 +27,7 @@ def record(i: int = 0, kind: EventKind = EventKind.TRANSFER, **details) -> Event
 
 def test_genesis_block_chains_from_zero():
     journal = Journal()
-    block = journal.append(record())
+    block = journal.append(record().to_bytes())
     assert block.index == 0
     assert block.prev_hash == ZERO_HASH
     assert journal.verify()
@@ -32,8 +36,8 @@ def test_genesis_block_chains_from_zero():
 def test_identical_records_get_distinct_hashes():
     journal = Journal()
     rec = record(7)
-    first = journal.append(rec)
-    second = journal.append(rec)
+    first = journal.append(rec.to_bytes())
+    second = journal.append(rec.to_bytes())
     assert first.payload == second.payload
     assert first.hash != second.hash  # index is part of the preimage
 
@@ -41,7 +45,7 @@ def test_identical_records_get_distinct_hashes():
 def test_thousand_appends_verify_and_rechain_independently():
     journal = Journal()
     for i in range(1000):
-        journal.append(record(i, amount=i * 3, src=f"acct{i % 7}", dst="sink"))
+        journal.append(record(i, amount=i * 3, src=f"acct{i % 7}", dst="sink").to_bytes())
     assert journal.verify()
     assert rechain(journal.blocks)
 
@@ -50,8 +54,8 @@ def test_same_record_sequence_gives_same_final_hash():
     records = [record(i, src="x", dst="y", amount=i) for i in range(50)]
     first, second = Journal(), Journal()
     for r in records:
-        first.append(r)
-        second.append(r)
+        first.append(r.to_bytes())
+        second.append(r.to_bytes())
     assert first.final_hash() == second.final_hash()
 
 
@@ -149,7 +153,7 @@ def test_records_by_kind_match_a_filtered_full_decode():
         actor = rng.choice(["SYSTEM", "bank1#1", "bänk"])
         # a detail value may spell another kind's name, packed exactly like its tag
         journal.append(EventRecord.create(i, kind, actor, amount=rng.randrange(10**6),
-                                          note=rng.choice(kinds).value))
+                                          note=rng.choice(kinds).value).to_bytes())
     everything = journal.records()
     for kind in EventKind:
         assert journal.records(kind) == [r for r in everything if r.kind is kind]
@@ -159,7 +163,7 @@ def test_records_by_kind_match_a_filtered_full_decode():
 def test_indices_are_gapless():
     journal = Journal()
     for i in range(20):
-        journal.append(record(i))
+        journal.append(record(i).to_bytes())
     assert [b.index for b in journal.blocks] == list(range(20))
 
 
@@ -187,7 +191,7 @@ def _mutate_bit(journal: Journal, block_i: int, field: str, bit: int) -> Journal
 def test_single_bit_tamper_is_detected(field):
     journal = Journal()
     for i in range(10):
-        journal.append(record(i))
+        journal.append(record(i).to_bytes())
     rng = random.Random(99)
     for _ in range(50):
         tampered = _mutate_bit(journal, rng.randrange(10), field, rng.randrange(256))
@@ -197,7 +201,7 @@ def test_single_bit_tamper_is_detected(field):
 def test_swapped_blocks_fail_verification():
     journal = Journal()
     for i in range(5):
-        journal.append(record(i))
+        journal.append(record(i).to_bytes())
     swapped = Journal()
     blocks = journal.blocks
     blocks[1], blocks[2] = blocks[2], blocks[1]
@@ -211,7 +215,7 @@ def test_swapped_blocks_fail_verification():
 def test_append_then_verify_always_holds(rows):
     journal = Journal()
     for ts, k, v in rows:
-        journal.append(EventRecord.create(ts, EventKind.TRANSFER, "x", key=k, val=v))
+        journal.append(EventRecord.create(ts, EventKind.TRANSFER, "x", key=k, val=v).to_bytes())
     assert journal.verify()
     assert rechain(journal.blocks)
 
@@ -219,7 +223,7 @@ def test_append_then_verify_always_holds(rows):
 def test_export_import_round_trip(tmp_path):
     journal = Journal()
     for i in range(40):
-        journal.append(record(i))
+        journal.append(record(i).to_bytes())
     path = tmp_path / "journal.bin"
     journal.export(path)
     loaded = Journal.load(path)
@@ -231,7 +235,7 @@ def test_export_import_round_trip(tmp_path):
 def test_truncated_file_is_corrupt(tmp_path):
     journal = Journal()
     for i in range(5):
-        journal.append(record(i))
+        journal.append(record(i).to_bytes())
     path = tmp_path / "journal.bin"
     journal.export(path)
     data = path.read_bytes()
@@ -243,7 +247,7 @@ def test_truncated_file_is_corrupt(tmp_path):
 def test_flipped_byte_on_disk_is_corrupt(tmp_path):
     journal = Journal()
     for i in range(5):
-        journal.append(record(i))
+        journal.append(record(i).to_bytes())
     path = tmp_path / "journal.bin"
     journal.export(path)
     data = bytearray(path.read_bytes())
@@ -278,7 +282,7 @@ def test_a_non_ascii_journal_loads_through_the_decoder(tmp_path, monkeypatch):
     journal = Journal()
     for i in range(6):
         journal.append(EventRecord.create(i, EventKind.TRANSFER, "bänk" if i % 2 else "bank",
-                                          src="a", dst="b", amount=i))
+                                          src="a", dst="b", amount=i).to_bytes())
     path = tmp_path / "journal.bin"
     journal.export(path)
     decoded = _count_decodes(monkeypatch)
@@ -346,3 +350,78 @@ def test_clock_never_runs_backwards():
     with pytest.raises(ValueError):
         clock.advance_to(4)
     assert clock.now() == 5
+
+
+# -- record shapes --
+
+SHAPES = [value for value in vars(journal_module).values() if isinstance(value, RecordShape)]
+
+# ASCII and non-ASCII text, strings of 128 bytes or more (their length prefix
+# holds a byte >= 0x80), and integers that are negative or need 33+ bits
+shape_text = st.one_of(st.text(max_size=12), st.text("ab#1.-%", max_size=8),
+                       st.text(min_size=128, max_size=140), st.sampled_from(["bänk", "x" * 128]))
+shape_values = st.one_of(shape_text, st.integers(-2**40, 2**32), st.integers(2**32, 2**70))
+
+
+def test_the_table_declares_each_shape_once_with_sorted_keys():
+    assert len(SHAPES) == 13
+    assert len({(shape.kind, shape.keys) for shape in SHAPES}) == 13
+    assert all(list(shape.keys) == sorted(set(shape.keys)) for shape in SHAPES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHAPES), st.integers(0, 2**64 - 1), shape_text, st.data())
+def test_a_shape_packs_the_generic_bytes_and_unpacks_its_inputs(shape, ts, actor, data):
+    values = data.draw(st.lists(shape_values, min_size=len(shape.keys), max_size=len(shape.keys)))
+    payload = shape.pack(ts, actor, *values)
+    details = dict(zip(shape.keys, values))
+    assert payload == EventRecord.create(ts, shape.kind, actor, **details).to_bytes()
+    assert shape.unpack(payload) == (ts, actor, tuple(map(str, values)))
+
+
+@pytest.mark.parametrize("actor", ["bank", "bänk"])
+def test_a_shape_unpacks_only_its_own_records(actor):
+    for shape in SHAPES:
+        for other in SHAPES:
+            payload = other.pack(5, actor, *range(len(other.keys)))
+            if other is shape:
+                assert shape.unpack(payload) == (5, actor, tuple(map(str, range(len(shape.keys)))))
+                continue
+            with pytest.raises(CorruptJournal, match=f"^not a {shape.kind.value} record"):
+                shape.unpack(payload)
+        # the same layout with every key spelled otherwise, or another kind name
+        respelled = EventRecord(5, shape.kind, actor, tuple((k.upper(), "1") for k in shape.keys))
+        with pytest.raises(CorruptJournal, match=f"^not a {shape.kind.value} record"):
+            shape.unpack(respelled.to_bytes())
+        payload = shape.pack(5, actor, *range(len(shape.keys)))
+        tag = shape.kind.value.encode()
+        with pytest.raises(CorruptJournal, match="^unknown event kind"):
+            shape.unpack(payload.replace(tag, tag.upper(), 1))
+    payload = SETTLEMENT.pack(20, actor, 7, "C", 0, "settled", "a", "b", "-1.5")
+    for bad in [payload[:cut] for cut in range(len(payload))] + [payload + b"\x00"]:
+        with pytest.raises(CorruptJournal):
+            SETTLEMENT.unpack(bad)
+
+
+def test_every_block_of_a_run_enters_the_chain_through_append(monkeypatch):
+    appended = []
+    append = Journal.append
+    monkeypatch.setattr(Journal, "append",
+                        lambda self, payload: appended.append(payload) or append(self, payload))
+    artifacts = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini"))
+    assert len(appended) == len(artifacts.journal) > 0
+    assert appended == artifacts.journal.payloads()
+
+
+def test_the_engine_writes_every_record_through_a_shape():
+    # `EventRecord.create` sorts and stringifies its keyword details on each
+    # call; the engine packs through the shape table instead
+    creates = []
+    for path in sorted(Path(sdcsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "create"
+                    and isinstance(func.value, ast.Name) and func.value.id == "EventRecord"):
+                creates.append(f"{path.name}:{node.lineno}")
+    assert creates == []
+    assert not hasattr(Ledger, "_emit")

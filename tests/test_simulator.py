@@ -21,12 +21,14 @@ from sdcsim import (
     load_scenario,
     margin_buffer,
     parse_scenario,
+    register_pricer,
     run_simulation,
     write_path_csv,
     write_report,
 )
-from sdcsim import simulator
+from sdcsim import simulator, valuation
 from sdcsim.errors import ScenarioParseError, ScenarioValidationError, SdcError
+from sdcsim.valuation import PRICER_FLAT_CURVE_V1, get_pricer
 from sdcsim.simulator import (
     VARIATE_CHUNK,
     _settlement_rows,
@@ -485,7 +487,7 @@ def _rechained(journal, tamper):
     copy = Journal()
     for record in map(tamper, journal.records()):
         if record is not None:
-            copy.append(record)
+            copy.append(record.to_bytes())
     assert copy.verify()
     return copy
 
@@ -507,6 +509,8 @@ SETTLEMENT_TAMPERS = {
     "off_its_grid_tick": lambda r: dc_replace(r, timestamp=r.timestamp + 1),
     "swapped_payer": lambda r: _with_details(
         r, payer=r.detail("receiver"), receiver=r.detail("payer")),
+    "another_contracts": lambda r: _with_details(r, contract="SDC-2"),
+    "amount_with_a_sign": lambda r: _with_details(r, amount="+" + r.detail("amount")),
 }
 
 
@@ -547,6 +551,57 @@ def test_reconciliation_check_detects_mismatches():
         assert not _settlement_rows(cut, run.engine.spec, run.engine.oracle)[1]
         forgetful = ForgetfulOracle(run.engine.oracle, last.period_start)
         assert not _settlement_rows(cut, run.engine.spec, forgetful)[1]
+
+
+def _without(record, key):
+    return dc_replace(record, details=tuple((k, v) for k, v in record.details if k != key))
+
+
+# Settlements whose keys or numbers do not fit the Settlement shape
+OFF_SHAPE_SETTLEMENTS = {
+    "without_outcome": lambda r: _without(r, "outcome"),
+    "with_an_extra_key": lambda r: _with_details(r, note="x"),
+    "non_numeric_cycle": lambda r: _with_details(r, cycle="zero"),
+    "non_numeric_amount": lambda r: _with_details(r, amount="0.0"),
+    "non_numeric_value": lambda r: _with_details(r, value="zero"),
+    "infinite_value": lambda r: _with_details(r, value="inf"),
+    "nan_value": lambda r: _with_details(r, value="nan"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_SHAPE_SETTLEMENTS))
+def test_an_off_shape_settlement_fails_reconciliation_without_raising(name):
+    run = run_simulation(load_scenario(SCENARIOS / "flat_forward.ini"))
+    assert all(run.report.checks.values())
+    tampered = _with_tampered_settlement(run.journal, 0, OFF_SHAPE_SETTLEMENTS[name])
+    assert tampered.verify() and len(tampered) == len(run.journal)
+    assert _settlement_rows(tampered, run.engine.spec, run.engine.oracle) == ([], False)
+
+
+@pytest.mark.parametrize("tamper", [lambda r: _without(r, "pricer"),
+                                    lambda r: _with_details(r, note="x"),
+                                    lambda r: _with_details(r, period_end="ten")])
+def test_an_off_shape_valuation_fails_reconciliation(tamper):
+    run = run_simulation(load_scenario(SCENARIOS / "flat_forward.ini"))
+    first = run.journal.records(EventKind.VALUATION)[0]
+    tampered = _rechained(run.journal, lambda r: tamper(r) if r == first else r)
+    assert not _settlement_rows(tampered, run.engine.spec, run.engine.oracle)[1]
+
+
+@pytest.mark.parametrize("version", ["flat-curve-ü1", "flat-curve-" + "v" * 130])
+def test_a_pricer_version_off_the_ascii_fast_path_reconciles(version, monkeypatch):
+    # a non-ASCII or 128-byte pricer version leaves every Valuation to the
+    # shapes' UTF-8 fallback, on the way into the journal and back out
+    monkeypatch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
+    register_pricer(version, get_pricer(PRICER_FLAT_CURVE_V1))
+    artifacts = run_simulation(make_scenario(market__volatility="0.2", contract__pricer=version,
+                                             contract__margin_a="5000", contract__margin_b="5000"))
+    assert artifacts.report.termination_cause == "MATURED"
+    assert artifacts.report.checks == {"conservation": True, "journal_verified": True,
+                                       "settlements_reconciled": True}
+    valuations = artifacts.journal.records(EventKind.VALUATION)
+    assert len(valuations) == len(artifacts.report.cycles) == 3
+    assert {r.detail("pricer") for r in valuations} == {version}
 
 
 class ForgetfulOracle:
