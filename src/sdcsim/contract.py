@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     AccountsNotOpen,
@@ -61,8 +62,7 @@ class TerminationCause(str, Enum):
     MATURED = "MATURED"
 
 
-@dataclass(frozen=True)
-class ContractState:
+class ContractState(NamedTuple):
     phase: Phase
     until: int | None = None          # ACCOUNTS_OPEN: first tick with access denied
     settle_at: int | None = None      # AWAIT_VALUATION / MARGIN_CALCULATION

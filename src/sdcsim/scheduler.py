@@ -14,18 +14,19 @@ event at its scheduled tick, with the clock on that tick. Any other row
 (an early VALUATION, a late CLOSE_ACCOUNTS) changes no state and is
 journaled as a rejection.
 
-The loop visits every tick from inception to maturity while the contract
-is live, running that tick's rows first and then the agent hooks, so
-agents act identically whoever requests the events. Past the final grid
-tick, or once the contract is final, it jumps from row to row. So any
-party requesting the timeline's rows yields the same journal, bit for bit.
+While the contract is live, the loop steps from inception to maturity,
+running each tick's rows and then the agent hooks, so agents act the same
+whoever requests the events. A policy declaring `wakes` is hooked only in
+those phases; when no hooked policy acts in the current phase, the loop
+steps straight to the next row, as only a row changes the phase. Past the
+final grid tick, or once the contract is final, it jumps from row to row.
+So any party requesting the timeline's rows yields one journal, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .contract import ContractInstance, ContractSpec, Phase, TerminationCause
 from .errors import OracleFailure, PreconditionFailed, ScenarioParseError, SdcError
@@ -43,8 +44,7 @@ class LifecycleEvent(str, Enum):
     MATURITY = "MATURITY"
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+class ScriptStep(NamedTuple):
     tick: int
     kind: LifecycleEvent
     party: AccountId
@@ -90,13 +90,18 @@ def parse_script(text: str) -> list[ScriptStep]:
     return steps
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
+class RequestOutcome(NamedTuple):
     accepted: bool
     reason: str | None = None
 
 
+ACCEPTED = RequestOutcome(True)
+
+
 class AgentPolicy(Protocol):
+    """Hooked on every tick `Engine.run` visits, or only in the phases its
+    class declares in its own `wakes` (a frozenset; subclasses do not inherit it)."""
+
     def on_tick(self, engine: "Engine", party: AccountId) -> None: ...
 
 
@@ -135,21 +140,32 @@ class Engine:
             return
         if script is None:
             script = self.timeline
+        hooks = [(party, policy, vars(type(policy)).get("wakes")) for party in self.spec.parties
+                 if (policy := self.agents.get(party)) is not None]
+        declared = [wakes for *_, wakes in hooks]
+        # the phases some hooked policy acts in; None when one acts in every phase
+        awake = None if None in declared else frozenset().union(*declared)
+        contract, clock = self.contract, self.clock
         last = self.spec.settlement_times[-1]
-        tick = self.clock.now()
-        i = 0
+        tick = clock.now()
+        i, n = 0, len(script)
         while True:
-            self.clock.advance_to(tick)
-            while i < len(script) and script[i].tick <= tick:
+            clock.advance_to(tick)
+            while i < n and script[i].tick <= tick:
                 step = script[i]
                 i += 1
                 outcome = self.request_event(step.party, step.kind, step.tick)
                 if not outcome.accepted:
                     self._journal_rejection(step, outcome.reason)
-            self._agent_hooks()
-            if tick < last and not self.contract.is_final:
-                tick += 1
-            elif i < len(script):
+            for party, policy, wakes in hooks:
+                if wakes is None or contract.phase in wakes:
+                    policy.on_tick(self, party)
+            if tick < last and not contract.is_final:
+                if awake is None or contract.phase in awake:
+                    tick += 1
+                else:  # only a row changes the phase, so no policy acts before the next one
+                    tick = script[i].tick if i < n else last
+            elif i < n:
                 tick = script[i].tick  # nothing can fire in between: jump to the next row
             else:
                 return
@@ -181,7 +197,7 @@ class Engine:
         except SdcError as exc:
             self._cursor -= 1
             return RequestOutcome(False, str(exc))
-        return RequestOutcome(True)
+        return ACCEPTED
 
     def _journal_rejection(self, step: ScriptStep, reason: str) -> None:
         state, cid = self.contract.state().label(), self.spec.contract_id
@@ -217,9 +233,3 @@ class Engine:
             self.contract.mark_error(str(exc))
             return
         self.contract.deliver_valuation(amount)
-
-    def _agent_hooks(self) -> None:
-        for party in self.spec.parties:
-            policy = self.agents.get(party)
-            if policy is not None:
-                policy.on_tick(self, party)

@@ -27,9 +27,11 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,8 @@ class Scenario:
 class CompliantAgent:
     """Tops the margin bucket up to the required buffer whenever allowed."""
 
+    wakes = frozenset({Phase.ACCOUNTS_OPEN})  # declared per class: the engine reads no base's
+
     def on_tick(self, engine: Engine, party: AccountId) -> None:
         contract = engine.contract
         if contract.phase is not Phase.ACCOUNTS_OPEN:
@@ -134,6 +138,8 @@ class CompliantAgent:
 
 class DefaultingAgent(CompliantAgent):
     """Stops funding from a given cycle on, as after a credit event."""
+
+    wakes = frozenset({Phase.ACCOUNTS_OPEN})
 
     def __init__(self, at_cycle: int):
         self.at_cycle = at_cycle
@@ -152,6 +158,8 @@ class WillfulAgent(CompliantAgent):
     (so both agents and the settlement share one price per snapshot); the
     settlement-time snapshot is never available before accounts close.
     """
+
+    wakes = frozenset({Phase.ACCOUNTS_OPEN})
 
     def __init__(self, threshold: int):
         self.threshold = threshold
@@ -281,20 +289,20 @@ def generate_path(model: MarketModel, seed: int, ticks: int,
     the zero rate stays at its initial value."""
     if ticks < 1:
         raise ValueError("need at least one tick")
-    shocks = normal_variates(seed, stream, ticks - 1)
-    spot = model.initial_spot
-    path = [MarketSnapshot(as_of=0, spot=spot, zero_rate=model.initial_rate)]
     drift_term, vol_term = _log_move_terms(model)
+    # numpy's elementwise multiply and add round as Python's floats do, and an
+    # inf or NaN here fails below as it would in Python
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_moves = (drift_term + vol_term * normal_variates(seed, stream, ticks - 1)).tolist()
     try:
-        for k, z in enumerate(shocks.tolist()):
-            spot *= math.exp(drift_term + vol_term * z)
-            path.append(MarketSnapshot(as_of=k + 1, spot=spot, zero_rate=model.initial_rate))
-    except (OverflowError, ValueError) as exc:
+        spots = list(accumulate(map(math.exp, log_moves), operator.mul,
+                                initial=model.initial_spot))
+    except OverflowError as exc:
         raise _out_of_range("spot", exc) from None
-    # an infinite spot stays infinite or turns NaN, so the last one tells
-    if not math.isfinite(spot):
-        raise _out_of_range("spot", spot)
-    return path
+    # a spot at 0.0 or inf stays there or turns NaN, so the last one tells for all
+    if not 0.0 < spots[-1] < math.inf:
+        raise _out_of_range("spot", f"spot {spots[-1]!r} at tick {ticks - 1}")
+    return list(map(MarketSnapshot._make, zip(range(ticks), spots, repeat(model.initial_rate))))
 
 
 def _log_move_terms(model: MarketModel) -> tuple[float, float]:

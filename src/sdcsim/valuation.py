@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import (
     EmptySamples,
@@ -44,17 +44,22 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class MarketSnapshot:
-    """Observed market data at one simulation tick."""
-
+class _MarketData(NamedTuple):
     as_of: int            # tick on the simulation grid
     spot: float           # observable index level, > 0
     zero_rate: float      # flat continuously-compounded rate p.a.
 
-    def __post_init__(self):
-        if self.spot <= 0:
-            raise ValueError(f"spot must be positive, got {self.spot}")
+
+class MarketSnapshot(_MarketData):
+    """Observed market data at one simulation tick. `_make` and `_replace`
+    skip the positive-spot check that construction makes."""
+
+    __slots__ = ()
+
+    def __new__(cls, as_of: int, spot: float, zero_rate: float):
+        if spot <= 0:
+            raise ValueError(f"spot must be positive, got {spot}")
+        return tuple.__new__(cls, (as_of, spot, zero_rate))
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,20 @@ def reference_normal_variates(seed: int, stream: int, count: int) -> list[float]
     return [inv_cdf((int(r) + 0.5) / (1 << 53)) for r in raw]
 
 
+def reference_path_spots(model, seed: int, stream: int, ticks: int) -> list[float]:
+    """Geometric Brownian spots tick by tick: the spot multiplied in place by
+    exp(drift term + volatility term * z) for each shock in turn. The
+    package's path must equal this bit for bit."""
+    drift_term = (model.drift - 0.5 * model.volatility ** 2) * model.tick_years
+    vol_term = model.volatility * math.sqrt(model.tick_years)
+    spot = model.initial_spot
+    spots = [spot]
+    for z in reference_normal_variates(seed, stream, ticks - 1):
+        spot *= math.exp(drift_term + vol_term * z)
+        spots.append(spot)
+    return spots
+
+
 def reference_one_period_samples(scenario, trials: int, stream: int) -> list[float]:
     """First-period settlement amounts trial by trial: the log move added up
     left to right over the trial's shocks (as `sum` did before Python 3.12

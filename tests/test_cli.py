@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import replace
 
 import pytest
 
@@ -222,7 +221,7 @@ def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_
     model = MarketModel(100.0, 0.01, 0.2, 0.0, 0.004)
     rows = generate_path(model, seed=2024, ticks=101)
     if bad_field is not None:
-        rows[bad_tick] = replace(rows[bad_tick], **{bad_field: float(bad_value)})
+        rows[bad_tick] = rows[bad_tick]._replace(**{bad_field: float(bad_value)})
     csv = tmp_path / "path.csv"
     write_path_csv(rows, csv)
     return scenario_file(
@@ -249,6 +248,26 @@ def test_non_finite_path_csv_value_is_an_input_error(scenario_file, tmp_path, ca
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
     # the header is line 1, so tick 10 is line 12
     assert f"error: line 12: {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["0.0", "-0.0", "-2.5"])
+def test_path_csv_spot_that_is_not_positive_is_an_input_error(scenario_file, tmp_path, capsys,
+                                                              value):
+    csv = tmp_path / "path.csv"
+    write_path_csv(generate_path(MarketModel(100.0, 0.01, 0.2, 0.0, 0.004), 2024, 101), csv)
+    lines = csv.read_text().splitlines()
+    lines[12] = f"11,{value},0.01"  # the header is line 1, so tick 11 is line 13
+    csv.write_text("\n".join(lines) + "\n")
+    path = scenario_file(
+        drop=("market.initial_spot", "market.initial_rate", "market.volatility",
+              "market.drift"),
+        contract__settlement_times=",".join(str(10 * i) for i in range(11)),
+        market__path_file=str(csv))
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: line 13: spot must be positive, got {float(value)}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sdcsim import (
     Engine,
@@ -10,17 +11,19 @@ from sdcsim import (
     Journal,
     LifecycleEvent,
     MarginOracle,
+    MarketModel,
     MarketSnapshot,
     Mode,
     Phase,
     ScriptStep,
     TerminationCause,
     format_script,
+    generate_path,
     parse_script,
     timeline_script,
 )
 from sdcsim.errors import ScenarioParseError
-from sdcsim.simulator import CompliantAgent, WillfulAgent
+from sdcsim.simulator import CompliantAgent, PolicySpec, WillfulAgent, make_policy
 
 from conftest import make_contract, make_spec, make_world, scripted_oracle
 
@@ -209,7 +212,7 @@ def test_driver_replay_of_active_sequence_is_bit_identical():
 
 
 def requested_by_party_b(spec):
-    return [replace(s, party=spec.party_b) for s in timeline_script(spec)]
+    return [s._replace(party=spec.party_b) for s in timeline_script(spec)]
 
 
 def test_passive_run_completes_like_active():
@@ -250,7 +253,7 @@ def rejections(engine):
 def moved(script, kind, tick):
     """The script with the first row of `kind` moved to `tick`, in tick order."""
     i = next(i for i, s in enumerate(script) if s.kind is kind)
-    script = script[:i] + [replace(script[i], tick=tick)] + script[i + 1:]
+    script = script[:i] + [script[i]._replace(tick=tick)] + script[i + 1:]
     return sorted(script, key=lambda s: s.tick)
 
 
@@ -324,6 +327,136 @@ def test_driver_row_far_past_maturity_costs_one_step():
     assert engine.contract.state().cause is TerminationCause.MATURED
     last = rejections(engine)[-1]
     assert (last.timestamp, last.detail("reason")) == (10**12, "NotDue")
+
+
+# -- wake phases --
+
+class CountingCompliant(CompliantAgent):
+    wakes = CompliantAgent.wakes
+
+    def __init__(self):
+        self.calls = 0
+
+    def on_tick(self, engine, party):
+        self.calls += 1
+        super().on_tick(engine, party)
+
+
+def count_visits(engine, monkeypatch) -> list[int]:
+    """Initialize the contract, then record every tick `run` moves the clock to."""
+    assert engine._initialize()
+    visits = []
+    advance_to = engine.clock.advance_to
+    monkeypatch.setattr(engine.clock, "advance_to", lambda t: visits.append(t) or advance_to(t))
+    return visits
+
+
+@pytest.mark.parametrize("grid,window", [((0, 10, 20, 30), 3), ((4, 9, 30), 1), ((0, 12), 11)])
+def test_declared_policies_are_hooked_only_in_open_windows(monkeypatch, grid, window):
+    engine = make_engine(values=(0.0,) * (len(grid) - 1), compliant=False, grid=grid,
+                         window=window)
+    agents = {p: CountingCompliant() for p in engine.spec.parties}
+    engine.agents.update(agents)  # assigned after construction, and honoured
+    visits = count_visits(engine, monkeypatch)
+    engine.run()
+    cycles = engine.spec.cycles
+    assert engine.contract.state().cause is TerminationCause.MATURED
+    assert [agent.calls for agent in agents.values()] == [window * cycles] * 2
+    assert len(visits) <= (window + 2) * cycles + 1
+    assert visits == sorted(set(visits)) and visits[-1] == grid[-1] == engine.clock.now()
+
+
+def test_a_subclass_without_its_own_wakes_is_hooked_on_every_tick(monkeypatch):
+    engine = make_engine()
+    counter = engine.agents[engine.spec.party_b] = CountingAgent()  # overrides on_tick only
+    visits = count_visits(engine, monkeypatch)
+    engine.run()
+    grid = engine.spec.settlement_times
+    assert counter.calls == len(visits) == grid[-1] - grid[0] + 1
+    assert engine.contract.state().cause is TerminationCause.MATURED
+
+
+@pytest.mark.parametrize("script,now", [
+    (lambda spec: [s for s in timeline_script(spec) if s.tick < 20], 30),  # stops awaiting
+    (lambda spec: [s for s in timeline_script(spec) if s.tick < 10], 30),  # stops open
+    (lambda spec: timeline_script(spec) + [ScriptStep(99, E.MATURITY, spec.party_a)], 99),
+    (lambda spec: [], 30),
+])
+def test_skipping_ends_the_clock_where_stepping_every_tick_does(script, now):
+    """A skip stops at the final grid tick, as a step through every tick does."""
+    for policy in (CompliantAgent, CountingAgent):
+        engine = make_engine(compliant=False)
+        engine.agents.update({p: policy() for p in engine.spec.parties})
+        engine.run(script=script(engine.spec))
+        assert engine.clock.now() == now
+
+
+@st.composite
+def engine_cases(draw):
+    """A small grid and window, two built-in policies, a GBM path and up to
+    three edits to the timeline: a row cut, or moved to another tick."""
+    cycles = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.integers(2, 7), min_size=cycles, max_size=cycles))
+    grid = tuple(accumulate(gaps, initial=draw(st.integers(0, 3))))
+    window = draw(st.integers(1, min(gaps) - 1))
+    policy = st.one_of(
+        st.just(PolicySpec("compliant")),
+        st.builds(PolicySpec, st.just("defaulting"), st.integers(0, cycles)),
+        st.builds(PolicySpec, st.just("willful"), st.sampled_from([0, 300, 10**9])))
+    edit = st.tuples(st.sampled_from(["cut", "move"]), st.integers(0, 5 * cycles),
+                     st.integers(0, grid[-1] + 3))
+    return dict(grid=grid, window=window, margin=draw(st.sampled_from([100, 400, 5000])),
+                policies=(draw(policy), draw(policy)),
+                volatility=draw(st.sampled_from([0.0, 0.3, 1.5])),
+                seed=draw(st.integers(0, 2**16)),
+                edits=draw(st.none() | st.lists(edit, max_size=3)))
+
+
+def run_case(case, every_tick: bool):
+    """Run `case` with the built-in policies, or with each wrapped in a subclass
+    that declares no `wakes` and so is hooked on every tick."""
+    contract, clock, journal, _ = make_contract(grid=case["grid"], window=case["window"],
+                                                margin=case["margin"])
+    spec = contract.spec
+    path = generate_path(MarketModel(100.0, 0.01, case["volatility"], 0.0, spec.tick_years),
+                         case["seed"], spec.settlement_times[-1] + 1)
+    oracle = MarginOracle(path, spec.product, spec.pricer_version, spec.tick_years)
+    agents = {}
+    for party, policy_spec in zip(spec.parties, case["policies"]):
+        policy = agents[party] = make_policy(policy_spec)
+        if every_tick:
+            policy.__class__ = type("Undeclared", (type(policy),), {})
+    script = None
+    if case["edits"] is not None:
+        script = timeline_script(spec)
+        for op, at, tick in case["edits"]:
+            step = script.pop(at % len(script)) if script else None
+            if op == "move" and step is not None:
+                script.append(step._replace(tick=tick))
+                script.sort(key=lambda s: s.tick)
+    Engine(contract, oracle, agents=agents).run(script=script)
+    return [block.payload for block in journal.blocks], clock.now(), agents
+
+
+def assert_skipping_is_exact(case):
+    payloads, now, agents = run_case(case, every_tick=False)
+    assert run_case(case, every_tick=True)[:2] == (payloads, now)
+    return agents
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_cases())
+@example(dict(grid=(0, 6, 12, 18), window=2, margin=400, volatility=0.0, seed=0, edits=[],
+              policies=(PolicySpec("defaulting", 1), PolicySpec("compliant"))))
+def test_skipping_ticks_changes_no_journal_byte_and_no_final_tick(case):
+    assert_skipping_is_exact(case)
+
+
+def test_a_willful_trigger_skips_ticks_exactly_too():
+    case = dict(grid=(0, 6, 12, 18, 24), window=3, margin=400, volatility=1.5, seed=3,
+                edits=None, policies=(PolicySpec("willful", 0), PolicySpec("willful", 0)))
+    agents = assert_skipping_is_exact(case)
+    assert any(agent.triggered for agent in agents.values())
 
 
 # -- timestamps --

@@ -46,6 +46,7 @@ from support import (
     open_intervals_respected,
     reference_normal_variates,
     reference_one_period_samples,
+    reference_path_spots,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -198,6 +199,20 @@ def test_log_return_mean_matches_model_drift():
     expected = (model.drift - 0.5 * model.volatility ** 2) * model.tick_years
     stderr = model.volatility * math.sqrt(model.tick_years) / math.sqrt(n)
     assert abs(mean - expected) < 4 * stderr
+
+
+@pytest.mark.parametrize("model", [
+    MarketModel(100.0, 0.01, 0.2, 0.0, 0.0001),
+    MarketModel(37.5, 0.03, 0.9, 0.4, 0.004),
+    MarketModel(1e-3, 0.0, 3.0, -2.0, 0.01),
+], ids=["grid_forward", "volatile", "tiny_spot"])
+@pytest.mark.parametrize("stream", [0, 2])
+def test_path_spots_equal_the_sequential_loop(model, stream):
+    path = generate_path(model, seed=31, ticks=2001, stream=stream)
+    assert all(type(s) is MarketSnapshot for s in path)
+    assert [s.as_of for s in path] == list(range(2001))
+    assert {s.zero_rate for s in path} == {model.initial_rate}
+    assert _same_bits([s.spot for s in path], reference_path_spots(model, 31, stream, 2001))
 
 
 def test_normal_variates_are_stream_separated():

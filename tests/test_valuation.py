@@ -41,6 +41,23 @@ def snap(tick=0, spot=100.0, rate=0.02) -> MarketSnapshot:
     return MarketSnapshot(as_of=tick, spot=spot, zero_rate=rate)
 
 
+# -- market snapshots --
+
+@pytest.mark.parametrize("spot", [0.0, -1.0, -0.0])
+def test_snapshot_rejects_a_spot_that_is_not_positive(spot):
+    with pytest.raises(ValueError, match="spot must be positive"):
+        MarketSnapshot(3, spot, 0.01)
+    with pytest.raises(ValueError, match="spot must be positive"):
+        MarketSnapshot(as_of=3, spot=spot, zero_rate=0.01)
+
+
+def test_snapshot_is_a_named_tuple():
+    s = MarketSnapshot(3, 101.5, 0.01)
+    assert (s.as_of, s.spot, s.zero_rate) == tuple(s) == (3, 101.5, 0.01)
+    assert s._replace(spot=99.0) == MarketSnapshot(3, 99.0, 0.01)
+    assert type(s._replace(spot=99.0)) is MarketSnapshot
+
+
 # -- discount factors --
 
 def test_df_is_one_at_zero_tenor():
