@@ -152,6 +152,7 @@ class ContractInstance:
         self.spec = spec
         self.ledger = ledger
         self._state = ContractState(phase=Phase.PRE_CHECK)
+        self._label = self._state.label()  # rendered once per state, by `_transition`
         self.cycle = 0
         self.pending_valuation: SettlementAmount | None = None
 
@@ -159,6 +160,11 @@ class ContractInstance:
 
     def state(self) -> ContractState:
         return self._state
+
+    @property
+    def label(self) -> str:
+        """`state().label()`, as the last transition journaled it."""
+        return self._label
 
     @property
     def phase(self) -> Phase:
@@ -181,9 +187,9 @@ class ContractInstance:
             raise NotAParty(f"{party} is not a party to {self.spec.contract_id}")
 
     def _transition(self, new: ContractState, cause: str) -> None:
-        old = self._state
+        old, self._label = self._label, new.label()
         self._state = new
-        self._journal(TRANSITION, cause, self.spec.contract_id, new.label(), old.label())
+        self._journal(TRANSITION, cause, self.spec.contract_id, self._label, old)
 
     def _release(self, party: AccountId, bucket: Bucket, amount: int, to: AccountId) -> None:
         if amount > 0:
@@ -225,14 +231,14 @@ class ContractInstance:
     def deposit_margin(self, party: AccountId, amount: int) -> None:
         self._require_party(party)
         if self._state.phase is not Phase.ACCOUNTS_OPEN:
-            raise AccountsNotOpen(f"margin wallet closed in {self._state.label()}")
+            raise AccountsNotOpen(f"margin wallet closed in {self._label}")
         self.ledger.lock_segregated(self.spec.contract_id, party, Bucket.MARGIN,
                                     check_amount(amount), actor=party)
 
     def withdraw_margin(self, party: AccountId, amount: int) -> None:
         self._require_party(party)
         if self._state.phase is not Phase.ACCOUNTS_OPEN:
-            raise AccountsNotOpen(f"margin wallet closed in {self._state.label()}")
+            raise AccountsNotOpen(f"margin wallet closed in {self._label}")
         self.ledger.release_segregated(self.spec.contract_id, party, Bucket.MARGIN,
                                        check_amount(amount), party, actor=party)
 
@@ -255,7 +261,7 @@ class ContractInstance:
 
     def close_accounts(self) -> None:
         if self._state.phase is not Phase.ACCOUNTS_OPEN:
-            raise WrongState(f"cannot close accounts in {self._state.label()}")
+            raise WrongState(f"cannot close accounts in {self._label}")
         now = self.ledger.clock.now()
         if now < self._state.until:
             raise TooEarly(f"window open until tick {self._state.until}, now {now}")
@@ -264,7 +270,7 @@ class ContractInstance:
     def margin_check(self) -> None:
         """Verify both margin buckets cover their buffers; terminate otherwise."""
         if self._state.phase is not Phase.MARGIN_CHECK:
-            raise WrongState(f"no margin check due in {self._state.label()}")
+            raise WrongState(f"no margin check due in {self._label}")
         deficient = tuple(p for p in self.spec.parties
                           if self.margin_bucket(p) < self.spec.margin_required(p))
         if not deficient:
@@ -291,7 +297,7 @@ class ContractInstance:
     def deliver_valuation(self, amount: SettlementAmount) -> None:
         """Journal the period's delivered valuation and await its settlement."""
         if self._state.phase is not Phase.AWAIT_VALUATION:
-            raise WrongState(f"no valuation awaited in {self._state.label()}")
+            raise WrongState(f"no valuation awaited in {self._label}")
         if amount.as_of != self._state.settle_at:
             raise TimestampMismatch(
                 f"valuation is for tick {amount.as_of}, settlement due {self._state.settle_at}")
@@ -312,7 +318,7 @@ class ContractInstance:
         terminates.
         """
         if self._state.phase is not Phase.MARGIN_CALCULATION:
-            raise WrongState(f"cannot settle in {self._state.label()}")
+            raise WrongState(f"cannot settle in {self._label}")
         due = self._state.settle_at
         now = self.ledger.clock.now()
         if now < due:
@@ -384,5 +390,5 @@ class ContractInstance:
     def mark_error(self, detail: str) -> None:
         """End the contract in ERROR on an oracle failure: absorbing, every bucket stays locked."""
         if self.is_final:
-            raise WrongState(f"contract already final in {self._state.label()}")
+            raise WrongState(f"contract already final in {self._label}")
         self._transition(ContractState(phase=Phase.ERROR, detail=detail), cause="oracle-failure")

@@ -23,13 +23,21 @@ On-disk block layout (repeated per block, no file header):
 
     index(8 BE) || prev_hash(32) || payload_len(4 BE) || payload || hash(32)
 
-`Journal.load` (the `verify` command) checks a file in two passes: first
-that every block is complete and chains from the one before, then that
-every payload would decode (`check_payload`), which it tells from the
-length prefixes alone for an all-ASCII payload. A failure raises
+A `Journal` keeps three parallel columns: each block's hash preimage head
+(`index || prev_hash`), its payload and its hash. `Journal.blocks` builds
+`JournalBlock`s from them on demand, and `Journal.verify` recomputes the
+hashes and compares heads and hashes with the stored ones as it goes.
+
+`Journal.load` (the `verify` command) checks a file a column at a time:
+one walk over the `payload_len` fields frames the blocks, the chain check
+of `verify` runs on the sliced columns, then one batched numpy walk over
+every payload's length prefixes (`_undecided`) shows which payloads would
+decode without decoding them; each payload it cannot vouch for goes
+through `EventRecord.from_bytes`, in block order. A failure raises
 CorruptJournal naming the first bad block, counted from 0 in file order
-("chain verification failed at block 17", "block 17: truncated string
-data"); a chain break is reported even when a payload is also malformed.
+("block 17: truncated block body", "chain verification failed at block
+17", "block 17: truncated string data"); a cut file is reported before a
+chain break, and a chain break even when a payload is also malformed.
 """
 
 from __future__ import annotations
@@ -37,8 +45,11 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, count
+from operator import eq
 from pathlib import Path
 from typing import NamedTuple
 
@@ -228,35 +239,59 @@ def _read_strings(buf: bytes, off: int, count: int, out: list[str]) -> int:
     return off
 
 
+def _undecided(payloads: list[bytes], data: bytes, offsets: array) -> list[int]:
+    """Positions, in order, of the payloads that the length prefixes alone do
+    not show to decode; `payloads[i]` is `data[offsets[i]:][:len(payloads[i])]`.
+
+    One batched walk reads every payload's kind, actor and count prefixes,
+    then its 2 * count string prefixes, gathering 4 bytes only at the offsets
+    of the payloads still being walked. A payload passes when its prefixes
+    end exactly at its end, its kind is known, and every byte after the
+    timestamp is ASCII (ASCII is valid UTF-8; the timestamp may hold any
+    byte). Anything else, such as a short read, non-ASCII text or a string
+    of 128 bytes or more (its length prefix holds a byte >= 0x80), is left
+    to `EventRecord.from_bytes`, which raises its error or accepts it.
+    """
+    # imported on first use: loaded ahead of the rest of the package (which imports
+    # this module first), numpy leaves the process about 2 MB larger
+    import numpy as np
+
+    starts = np.frombuffer(offsets, np.int64)
+    # the big-endian u32 starting at each byte of `data`: a view, not a copy
+    prefix_at = np.ndarray((max(len(data) - 3, 0),), ">u4", data, 0, (1,))
+    ends = starts + np.fromiter(map(len, payloads), np.int64, len(payloads))
+    passed = np.zeros(len(payloads), bool)
+    kind_lengths = np.zeros(len(payloads), np.int64)
+    # each payload still being walked: its position, offset, end and prefixes left to read
+    # (first kind, actor and count); one is dropped once its prefixes cannot fit before its end
+    live = np.flatnonzero(starts + 20 <= ends)
+    off, end, left = starts[live] + 8, ends[live], np.full(len(live), 3)
+    step = 0
+    while len(live):
+        n = prefix_at[off].astype(np.int64)
+        if step == 2:  # the detail count: two strings per detail follow
+            off, left = off + 4, 2 * n
+        else:
+            off, left = off + 4 + n, left - 1
+        if step == 0:
+            kind_lengths[live] = n
+        done = left == 0
+        passed[live[done & (off == end)]] = True
+        keep = ~done & (off + 4 * left <= end)
+        live, off, end, left = live[keep], off[keep], end[keep], left[keep]
+        step += 1
+    for i, (payload, ok, n) in enumerate(zip(payloads, passed.tolist(), kind_lengths.tolist())):
+        if ok and (payload[12:12 + n] not in _KIND_NAMES or not payload[8:].isascii()):
+            passed[i] = False
+    return np.flatnonzero(~passed).tolist()
+
+
 def check_payload(payload: bytes) -> None:
     """Raise CorruptJournal exactly when `EventRecord.from_bytes(payload)`
-    would, with the same message, without decoding a plain payload.
-
-    The fast path walks the length prefixes and decodes no string: a known
-    kind, lengths that end exactly at the end of the payload, and only
-    ASCII bytes after the timestamp (ASCII is valid UTF-8; the timestamp
-    may hold any byte) mean the payload decodes. Anything else, such as a
-    short read, non-ASCII text or a string of 128 bytes or more (its length
-    prefix holds a byte >= 0x80), is left to `from_bytes`, which raises its
-    error or accepts the payload.
-    """
-    unpack = _U32.unpack_from
-    try:
-        (n,) = unpack(payload, 8)
-        off = 12 + n
-        if payload[12:off] in _KIND_NAMES:
-            (n,) = unpack(payload, off)
-            off += 4 + n
-            (count,) = unpack(payload, off)
-            off += 4
-            for _ in range(2 * count):
-                (n,) = unpack(payload, off)
-                off += 4 + n
-            if off == len(payload) and payload[8:].isascii():
-                return
-    except struct.error:  # a length prefix past the end
-        pass
-    EventRecord.from_bytes(payload)
+    would, with the same message, without decoding a plain payload (the
+    batched check of `Journal.load` on one payload)."""
+    if _undecided([payload], payload, array("q", [0])):
+        EventRecord.from_bytes(payload)
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -278,12 +313,9 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def block_hash(index: int, prev_hash: bytes, payload: bytes) -> bytes:
-    return hashlib.sha256(_U64.pack(index) + prev_hash + payload).digest()
-
-
-# index, prev_hash and payload_len: the fixed-width head of an on-disk block
-_BLOCK_HEAD = struct.Struct(">Q32sI")
+# index and prev_hash: the head of a block's hash preimage
+_HEAD = struct.Struct(">Q32s")
+_HEAD_SIZE = _HEAD.size + 4  # and payload_len, on disk
 
 
 class JournalBlock(NamedTuple):
@@ -293,48 +325,65 @@ class JournalBlock(NamedTuple):
     hash: bytes
 
 
+def _digest(head: bytes, payload: bytes) -> bytes:
+    return hashlib.sha256(head + payload).digest()
+
+
+def _chain_break(heads: list[bytes], payloads: list[bytes], hashes: list[bytes]) -> int | None:
+    """Position of the first block whose head (index, prev_hash) or hash does
+    not follow from the blocks before it; None if the chain holds.
+
+    The expected heads and the digests are compared with the stored ones as
+    they are made, so no per-block list is built; the scan for the position
+    runs only once a comparison has failed.
+    """
+    expected = map(_HEAD.pack, count(), chain((ZERO_HASH,), hashes))
+    if all(map(eq, heads, expected)) and all(map(eq, map(_digest, heads, payloads), hashes)):
+        return None
+    prev = ZERO_HASH
+    for i, (head, payload, digest) in enumerate(zip(heads, payloads, hashes)):
+        if head != _HEAD.pack(i, prev) or _digest(head, payload) != digest:
+            return i
+        prev = digest
+
+
 class Journal:
-    """Single-writer block chain of record payloads."""
+    """Single-writer block chain of record payloads, held as three columns:
+    each block's hash preimage head (index || prev_hash), payload and hash."""
 
     def __init__(self):
-        self._blocks: list[JournalBlock] = []
+        self._heads: list[bytes] = []
+        self._payloads: list[bytes] = []
+        self._hashes: list[bytes] = []
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._hashes)
 
     @property
     def blocks(self) -> list[JournalBlock]:
-        return list(self._blocks)
+        """The blocks, built from the columns on each call."""
+        return [JournalBlock(*_HEAD.unpack(head), payload, digest)
+                for head, payload, digest in zip(self._heads, self._payloads, self._hashes)]
 
-    def append(self, payload: bytes) -> JournalBlock:
-        index = len(self._blocks)
-        prev = self._blocks[-1].hash if self._blocks else ZERO_HASH
-        block = JournalBlock(index, prev, payload, block_hash(index, prev, payload))
-        self._blocks.append(block)
-        return block
+    def append(self, payload: bytes) -> None:
+        hashes = self._hashes
+        head = _HEAD.pack(len(hashes), hashes[-1] if hashes else ZERO_HASH)
+        self._heads.append(head)
+        self._payloads.append(payload)
+        hashes.append(_digest(head, payload))
 
     def verify(self) -> bool:
-        return self._chain_break() is None
-
-    def _chain_break(self) -> int | None:
-        """Position of the first block whose index, prev_hash or hash does
-        not follow from the blocks before it; None if the chain holds."""
-        prev = ZERO_HASH
-        for i, (index, prev_hash, payload, digest) in enumerate(self._blocks):
-            if index != i or prev_hash != prev or block_hash(index, prev_hash, payload) != digest:
-                return i
-            prev = digest
-        return None
+        return _chain_break(self._heads, self._payloads, self._hashes) is None
 
     def final_hash(self) -> bytes:
-        return self._blocks[-1].hash if self._blocks else ZERO_HASH
+        return self._hashes[-1] if self._hashes else ZERO_HASH
 
     def payloads(self, kind: EventKind | None = None) -> list[bytes]:
         """Block payloads in journal order; with `kind`, only that kind's."""
         if kind is None:
-            return [b.payload for b in self._blocks]
+            return list(self._payloads)
         tag = _KIND_TAGS[kind]
-        return [b.payload for b in self._blocks if b.payload.startswith(tag, 8)]
+        return [p for p in self._payloads if p.startswith(tag, 8)]
 
     def records(self, kind: EventKind | None = None) -> list[EventRecord]:
         """`payloads(kind)`, each decoded into an `EventRecord`."""
@@ -342,14 +391,14 @@ class Journal:
 
     def export(self, path: str | Path) -> None:
         """Write all blocks to `path` atomically (see `write_atomic`)."""
+        # appended in place: `bytes.join` would hold a buffer record per piece
         out = bytearray()
-        for b in self._blocks:
-            out += _U64.pack(b.index)
-            out += b.prev_hash
-            out += _U32.pack(len(b.payload))
-            out += b.payload
-            out += b.hash
-        write_atomic(path, bytes(out))
+        for head, payload, digest in zip(self._heads, self._payloads, self._hashes):
+            out += head
+            out += _U32.pack(len(payload))
+            out += payload
+            out += digest
+        write_atomic(path, out)
 
     @classmethod
     def load(cls, path: str | Path) -> "Journal":
@@ -357,24 +406,28 @@ class Journal:
         bad block if the file is truncated, fails chain verification, or
         holds a payload that does not decode (see the module docstring)."""
         data = Path(path).read_bytes()
+        starts, stops = array("q"), array("q")  # each block's payload start and block end
+        unpack = _U32.unpack_from
+        off, end = 0, len(data)
+        while off < end:
+            if off + _HEAD_SIZE > end:
+                raise CorruptJournal(f"block {len(starts)}: truncated block header")
+            start = off + _HEAD_SIZE
+            off = start + unpack(data, start - 4)[0] + 32
+            if off > end:
+                raise CorruptJournal(f"block {len(starts)}: truncated block body")
+            starts.append(start)
+            stops.append(off)
         journal = cls()
-        blocks = journal._blocks
-        head = _BLOCK_HEAD.unpack_from
-        off = 0
-        while off < len(data):
-            if off + _BLOCK_HEAD.size > len(data):
-                raise CorruptJournal(f"block {len(blocks)}: truncated block header")
-            index, prev, plen = head(data, off)
-            start = off + _BLOCK_HEAD.size
-            off = start + plen + 32
-            if off > len(data):
-                raise CorruptJournal(f"block {len(blocks)}: truncated block body")
-            blocks.append(JournalBlock(index, prev, data[start:off - 32], data[off - 32:off]))
-        if not journal.verify():
-            raise CorruptJournal(f"chain verification failed at block {journal._chain_break()}")
-        for i, block in enumerate(blocks):
+        journal._heads = heads = [data[s - _HEAD_SIZE:s - 4] for s in starts]
+        journal._payloads = payloads = [data[s:t - 32] for s, t in zip(starts, stops)]
+        journal._hashes = hashes = [data[t - 32:t] for t in stops]
+        broken = _chain_break(heads, payloads, hashes)
+        if broken is not None:
+            raise CorruptJournal(f"chain verification failed at block {broken}")
+        for i in _undecided(payloads, data, starts):
             try:
-                check_payload(block.payload)
+                EventRecord.from_bytes(payloads[i])
             except CorruptJournal as exc:
                 raise CorruptJournal(f"block {i}: {exc}") from None
         return journal

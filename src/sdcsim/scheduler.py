@@ -135,7 +135,9 @@ class Engine:
     # -- the replay loop --
 
     def run(self, script: Sequence[ScriptStep] | None = None) -> None:
-        """Replay `script`, or the timeline when it is None."""
+        """Replay `script`, or the timeline when it is None. The clock is
+        advanced once per visited tick: to the first by `_initialize`, then
+        each time the loop's tick moves."""
         if not self._initialize():
             return
         if script is None:
@@ -150,7 +152,6 @@ class Engine:
         tick = clock.now()
         i, n = 0, len(script)
         while True:
-            clock.advance_to(tick)
             while i < n and script[i].tick <= tick:
                 step = script[i]
                 i += 1
@@ -169,9 +170,14 @@ class Engine:
                 tick = script[i].tick  # nothing can fire in between: jump to the next row
             else:
                 return
+            clock.advance_to(tick)  # every branch above moved the tick forward
 
     def _initialize(self) -> bool:
+        """Visit the run's first tick: the clock's, for a contract already
+        initialized, else the inception tick, initializing the contract there.
+        False if initialization is refused."""
         if self.contract.phase is not Phase.PRE_CHECK:
+            self.clock.advance_to(self.clock.now())
             return True
         self.clock.advance_to(self.spec.settlement_times[0])
         try:
@@ -200,7 +206,7 @@ class Engine:
         return ACCEPTED
 
     def _journal_rejection(self, step: ScriptStep, reason: str) -> None:
-        state, cid = self.contract.state().label(), self.spec.contract_id
+        state, cid = self.contract.label, self.spec.contract_id
         self.journal.append(REJECTION.pack(self.clock.now(), step.party, "rejected", cid, state,
                                            step.kind.value, reason, state))
 

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from sdcsim import EventKind, Phase
+from sdcsim import EventKind, Journal, Phase
 
 
 def forward_value(notional: float, strike: float, spot: float, rate: float,
@@ -145,6 +145,17 @@ def write_chained(path, payloads, break_at: int | None = None) -> None:
         blob += head + struct.pack(">I", len(payload)) + payload + digest
         prev = digest
     path.write_bytes(blob)
+
+
+def journal_from_blocks(blocks) -> Journal:
+    """A `Journal` holding `blocks` as given, however they chain: its columns
+    hold each block's hash preimage head (the 8-byte index, then prev_hash),
+    payload and stored hash."""
+    journal = Journal()
+    journal._heads = [struct.pack(">Q", block.index) + block.prev_hash for block in blocks]
+    journal._payloads = [block.payload for block in blocks]
+    journal._hashes = [block.hash for block in blocks]
+    return journal
 
 
 def _pack_str(s: str) -> bytes:

@@ -28,7 +28,7 @@ from sdcsim.journal import JournalBlock, ZERO_HASH
 from sdcsim.simulator import CompliantAgent, calibrate_buffer, one_period_samples
 
 from conftest import make_contract, scripted_oracle
-from support import open_intervals_respected, product_value
+from support import journal_from_blocks, open_intervals_respected, product_value
 from test_journal import record as journal_record
 from test_simulator import make_scenario, scenario_text
 
@@ -395,7 +395,7 @@ def _tampered_copy(journal: Journal, rng: random.Random) -> Journal:
     target = rng.randrange(len(blocks))
     field = rng.choice(["payload", "prev_hash", "index"])
     bit = rng.randrange(256)
-    tampered = Journal()
+    tampered = []
     for i, block in enumerate(blocks):
         index, prev, payload = block.index, block.prev_hash, block.payload
         if i == target:
@@ -409,9 +409,9 @@ def _tampered_copy(journal: Journal, rng: random.Random) -> Journal:
                 prev = bytes(body)
             else:
                 index ^= 1 << (bit % 63)
-        tampered._blocks.append(JournalBlock(index=index, prev_hash=prev,
-                                             payload=payload, hash=block.hash))
-    return tampered
+        tampered.append(JournalBlock(index=index, prev_hash=prev, payload=payload,
+                                     hash=block.hash))
+    return journal_from_blocks(tampered)
 
 
 def test_acceptance_07_tamper_detection():

@@ -6,7 +6,6 @@ import pytest
 
 from sdcsim import EventKind, EventRecord, MarketModel, generate_path, simulator, write_path_csv
 from sdcsim.cli import main
-from sdcsim.journal import ZERO_HASH, block_hash
 
 from support import write_chained
 from test_simulator import scenario_text
@@ -105,8 +104,7 @@ def test_verify_rejects_rehashed_journal_with_invalid_utf8(tmp_path, capsys):
     payload = (struct.pack(">Q", 0) + struct.pack(">I", 8) + b"Transfer"
                + struct.pack(">I", 2) + b"\xff\xfe" + struct.pack(">I", 0))
     path = tmp_path / "journal.bin"
-    path.write_bytes(struct.pack(">Q", 0) + ZERO_HASH + struct.pack(">I", len(payload))
-                     + payload + block_hash(0, ZERO_HASH, payload))
+    write_chained(path, [payload])
     assert main(["verify", str(path)]) == 2
     assert "UTF-8" in capsys.readouterr().err
 

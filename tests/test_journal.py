@@ -1,20 +1,23 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import random
+import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import sdcsim
 from sdcsim import Clock, EventKind, EventRecord, Journal, Ledger, load_scenario, run_simulation
 from sdcsim import journal as journal_module
 from sdcsim.errors import CorruptJournal
-from sdcsim.journal import (SETTLEMENT, ZERO_HASH, JournalBlock, RecordShape, block_hash,
+from sdcsim.journal import (SETTLEMENT, TRANSFER, ZERO_HASH, JournalBlock, RecordShape,
                             check_payload)
 
-from support import rechain, reference_decode, reference_encode, write_chained
+from support import (journal_from_blocks, rechain, reference_decode, reference_encode,
+                     write_chained)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -27,7 +30,8 @@ def record(i: int = 0, kind: EventKind = EventKind.TRANSFER, **details) -> Event
 
 def test_genesis_block_chains_from_zero():
     journal = Journal()
-    block = journal.append(record().to_bytes())
+    journal.append(record().to_bytes())
+    block = journal.blocks[-1]
     assert block.index == 0
     assert block.prev_hash == ZERO_HASH
     assert journal.verify()
@@ -36,8 +40,9 @@ def test_genesis_block_chains_from_zero():
 def test_identical_records_get_distinct_hashes():
     journal = Journal()
     rec = record(7)
-    first = journal.append(rec.to_bytes())
-    second = journal.append(rec.to_bytes())
+    journal.append(rec.to_bytes())
+    journal.append(rec.to_bytes())
+    first, second = journal.blocks
     assert first.payload == second.payload
     assert first.hash != second.hash  # index is part of the preimage
 
@@ -168,7 +173,7 @@ def test_indices_are_gapless():
 
 
 def _mutate_bit(journal: Journal, block_i: int, field: str, bit: int) -> Journal:
-    tampered = Journal()
+    tampered = []
     for i, b in enumerate(journal.blocks):
         index, prev, payload = b.index, b.prev_hash, b.payload
         if i == block_i:
@@ -182,9 +187,8 @@ def _mutate_bit(journal: Journal, block_i: int, field: str, bit: int) -> Journal
                 prev = bytes(flipped)
             else:
                 index = index ^ (1 << (bit % 63))
-        tampered._blocks.append(JournalBlock(index=index, prev_hash=prev,
-                                             payload=payload, hash=b.hash))
-    return tampered
+        tampered.append(JournalBlock(index=index, prev_hash=prev, payload=payload, hash=b.hash))
+    return journal_from_blocks(tampered)
 
 
 @pytest.mark.parametrize("field", ["payload", "prev_hash", "index"])
@@ -202,11 +206,9 @@ def test_swapped_blocks_fail_verification():
     journal = Journal()
     for i in range(5):
         journal.append(record(i).to_bytes())
-    swapped = Journal()
     blocks = journal.blocks
     blocks[1], blocks[2] = blocks[2], blocks[1]
-    swapped._blocks = blocks
-    assert not swapped.verify()
+    assert not journal_from_blocks(blocks).verify()
 
 
 @settings(max_examples=50)
@@ -274,8 +276,11 @@ def test_an_ascii_journal_loads_without_decoding_a_record(tmp_path, monkeypatch)
     path = tmp_path / "journal.bin"
     journal.export(path)
     decoded = _count_decodes(monkeypatch)
+    built = []
+    monkeypatch.setattr(journal_module, "JournalBlock", lambda *args: built.append(args))
     assert len(Journal.load(path)) == len(journal) > 0
     assert decoded == []
+    assert built == []
 
 
 def test_a_non_ascii_journal_loads_through_the_decoder(tmp_path, monkeypatch):
@@ -425,3 +430,126 @@ def test_the_engine_writes_every_record_through_a_shape():
                 creates.append(f"{path.name}:{node.lineno}")
     assert creates == []
     assert not hasattr(Ledger, "_emit")
+
+
+# -- whole files --
+
+def reference_load(data: bytes) -> tuple[list[bytes], list[bytes]]:
+    """`Journal.load` one block at a time: frame the whole file, check the
+    chain, then decode each payload in order; returns the payload and hash
+    columns, or raises the first error."""
+    blocks, off = [], 0
+    while off < len(data):
+        if off + 44 > len(data):
+            raise CorruptJournal(f"block {len(blocks)}: truncated block header")
+        (length,) = struct.unpack_from(">I", data, off + 40)
+        end = off + 44 + length + 32
+        if end > len(data):
+            raise CorruptJournal(f"block {len(blocks)}: truncated block body")
+        blocks.append((data[off:off + 40], data[off + 44:end - 32], data[end - 32:end]))
+        off = end
+    prev = ZERO_HASH
+    for i, (head, payload, digest) in enumerate(blocks):
+        if head != struct.pack(">Q", i) + prev or hashlib.sha256(head + payload).digest() != digest:
+            raise CorruptJournal(f"chain verification failed at block {i}")
+        prev = digest
+    for i, (_, payload, _) in enumerate(blocks):
+        try:
+            EventRecord.from_bytes(payload)
+        except CorruptJournal as exc:
+            raise CorruptJournal(f"block {i}: {exc}") from None
+    return [payload for _, payload, _ in blocks], [digest for *_, digest in blocks]
+
+
+def _layout(payload: bytes) -> tuple[int, list[int]]:
+    """Where the detail count of a well-formed payload sits, and the offset
+    of every byte of string data in it."""
+    strings, off = [], 8
+    for _ in range(2):  # kind, actor
+        (n,) = struct.unpack_from(">I", payload, off)
+        strings += range(off + 4, off + 4 + n)
+        off += 4 + n
+    count_at = off
+    while (off := off + 4) < len(payload):
+        (n,) = struct.unpack_from(">I", payload, off)
+        strings += range(off + 4, off + 4 + n)
+        off += n
+    return count_at, strings
+
+
+# ASCII text, which `load` vouches for from the length prefixes alone
+ascii_text = st.text("ab#1.-", max_size=10)
+
+
+@st.composite
+def edited_payload(draw) -> bytes:
+    """A record as the engine writes it (any shape) or of any kind and detail
+    keys, all ASCII or with non-ASCII text or strings of 128 bytes or more;
+    then kept, or with one byte overwritten (anywhere, in a string or in the
+    kind name), a cut, an insertion, ASCII bytes appended, or a detail count
+    far past the payload's end."""
+    ts = draw(st.integers(0, 2**64 - 1))
+    text = draw(st.sampled_from([ascii_text, ascii_text, mixed_text]))
+    if draw(st.booleans()):
+        shape = draw(st.sampled_from(SHAPES))
+        values = draw(st.lists(st.one_of(text, st.integers(-2**40, 2**40)),
+                               min_size=len(shape.keys), max_size=len(shape.keys)))
+        payload = shape.pack(ts, draw(text), *values)
+    else:
+        details = draw(st.dictionaries(text, text, max_size=4))
+        payload = EventRecord.create(ts, draw(st.sampled_from(EventKind)), draw(text),
+                                     **details).to_bytes()
+    count_at, strings = _layout(payload)
+    at = draw(st.integers(0, len(payload) - 1))
+    edit = draw(st.sampled_from(["keep", "overwrite", "string", "kind", "cut", "insert", "append",
+                                 "count"]))
+    if edit == "overwrite":
+        return payload[:at] + bytes([draw(st.integers(0, 255))]) + payload[at + 1:]
+    if edit == "string":  # non-ASCII, where the length prefixes stay intact
+        at = draw(st.sampled_from(strings))
+        return payload[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + payload[at + 1:]
+    if edit == "kind":  # every kind name fills bytes 12-15, and none holds a "Z"
+        at = draw(st.integers(12, 15))
+        return payload[:at] + b"Z" + payload[at + 1:]
+    if edit == "cut":
+        return payload[:at] + payload[at + draw(st.integers(1, 16)):]
+    if edit == "insert":
+        return payload[:at] + draw(st.binary(min_size=1, max_size=8)) + payload[at:]
+    if edit == "append":
+        return payload + draw(st.text("ab#\0", min_size=1, max_size=4)).encode()
+    if edit == "count":
+        far = struct.pack(">I", draw(st.integers(2**20, 2**32 - 1)))
+        return payload[:count_at] + far + payload[count_at + 4:]
+    return payload
+
+
+def _columns(journal: Journal) -> tuple[list[bytes], list[bytes]]:
+    return journal.payloads(), [block.hash for block in journal.blocks]
+
+
+def _outcome(load) -> tuple[list[bytes], list[bytes]] | str:
+    """The payload and hash columns `load()` returns, or its error message."""
+    try:
+        return load()
+    except CorruptJournal as exc:
+        return str(exc)
+
+
+PLAIN = TRANSFER.pack(7, "bank#1", 100, "b#2", "a#1")
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(edited_payload(), min_size=1, max_size=8),
+       st.sampled_from([None] * 8 + list(range(8))), st.sampled_from([0] * 8 + [1, 10, 80]))
+# a payload each of whose faults only the kind-name, ASCII or end-of-payload test sees
+@example([PLAIN, PLAIN + b"a", PLAIN], None, 0)
+@example([PLAIN, PLAIN.replace(b"Transfer", b"Transfez"), PLAIN], None, 0)
+@example([PLAIN, PLAIN.replace(b"bank#1", b"bank\xff1"), PLAIN], None, 0)
+def test_load_matches_the_block_by_block_reference_on_whole_files(tmp_path, payloads, break_at, cut):
+    path = tmp_path / "journal.bin"
+    # re-chained, so each payload edit reaches the payload check unless the chain is broken
+    write_chained(path, payloads, break_at=break_at)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) - cut])
+    loaded = _outcome(lambda: _columns(Journal.load(path)))
+    assert loaded == _outcome(lambda: reference_load(path.read_bytes()))
