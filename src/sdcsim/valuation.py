@@ -117,7 +117,7 @@ def price(product: Product, t: float, snapshot: MarketSnapshot) -> float:
         raise PastMaturity(f"t={t} is past maturity {product.maturity}")
     if isinstance(product, Forward):
         return product.notional * (snapshot.spot - product.strike) * \
-            discount_factor(snapshot, t, product.maturity)
+            math.exp(-snapshot.zero_rate * (product.maturity - t))  # discount_factor
     r = snapshot.zero_rate
     total = 0.0
     df_start = 1.0  # first remaining period accrues from t: df(t, t)
@@ -169,13 +169,19 @@ def round_to_minor_units(value: float) -> int:
 
 
 def margin_buffer(samples: Sequence[float], q: float) -> int:
-    """Nearest-rank q-quantile of |samples|, rounded up to minor units."""
+    """Nearest-rank q-quantile of |samples|, rounded up to minor units. The rank is
+    selected in one float64 copy, not sorted; a NaN or infinite sample raises ValueError."""
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile level must be in (0, 1], got {q}")
     if len(samples) == 0:
         raise EmptySamples("margin sizing needs at least one sample")
-    magnitudes = sorted(map(abs, samples))
+    import numpy as np  # on first use, as in journal._undecided (about 2 MB of RSS)
+    magnitudes = np.array(samples, np.float64)  # a copy, so the in-place steps are ours
+    np.abs(magnitudes, out=magnitudes)
+    if not np.isfinite(magnitudes).all():
+        raise ValueError("margin sizing needs finite samples")
     rank = max(1, math.ceil(round(q * len(magnitudes), 9)))
+    magnitudes.partition(rank - 1)  # selection: the rank-th smallest lands at rank - 1
     return math.ceil(magnitudes[rank - 1])
 
 

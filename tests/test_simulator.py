@@ -254,14 +254,45 @@ def test_inv_normal_cdf_is_bit_identical_to_normal_dist_on_branch_edges():
     assert _same_bits(inv_normal_cdf(np.array(ps)).tolist(), [inv_cdf(p) for p in ps])
 
 
+CALIBRATED_MARKET = dict(market__volatility="0.3", market__drift="0.15",
+                         market__initial_rate="0.03", contract__settlement_times="5,22,30,40",
+                         run__seed="11")
+CALIBRATED_PRODUCTS = {
+    "forward": dict(contract__strike="95.0"),
+    # the swap prices on the rate alone, which calibration holds flat
+    "vanilla_swap": dict(contract__product="vanilla_swap", contract__strike="0.03",
+                         contract__notional="1000000", contract__payment_times="0.5,1.0",
+                         contract__accruals="0.5,0.5", market__tick_years="0.025"),
+}
+
+
 def test_one_period_samples_equal_the_trial_by_trial_loop():
     # 17 ticks per period: numpy's pairwise summation would round differently
-    scenario = make_scenario(market__volatility="0.3", market__drift="0.15",
-                             market__initial_rate="0.03", contract__strike="95.0",
-                             contract__settlement_times="5,22,30,40", run__seed="11")
-    for stream in (1, 2):
-        assert _same_bits(one_period_samples(scenario, 3000, stream=stream),
-                          reference_one_period_samples(scenario, 3000, stream))
+    for product in CALIBRATED_PRODUCTS.values():
+        scenario = make_scenario(**CALIBRATED_MARKET, **product)
+        for stream in (1, 2):
+            assert _same_bits(one_period_samples(scenario, 3000, stream=stream),
+                              reference_one_period_samples(scenario, 3000, stream))
+
+
+@pytest.mark.parametrize("product", list(CALIBRATED_PRODUCTS))
+def test_one_period_samples_check_only_the_start_snapshot(product, monkeypatch):
+    # the two extreme trials bound every spot, so the trial snapshots skip
+    # MarketSnapshot's positive-spot check
+    scenario = make_scenario(**CALIBRATED_MARKET, **CALIBRATED_PRODUCTS[product])
+    checked = []
+    construct = MarketSnapshot.__new__
+
+    def counting(cls, *args):
+        checked.append(args)
+        return construct(cls, *args)
+
+    monkeypatch.setattr(MarketSnapshot, "__new__", counting)
+    samples = one_period_samples(scenario, 3000)
+    model = scenario.market
+    assert checked == [(scenario.contract.settlement_times[0], model.initial_spot,
+                        model.initial_rate)]
+    assert len(samples) == 3000
 
 
 def test_path_csv_round_trip(tmp_path):

@@ -6,8 +6,9 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdcsim import (
     Forward,
@@ -30,7 +31,7 @@ from sdcsim.errors import (
     UnknownPricer,
     ValuationOutOfRange,
 )
-from sdcsim import valuation
+from sdcsim import journal, valuation
 from sdcsim.valuation import get_pricer
 
 from conftest import COUNTING_PRICER
@@ -259,6 +260,55 @@ def test_buffer_rejects_empty_and_bad_q():
         margin_buffer([1.0], 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 4])
+def test_buffer_rejects_a_sample_that_is_not_finite(bad, at):
+    # a NaN has no rank, and an inf at the picked rank has no ceiling
+    samples = [3.5, -9.25, 4.0, -1.0]
+    samples.insert(at, bad)
+    for q in (0.2, 0.5, 1.0):
+        with pytest.raises(ValueError, match="finite samples"):
+            margin_buffer(samples, q)
+
+
+# magnitudes from subnormal to 1e300, with small whole numbers and signed
+# zeros so that lists hold equal magnitudes
+_SAMPLE = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+)
+
+
+@st.composite
+def _samples_and_level(draw):
+    """A list of 1-500 finite samples and a level q in (0, 1] with at most six
+    decimals, on which the float rank and the exact-fraction rank agree;
+    half the time q * len(samples) is a whole number (q = 1.0 among them)."""
+    samples = draw(st.lists(_SAMPLE, min_size=1, max_size=500))
+    n = len(samples)
+    whole = [k * 10**6 // n for k in range(1, n + 1) if k * 10**6 % n == 0]
+    micros = draw(st.one_of(st.sampled_from(whole), st.integers(1, 10**6)))
+    return samples, micros / 10**6
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples_and_level())
+@example(([float(x) for x in range(1, 101)], 0.07))  # 0.07 * 100 is 7.000000000000001
+def test_buffer_equals_the_sort_oracle_on_drawn_samples(case):
+    samples, q = case
+    assert margin_buffer(samples, q) == sort_quantile(samples, q)
+
+
+def test_buffer_leaves_its_samples_alone():
+    # the magnitudes are taken and partitioned in place, in a copy
+    samples = [3.5, -9.25, 4.0, -1.0]
+    array = np.array(samples)
+    assert margin_buffer(samples, 0.5) == margin_buffer(array, 0.5) == 4
+    assert samples == [3.5, -9.25, 4.0, -1.0]
+    assert array.tolist() == samples
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.9, 0.95, 0.99]))
 def test_buffer_coverage_property(seed, q):
@@ -343,6 +393,35 @@ def test_pricing_module_imports_nothing_from(module):
             for alias in node.names:
                 imported.update(alias.name.split("."))
     assert module not in imported
+
+
+def _numpy_imports(module) -> tuple[list[int], list[int]]:
+    """Lines of the module's numpy imports at module level and in function bodies."""
+    outside, inside = [], []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                (inside if in_function else outside).append(child.lineno)
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(ast.parse(Path(module.__file__).read_text()), False)
+    return outside, inside
+
+
+@pytest.mark.parametrize("module", [journal, valuation], ids=["journal", "valuation"])
+def test_numpy_is_imported_only_inside_functions(module):
+    # loaded ahead of the rest of the package, a module-level numpy import
+    # leaves the process about 2 MB larger
+    outside, inside = _numpy_imports(module)
+    assert outside == []
+    assert inside  # the guard sees the import it keeps in place
 
 
 # -- the oracle's per-period value memo --
