@@ -15,9 +15,7 @@ layout, every string a 4-byte big-endian length and that many UTF-8 bytes:
 
 The engine writes every record through a `RecordShape` (a kind and its
 sorted detail keys) and `Journal.append(payload)`. `Journal.payloads(kind)`
-picks one kind's blocks by the kind string at byte 8. A payload that does
-not decode (truncated, trailing bytes, bad UTF-8, unknown kind), or is not
-of the shape unpacking it, raises CorruptJournal.
+picks one kind's blocks by the kind string at byte 8.
 
 On-disk block layout (repeated per block, no file header):
 
@@ -28,16 +26,17 @@ A `Journal` keeps three parallel columns: each block's hash preimage head
 `JournalBlock`s from them on demand, and `Journal.verify` recomputes the
 hashes and compares heads and hashes with the stored ones as it goes.
 
-`Journal.load` (the `verify` command) checks a file a column at a time:
-one walk over the `payload_len` fields frames the blocks, the chain check
-of `verify` runs on the sliced columns, then one batched numpy walk over
-every payload's length prefixes (`_undecided`) shows which payloads would
-decode without decoding them; each payload it cannot vouch for goes
-through `EventRecord.from_bytes`, in block order. A failure raises
-CorruptJournal naming the first bad block, counted from 0 in file order
-("block 17: truncated block body", "chain verification failed at block
-17", "block 17: truncated string data"); a cut file is reported before a
-chain break, and a chain break even when a payload is also malformed.
+Every payload reader goes through one batched numpy walk over the length
+prefixes (`_walk`): `Journal.load` (the `verify` command) uses its verdicts
+after framing the blocks and checking the chain, and `Journal.records` and
+`RecordShape.read` slice the strings out of the joined payloads. A payload
+the walk cannot vouch for goes through `EventRecord.from_bytes`, which
+raises CorruptJournal if it does not decode (truncated, trailing bytes, bad
+UTF-8, unknown kind). `Journal.load` names the first bad block, counted
+from 0 in file order ("block 17: truncated block body", "chain verification
+failed at block 17", "block 17: truncated string data"); a cut file is
+reported before a chain break, and a chain break even when a payload is
+also malformed.
 """
 
 from __future__ import annotations
@@ -46,12 +45,13 @@ import hashlib
 import os
 import struct
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count
-from operator import eq
+from itertools import accumulate, chain, compress, count
+from operator import eq, not_
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CorruptJournal
 
@@ -138,23 +138,29 @@ class EventRecord:
     def from_bytes(cls, payload: bytes) -> "EventRecord":
         if len(payload) < 8:
             raise CorruptJournal("truncated timestamp")
-        head: list[str] = []
-        details: list[str] = []
+        strings: list[str] = []  # kind, actor, then each detail's key and value
+        off, wanted = 8, 2
         try:
-            off = _read_strings(payload, 8, 2, head)
-            if off + 4 > len(payload):
-                raise CorruptJournal("truncated detail count")
-            off = _read_strings(payload, off + 4, 2 * _U32.unpack_from(payload, off)[0], details)
+            while len(strings) < wanted:
+                if off + 4 > len(payload):
+                    raise CorruptJournal("truncated string length")
+                (n,) = _U32.unpack_from(payload, off)
+                off += 4 + n
+                if off > len(payload):
+                    raise CorruptJournal("truncated string data")
+                strings.append(payload[off - n:off].decode("utf-8"))
+                if len(strings) == wanted == 2:  # the actor: the detail count follows
+                    if off + 4 > len(payload):
+                        raise CorruptJournal("truncated detail count")
+                    off, wanted = off + 4, 2 + 2 * _U32.unpack_from(payload, off)[0]
         except UnicodeDecodeError as exc:
             raise CorruptJournal(f"invalid UTF-8 in record payload: {exc.reason}") from None
         if off != len(payload):
             raise CorruptJournal("trailing bytes in record payload")
-        kind_s, actor = head
-        kind = _KINDS_BY_NAME.get(kind_s)
-        if kind is None:
-            raise CorruptJournal(f"unknown event kind {kind_s!r}")
-        pairs = iter(details)
-        return cls(_U64.unpack_from(payload)[0], kind, actor, tuple(zip(pairs, pairs)))
+        if strings[0] not in _KINDS_BY_NAME:
+            raise CorruptJournal(f"unknown event kind {strings[0]!r}")
+        return cls(_U64.unpack_from(payload)[0], _KINDS_BY_NAME[strings[0]], strings[1],
+                   tuple(zip(strings[2::2], strings[3::2])))
 
 
 class RecordShape:
@@ -162,18 +168,18 @@ class RecordShape:
 
     `pack(timestamp, actor, *values)` takes the values in key order, each
     through `str`, into one ASCII template of the pre-packed kind, count and
-    keys; `unpack` slices an ASCII payload at its length prefixes. Anything
-    else goes through `EventRecord`'s UTF-8 codec.
+    keys; anything else goes through `EventRecord`'s UTF-8 codec. `read`
+    gives the values back from a batch of payloads.
     """
 
     def __init__(self, kind: EventKind, keys: str):
         self.kind, self.keys = kind, tuple(keys.split())
         # the bytes before each length prefix: kind, count and first key, keys
         first, *rest = self.keys
-        self._seps = (_KIND_TAGS[kind], _U32.pack(len(self.keys)) + _pack_str(first),
-                      *map(_pack_str, rest))
+        seps = (_KIND_TAGS[kind], _U32.pack(len(self.keys)) + _pack_str(first),
+                *map(_pack_str, rest))
         self._template = "".join(  # a length under 128 packs as three NULs and one ASCII char
-            sep.decode("latin-1").replace("%", "%%") + "\0\0\0%c%s" for sep in self._seps)
+            sep.decode("latin-1").replace("%", "%%") + "\0\0\0%c%s" for sep in seps)
 
     def pack(self, timestamp: int, actor: str, *values) -> bytes:
         args = [len(actor), actor]
@@ -186,25 +192,12 @@ class RecordShape:
             details = tuple(zip(self.keys, map(str, values)))
             return EventRecord(timestamp, self.kind, actor, details).to_bytes()
 
-    def unpack(self, payload: bytes) -> tuple[int, str, tuple[str, ...]]:
-        off, cuts = 8, []
-        if payload[8:].isascii():
-            try:
-                for sep in self._seps:
-                    if not payload.startswith(sep, off):
-                        break
-                    (n,) = _U32.unpack_from(payload, off + len(sep))
-                    off += len(sep) + 4 + n
-                    cuts.append((off - n, off))
-            except struct.error:  # a length prefix past the end
-                pass
-            if len(cuts) == len(self._seps) and off == len(payload):
-                actor, *values = [payload[a:b].decode("ascii") for a, b in cuts]
-                return _U64.unpack_from(payload)[0], actor, tuple(values)
-        record = EventRecord.from_bytes(payload)
-        if record.kind is not self.kind or tuple(k for k, _ in record.details) != self.keys:
-            raise CorruptJournal(f"not a {self.kind.value} record with keys {' '.join(self.keys)}")
-        return record.timestamp, record.actor, tuple(v for _, v in record.details)
+    def read(self, payloads: list[bytes]) -> Iterator[tuple[int, str, tuple[str, ...]] | None]:
+        """Each payload's (timestamp, actor, values in key order), or None for
+        one that does not decode or is not of this shape, read as iterated."""
+        return ((_U64.unpack_from(p)[0], s[1], tuple(s[3::2]))
+                if s and s[0] == self.kind and tuple(s[2::2]) == self.keys else None
+                for p, s in zip(payloads, _strings(payloads)))
 
 
 # The record shapes. README "File formats" names each writer; the last three have no engine caller.
@@ -223,49 +216,28 @@ BURN = RecordShape(EventKind.BURN, "amount src")
 TRANSFER_FROM = RecordShape(EventKind.TRANSFER, "amount dst spender src")
 
 
-def _read_strings(buf: bytes, off: int, count: int, out: list[str]) -> int:
-    """Decode `count` length-prefixed UTF-8 strings from `buf` at `off` into
-    `out`; return the offset just past the last one."""
-    end = len(buf)
-    unpack = _U32.unpack_from
-    for _ in range(count):
-        if off + 4 > end:
-            raise CorruptJournal("truncated string length")
-        (n,) = unpack(buf, off)
-        off += 4 + n
-        if off > end:
-            raise CorruptJournal("truncated string data")
-        out.append(buf[off - n:off].decode("utf-8"))
-    return off
-
-
-def _undecided(payloads: list[bytes], data: bytes, offsets: array) -> list[int]:
-    """Positions, in order, of the payloads that the length prefixes alone do
-    not show to decode; `payloads[i]` is `data[offsets[i]:][:len(payloads[i])]`.
-
-    One batched walk reads every payload's kind, actor and count prefixes,
-    then its 2 * count string prefixes, gathering 4 bytes only at the offsets
-    of the payloads still being walked. A payload passes when its prefixes
-    end exactly at its end, its kind is known, and every byte after the
-    timestamp is ASCII (ASCII is valid UTF-8; the timestamp may hold any
-    byte). Anything else, such as a short read, non-ASCII text or a string
-    of 128 bytes or more (its length prefix holds a byte >= 0x80), is left
-    to `EventRecord.from_bytes`, which raises its error or accepts it.
+def _walk(payloads: list[bytes], data: bytes, starts, cuts: list | None = None) -> list[bool]:
+    """Per payload, whether its length prefixes alone show it to decode: they
+    end exactly at its end, its kind is known and every byte after the
+    timestamp is ASCII; anything else is left to `EventRecord.from_bytes`.
+    `data` holds `payloads[i]` at `starts[i]`. Each step reads the next prefix
+    of every payload still being walked at once. Given `cuts`, each string
+    step appends the positions of the payloads it read and each string's span.
     """
     # imported on first use: loaded ahead of the rest of the package (which imports
     # this module first), numpy leaves the process about 2 MB larger
     import numpy as np
 
-    starts = np.frombuffer(offsets, np.int64)
+    starts = np.frombuffer(starts, np.int64)
     # the big-endian u32 starting at each byte of `data`: a view, not a copy
     prefix_at = np.ndarray((max(len(data) - 3, 0),), ">u4", data, 0, (1,))
     ends = starts + np.fromiter(map(len, payloads), np.int64, len(payloads))
-    passed = np.zeros(len(payloads), bool)
-    kind_lengths = np.zeros(len(payloads), np.int64)
+    passed, kind_lengths = np.zeros(len(payloads), bool), np.zeros(len(payloads), np.int64)
     # each payload still being walked: its position, offset, end and prefixes left to read
     # (first kind, actor and count); one is dropped once its prefixes cannot fit before its end
     live = np.flatnonzero(starts + 20 <= ends)
     off, end, left = starts[live] + 8, ends[live], np.full(len(live), 3)
+    kind_lengths[live] = prefix_at[off]
     step = 0
     while len(live):
         n = prefix_at[off].astype(np.int64)
@@ -273,25 +245,38 @@ def _undecided(payloads: list[bytes], data: bytes, offsets: array) -> list[int]:
             off, left = off + 4, 2 * n
         else:
             off, left = off + 4 + n, left - 1
-        if step == 0:
-            kind_lengths[live] = n
+            if cuts is not None:
+                cuts.append((live, off - n, off))
         done = left == 0
         passed[live[done & (off == end)]] = True
         keep = ~done & (off + 4 * left <= end)
         live, off, end, left = live[keep], off[keep], end[keep], left[keep]
         step += 1
-    for i, (payload, ok, n) in enumerate(zip(payloads, passed.tolist(), kind_lengths.tolist())):
-        if ok and (payload[12:12 + n] not in _KIND_NAMES or not payload[8:].isascii()):
-            passed[i] = False
-    return np.flatnonzero(~passed).tolist()
+    return [ok and payload[12:12 + n] in _KIND_NAMES and payload[8:].isascii()
+            for payload, ok, n in zip(payloads, passed.tolist(), kind_lengths.tolist())]
 
 
-def check_payload(payload: bytes) -> None:
-    """Raise CorruptJournal exactly when `EventRecord.from_bytes(payload)`
-    would, with the same message, without decoding a plain payload (the
-    batched check of `Journal.load` on one payload)."""
-    if _undecided([payload], payload, array("q", [0])):
-        EventRecord.from_bytes(payload)
+_CHUNK = 1024  # payloads per walk in `_strings`: a chunk's strings are all held at once
+
+
+def _strings(payloads: list[bytes]) -> Iterator[list[str] | None]:
+    """Each payload's strings as `EventRecord.from_bytes` reads them, or None if
+    it does not decode; those `_walk` passes are sliced out of one decode per chunk."""
+    for chunk in (payloads[at:at + _CHUNK] for at in range(0, len(payloads), _CHUNK)):
+        data = b"".join(chunk)
+        cuts: list = []
+        passed = _walk(chunk, data, array("q", accumulate(map(len, chunk), initial=0))[:-1], cuts)
+        out = [[] if ok else None for ok in passed]
+        text = data.decode("latin-1")  # the same as UTF-8 on the ASCII the walk passes
+        for pos, first, last in cuts:
+            for i, a, b in zip(pos.tolist(), first.tolist(), last.tolist()):
+                if passed[i]:
+                    out[i].append(text[a:b])
+        for i in compress(count(), map(not_, passed)):
+            with suppress(CorruptJournal):  # None: it does not decode
+                record = EventRecord.from_bytes(chunk[i])
+                out[i] = [record.kind.value, record.actor, *chain.from_iterable(record.details)]
+        yield from out
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -386,8 +371,11 @@ class Journal:
         return [p for p in self._payloads if p.startswith(tag, 8)]
 
     def records(self, kind: EventKind | None = None) -> list[EventRecord]:
-        """`payloads(kind)`, each decoded into an `EventRecord`."""
-        return [EventRecord.from_bytes(p) for p in self.payloads(kind)]
+        """`payloads(kind)`, each decoded into an `EventRecord` (CorruptJournal if one is not)."""
+        payloads = self.payloads(kind)
+        return [EventRecord(_U64.unpack_from(p)[0], _KINDS_BY_NAME[s[0]], s[1],
+                            tuple(zip(s[2::2], s[3::2]))) if s else EventRecord.from_bytes(p)
+                for p, s in zip(payloads, _strings(payloads))]
 
     def export(self, path: str | Path) -> None:
         """Write all blocks to `path` atomically (see `write_atomic`)."""
@@ -425,7 +413,7 @@ class Journal:
         broken = _chain_break(heads, payloads, hashes)
         if broken is not None:
             raise CorruptJournal(f"chain verification failed at block {broken}")
-        for i in _undecided(payloads, data, starts):
+        for i in compress(count(), map(not_, _walk(payloads, data, starts))):
             try:
                 EventRecord.from_bytes(payloads[i])
             except CorruptJournal as exc:

@@ -66,6 +66,9 @@ def timeline_script(spec: ContractSpec) -> list[ScriptStep]:
     return steps
 
 
+_EVENTS = {kind.value: kind for kind in LifecycleEvent}
+
+
 def format_script(steps: Sequence[ScriptStep]) -> str:
     return "".join(f"{s.tick},{s.kind.value},{s.party}\n" for s in steps)
 
@@ -83,7 +86,8 @@ def parse_script(text: str) -> list[ScriptStep]:
             tick = int(parts[0])
             if tick >= 1 << 64:
                 raise ValueError(f"tick {tick} does not fit the journal's 8-byte timestamp")
-            kind = LifecycleEvent(parts[1].strip())
+            # the constructor only for an unknown kind, whose ValueError it words
+            kind = _EVENTS.get(parts[1].strip()) or LifecycleEvent(parts[1].strip())
         except ValueError as exc:
             raise ScenarioParseError(str(exc), line=lineno) from None
         steps.append(ScriptStep(tick, kind, parts[2].strip()))

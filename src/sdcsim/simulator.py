@@ -37,11 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from .contract import ContractInstance, ContractSpec, Phase
-from .errors import (CorruptJournal, OracleFailure, ScenarioParseError, ScenarioValidationError,
-                     UnknownPricer)
+from .errors import OracleFailure, ScenarioParseError, ScenarioValidationError, UnknownPricer
 from .journal import SETTLEMENT, VALUATION, Clock, EventKind, Journal, write_atomic
 from .ledger import AccountId, Bucket, Ledger
-from .scheduler import Engine
+from .scheduler import Engine, ScriptStep, format_script, parse_script
 from .valuation import (
     Forward,
     MarginOracle,
@@ -94,9 +93,10 @@ class PolicySpec:
 
 
 class Mode(str, Enum):
-    """Who requests the lifecycle events: the trusted third party (active),
-    party A (passive) or a driver script. Every mode replays the timeline, so
-    the mode only labels the scenario and its report."""
+    """Who requests the lifecycle events: the oracle account, the trusted
+    third party (active); party B (passive); or a driver script of party A's
+    rows (driver). Every mode replays the timeline's rows, so all three
+    journal the same bytes."""
 
     ACTIVE = "active"
     PASSIVE = "passive"
@@ -629,25 +629,22 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
     grid = spec.settlement_times
     directions = {1: (spec.party_b, spec.party_a), -1: (spec.party_a, spec.party_b), 0: ("", "")}
     valued: list[str | None] = []  # the c-th Valuation's value, or None unless it values period c
-    for c, payload in enumerate(journal.payloads(EventKind.VALUATION)):
-        try:
-            ts, _, fields = VALUATION.unpack(payload)  # contract, end, start, pricer, value
-        except CorruptJournal:
-            ts, fields = None, ()
+    for c, row in enumerate(VALUATION.read(journal.payloads(EventKind.VALUATION))):
+        ts, _, fields = row or (None, None, ())  # contract, end, start, pricer, value
         valued.append(fields[-1] if c < spec.cycles and ts == grid[c + 1] and fields[:-1] == (
             spec.contract_id, str(grid[c + 1]), str(grid[c]), spec.pricer_version) else None)
     rows: list[CycleRow] = []
     ok = True
-    for payload in journal.payloads(EventKind.SETTLEMENT):
+    for row in SETTLEMENT.read(journal.payloads(EventKind.SETTLEMENT)):
         cycle = len(rows)
+        ts, _, (amount_s, contract, cycle_s, outcome, payer, receiver, value_s) = \
+            row or (None, None, (None,) * 7)  # None: off its shape, which the next check fails
+        if cycle_s != str(cycle) or cycle >= spec.cycles or ts != grid[cycle + 1]:
+            return rows, False
         try:
-            ts, _, (amount_s, contract, cycle_s, outcome, payer, receiver, value_s) = \
-                SETTLEMENT.unpack(payload)
             value, amount = float(value_s), int(amount_s)
             due = abs(round_to_minor_units(value))
-        except (CorruptJournal, ValueError, OverflowError):  # inf or nan rounds to no int
-            return rows, False
-        if cycle_s != str(cycle) or cycle >= spec.cycles or ts != grid[cycle + 1]:
+        except (ValueError, OverflowError):  # inf or nan rounds to no int
             return rows, False
         cached = oracle.cached(grid[cycle], grid[cycle + 1])
         ok = (ok and cached is not None and cached.value == value and outcome in _RESULTS
@@ -691,7 +688,12 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
     initial_wealth = {p: _party_wealth(ledger, spec.contract_id, p) for p in spec.parties}
     initial_supply = ledger.total_supply()
 
-    engine.run()
+    requester = {Mode.ACTIVE: oracle_account, Mode.PASSIVE: party_b, Mode.DRIVER: party_a}
+    script = [ScriptStep(tick, kind, requester[scenario.mode]) for tick, kind, _ in engine.timeline]
+    if scenario.mode is Mode.DRIVER:
+        script = parse_script(format_script(script))
+    engine.run(script)
+    del script  # a row per timeline event: not held through the report
 
     state = contract.state()
     if state.phase is Phase.PRE_CHECK:  # initialization was refused
@@ -742,7 +744,8 @@ def one_period_samples(scenario: Scenario, trials: int,
                        stream: int = CALIBRATION_STREAM) -> list[float]:
     """Independent settlement amounts for the first period under the
     scenario's market model. Each trial's snapshot is built unchecked (the
-    extreme trials bound every spot) and priced as it is made."""
+    extreme trials bound every spot) and priced as it is made. A swap is
+    refused: it prices on the rate alone, which the model holds flat."""
     if scenario.market is None:
         raise ScenarioValidationError("path_file", "buffer calibration needs a market model")
     model = scenario.market
@@ -785,6 +788,10 @@ def one_period_samples(scenario: Scenario, trials: int,
                                      spec.tick_years, pricer).value]
         t = end * spec.tick_years
         value_start = pricer(spec.product, t, snap_old)
+        # refused after trial 0, so that a price out of range still reads as a market error
+        if isinstance(spec.product, VanillaSwap):
+            raise ScenarioValidationError("product", "buffer calibration holds the rate flat, "
+                                          "so it cannot size a vanilla_swap's buffer")
         samples += [pricer(spec.product, t, snap) - value_start for snap in snaps]
     except (OverflowError, ZeroDivisionError) as exc:
         raise _out_of_range("settlement value", exc) from None

@@ -133,6 +133,13 @@ def test_calibrate_prints_the_floor_for_flat_markets(scenario_file, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_calibrating_a_swap_is_an_input_error(scenario_file, capsys):
+    # the market model holds the rate flat, and the swap prices on the rate alone
+    path = scenario_file(**SWAP, market__volatility="0.3", market__initial_rate="0.03")
+    assert main(["calibrate", path, "--trials", "200"]) == 2
+    assert "error: product: buffer calibration holds the rate flat" in capsys.readouterr().err
+
+
 def test_calibrate_rejects_bad_quantile(scenario_file):
     assert main(["calibrate", scenario_file(), "--q", "1.5"]) == 2
     assert main(["calibrate", scenario_file(), "--q", "0"]) == 2

@@ -13,8 +13,7 @@ import sdcsim
 from sdcsim import Clock, EventKind, EventRecord, Journal, Ledger, load_scenario, run_simulation
 from sdcsim import journal as journal_module
 from sdcsim.errors import CorruptJournal
-from sdcsim.journal import (SETTLEMENT, TRANSFER, ZERO_HASH, JournalBlock, RecordShape,
-                            check_payload)
+from sdcsim.journal import SETTLEMENT, TRANSFER, ZERO_HASH, JournalBlock, RecordShape
 
 from support import (journal_from_blocks, rechain, reference_decode, reference_encode,
                      write_chained)
@@ -131,9 +130,14 @@ def test_load_payload_check_agrees_with_the_decoder(rec):
     variants = [payload[:cut] for cut in range(len(payload))] + [payload + b"\x00"]
     variants += [payload[:i] + bytes([byte]) + payload[i + 1:]
                  for i in range(len(payload)) for byte in (0x00, 0x80, 0xC3, 0xFF)]
-    assert _verdict(check_payload, payload) is None
+    assert list(journal_module._strings([payload])) != [None]
     for variant in variants:
-        assert _verdict(check_payload, variant) == _verdict(EventRecord.from_bytes, variant)
+        (strings,) = journal_module._strings([variant])
+        assert (strings is None) == (_verdict(EventRecord.from_bytes, variant) is not None)
+        if strings is not None:
+            fields = (struct.unpack_from(">Q", variant)[0], strings[0], strings[1],
+                      tuple(zip(strings[2::2], strings[3::2])))
+            assert fields == reference_decode(variant)
 
 
 def test_invalid_utf8_payload_is_corrupt():
@@ -153,13 +157,14 @@ def test_records_by_kind_match_a_filtered_full_decode():
     journal = Journal()
     rng = random.Random(5)
     kinds = list(EventKind)
-    for i in range(400):
+    for i in range(2 * journal_module._CHUNK + 176):  # read in three chunks
         kind = rng.choice(kinds[:-1])  # the last kind never occurs
         actor = rng.choice(["SYSTEM", "bank1#1", "bänk"])
         # a detail value may spell another kind's name, packed exactly like its tag
         journal.append(EventRecord.create(i, kind, actor, amount=rng.randrange(10**6),
                                           note=rng.choice(kinds).value).to_bytes())
     everything = journal.records()
+    assert everything == [EventRecord.from_bytes(p) for p in journal.payloads()]
     for kind in EventKind:
         assert journal.records(kind) == [r for r in everything if r.kind is kind]
     assert journal.records(kinds[-1]) == []
@@ -381,31 +386,24 @@ def test_a_shape_packs_the_generic_bytes_and_unpacks_its_inputs(shape, ts, actor
     payload = shape.pack(ts, actor, *values)
     details = dict(zip(shape.keys, values))
     assert payload == EventRecord.create(ts, shape.kind, actor, **details).to_bytes()
-    assert shape.unpack(payload) == (ts, actor, tuple(map(str, values)))
+    assert list(shape.read([payload])) == [(ts, actor, tuple(map(str, values)))]
 
 
 @pytest.mark.parametrize("actor", ["bank", "bänk"])
 def test_a_shape_unpacks_only_its_own_records(actor):
     for shape in SHAPES:
-        for other in SHAPES:
-            payload = other.pack(5, actor, *range(len(other.keys)))
-            if other is shape:
-                assert shape.unpack(payload) == (5, actor, tuple(map(str, range(len(shape.keys)))))
-                continue
-            with pytest.raises(CorruptJournal, match=f"^not a {shape.kind.value} record"):
-                shape.unpack(payload)
+        payloads = [other.pack(5, actor, *range(len(other.keys))) for other in SHAPES]
+        assert list(shape.read(payloads)) == [(5, actor, tuple(map(str, range(len(shape.keys)))))
+                                              if other is shape else None for other in SHAPES]
         # the same layout with every key spelled otherwise, or another kind name
         respelled = EventRecord(5, shape.kind, actor, tuple((k.upper(), "1") for k in shape.keys))
-        with pytest.raises(CorruptJournal, match=f"^not a {shape.kind.value} record"):
-            shape.unpack(respelled.to_bytes())
         payload = shape.pack(5, actor, *range(len(shape.keys)))
         tag = shape.kind.value.encode()
-        with pytest.raises(CorruptJournal, match="^unknown event kind"):
-            shape.unpack(payload.replace(tag, tag.upper(), 1))
+        bad = [respelled.to_bytes(), payload.replace(tag, tag.upper(), 1)]
+        assert list(shape.read(bad)) == [None] * 2
     payload = SETTLEMENT.pack(20, actor, 7, "C", 0, "settled", "a", "b", "-1.5")
-    for bad in [payload[:cut] for cut in range(len(payload))] + [payload + b"\x00"]:
-        with pytest.raises(CorruptJournal):
-            SETTLEMENT.unpack(bad)
+    bad = [payload[:cut] for cut in range(len(payload))] + [payload + b"\x00"]
+    assert list(SETTLEMENT.read(bad)) == [None] * len(bad)
 
 
 def test_every_block_of_a_run_enters_the_chain_through_append(monkeypatch):

@@ -28,6 +28,7 @@ from sdcsim import (
 )
 from sdcsim import simulator, valuation
 from sdcsim.errors import ScenarioParseError, ScenarioValidationError, SdcError
+from sdcsim.scheduler import Engine
 from sdcsim.valuation import PRICER_FLAT_CURVE_V1, get_pricer
 from sdcsim.simulator import (
     VARIATE_CHUNK,
@@ -259,7 +260,7 @@ CALIBRATED_MARKET = dict(market__volatility="0.3", market__drift="0.15",
                          run__seed="11")
 CALIBRATED_PRODUCTS = {
     "forward": dict(contract__strike="95.0"),
-    # the swap prices on the rate alone, which calibration holds flat
+    # the swap prices on the rate alone, which calibration holds flat: it is refused
     "vanilla_swap": dict(contract__product="vanilla_swap", contract__strike="0.03",
                          contract__notional="1000000", contract__payment_times="0.5,1.0",
                          contract__accruals="0.5,0.5", market__tick_years="0.025"),
@@ -268,9 +269,13 @@ CALIBRATED_PRODUCTS = {
 
 def test_one_period_samples_equal_the_trial_by_trial_loop():
     # 17 ticks per period: numpy's pairwise summation would round differently
-    for product in CALIBRATED_PRODUCTS.values():
+    for name, product in CALIBRATED_PRODUCTS.items():
         scenario = make_scenario(**CALIBRATED_MARKET, **product)
         for stream in (1, 2):
+            if name == "vanilla_swap":
+                with pytest.raises(ScenarioValidationError, match="^product: "):
+                    one_period_samples(scenario, 3000, stream=stream)
+                continue
             assert _same_bits(one_period_samples(scenario, 3000, stream=stream),
                               reference_one_period_samples(scenario, 3000, stream))
 
@@ -288,11 +293,14 @@ def test_one_period_samples_check_only_the_start_snapshot(product, monkeypatch):
         return construct(cls, *args)
 
     monkeypatch.setattr(MarketSnapshot, "__new__", counting)
-    samples = one_period_samples(scenario, 3000)
+    if product == "vanilla_swap":  # refused once the start snapshot is priced
+        with pytest.raises(ScenarioValidationError, match="^product: "):
+            one_period_samples(scenario, 3000)
+    else:
+        assert len(one_period_samples(scenario, 3000)) == 3000
     model = scenario.market
     assert checked == [(scenario.contract.settlement_times[0], model.initial_spot,
                         model.initial_rate)]
-    assert len(samples) == 3000
 
 
 def test_path_csv_round_trip(tmp_path):
@@ -528,12 +536,12 @@ def test_every_mode_reconciles(mode):
 
 def _rechained(journal, tamper):
     """A copy of `journal` with each record replaced by `tamper(record)`
-    (dropped if that is None), re-chained block by block so that `verify`
-    alone passes it."""
+    (dropped if that is None, appended raw if it is bytes), re-chained block
+    by block so that `verify` alone passes it."""
     copy = Journal()
     for record in map(tamper, journal.records()):
         if record is not None:
-            copy.append(record.to_bytes())
+            copy.append(record if isinstance(record, bytes) else record.to_bytes())
     assert copy.verify()
     return copy
 
@@ -612,6 +620,7 @@ OFF_SHAPE_SETTLEMENTS = {
     "non_numeric_value": lambda r: _with_details(r, value="zero"),
     "infinite_value": lambda r: _with_details(r, value="inf"),
     "nan_value": lambda r: _with_details(r, value="nan"),
+    "truncated_by_one_byte": lambda r: r.to_bytes()[:-1],  # does not decode at all
 }
 
 
@@ -673,6 +682,22 @@ def test_inception_does_not_have_to_sit_on_tick_zero():
         assert all(report.checks.values())
         hashes.add(report.journal_hash)
     assert len(hashes) == 1
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_the_trigger_mode_chooses_who_requests_the_events(mode, monkeypatch):
+    requesters, parsed = [], []
+    request, parse = Engine.request_event, simulator.parse_script
+    monkeypatch.setattr(Engine, "request_event", lambda self, party, kind, now: (
+        requesters.append(party) or request(self, party, kind, now)))
+    monkeypatch.setattr(simulator, "parse_script", lambda text: parsed.append(text) or parse(text))
+    artifacts = run_simulation(make_scenario(run__mode=mode.value))
+    engine = artifacts.engine
+    expected = {Mode.ACTIVE: engine.oracle_account, Mode.PASSIVE: engine.spec.party_b,
+                Mode.DRIVER: engine.spec.party_a}[mode]
+    assert artifacts.report.termination_cause == "MATURED"
+    assert requesters == [expected] * len(engine.timeline)
+    assert len(parsed) == (mode is Mode.DRIVER)
 
 
 # -- buffer calibration --
