@@ -48,7 +48,7 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from operator import eq, not_
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -365,10 +365,14 @@ class Journal:
 
     def payloads(self, kind: EventKind | None = None) -> list[bytes]:
         """Block payloads in journal order; with `kind`, only that kind's."""
-        if kind is None:
-            return list(self._payloads)
-        tag = _KIND_TAGS[kind]
-        return [p for p in self._payloads if p.startswith(tag, 8)]
+        return list(self._payloads) if kind is None else self.payloads_of(kind)[0]
+
+    def payloads_of(self, *kinds: EventKind) -> list[list[bytes]]:
+        """`payloads(kind)` for each of `kinds`, from one scan of all payloads."""
+        tags, payloads = tuple(_KIND_TAGS[kind] for kind in kinds), self._payloads
+        picked = list(compress(payloads, map(bytes.startswith, payloads, repeat(tags), repeat(8))))
+        return [list(compress(picked, map(bytes.startswith, picked, repeat(tag), repeat(8))))
+                for tag in tags]
 
     def records(self, kind: EventKind | None = None) -> list[EventRecord]:
         """`payloads(kind)`, each decoded into an `EventRecord` (CorruptJournal if one is not)."""

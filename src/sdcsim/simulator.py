@@ -49,6 +49,7 @@ from .valuation import (
     VanillaSwap,
     get_pricer,
     margin_buffer,
+    price,
     round_to_minor_units,
     settlement_amount,
 )
@@ -233,16 +234,18 @@ def inv_normal_cdf(p: np.ndarray) -> np.ndarray:
     """`NormalDist().inv_cdf` over an array of p in (0, 1), bit for bit.
 
     Wichura's AS241 with the operations in the order of CPython's C code.
-    The tail takes its logarithm from `math.log`, because `np.log` can be
-    one ulp away from libm's; `np.sqrt` is correctly rounded, as is libm's.
+    The central fit runs in place on every p (its denominator stays positive);
+    the tails, about 15% of p, are then computed by index and written over it,
+    with the logarithm from `math.log`, because `np.log` can be one ulp away
+    from libm's; `np.sqrt` is correctly rounded, as is libm's.
     """
-    x = np.empty_like(p)
     q = p - 0.5
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    x[central] = _horner(r, _CENTRAL_NUM) * qc / _horner(r, _CENTRAL_DEN)
-    tail = ~central
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _horner(r, _CENTRAL_NUM)
+    x *= q
+    x /= _horner(r, _CENTRAL_DEN)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
     qt = q[tail]
     r = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
     r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), np.float64, len(r)))
@@ -628,14 +631,15 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
     amounts and payers as `settle` derives them, and no valued period left unsettled."""
     grid = spec.settlement_times
     directions = {1: (spec.party_b, spec.party_a), -1: (spec.party_a, spec.party_b), 0: ("", "")}
+    valuations, settlements = journal.payloads_of(EventKind.VALUATION, EventKind.SETTLEMENT)
     valued: list[str | None] = []  # the c-th Valuation's value, or None unless it values period c
-    for c, row in enumerate(VALUATION.read(journal.payloads(EventKind.VALUATION))):
+    for c, row in enumerate(VALUATION.read(valuations)):
         ts, _, fields = row or (None, None, ())  # contract, end, start, pricer, value
         valued.append(fields[-1] if c < spec.cycles and ts == grid[c + 1] and fields[:-1] == (
             spec.contract_id, str(grid[c + 1]), str(grid[c]), spec.pricer_version) else None)
     rows: list[CycleRow] = []
     ok = True
-    for row in SETTLEMENT.read(journal.payloads(EventKind.SETTLEMENT)):
+    for row in SETTLEMENT.read(settlements):
         cycle = len(rows)
         ts, _, (amount_s, contract, cycle_s, outcome, payer, receiver, value_s) = \
             row or (None, None, (None,) * 7)  # None: off its shape, which the next check fails
@@ -742,30 +746,39 @@ def calibrate_buffer(scenario: Scenario, q: float, trials: int,
 
 def one_period_samples(scenario: Scenario, trials: int,
                        stream: int = CALIBRATION_STREAM) -> list[float]:
-    """Independent settlement amounts for the first period under the
-    scenario's market model. Each trial's snapshot is built unchecked (the
-    extreme trials bound every spot) and priced as it is made. A swap is
-    refused: it prices on the rate alone, which the model holds flat."""
+    """Independent settlement amounts for the first period under the scenario's market
+    model. Past trial 0, a forward on the built-in pricer is priced in one numpy pass and
+    any other pricer per trial, on snapshots built unchecked (the extreme trials bound
+    every spot). A swap is refused before any draw: the model holds its rate flat."""
     if scenario.market is None:
         raise ScenarioValidationError("path_file", "buffer calibration needs a market model")
-    model = scenario.market
-    spec = scenario.contract
+    model, spec = scenario.market, scenario.contract
     start, end = spec.settlement_times[0], spec.settlement_times[1]
     gap = end - start
     if trials * gap > MAX_CALIBRATION_VARIATES:
         raise ScenarioValidationError(
             "trials", f"trials x first-period ticks must be <= {MAX_CALIBRATION_VARIATES}, "
                       f"got {trials} x {gap}")
+    spot, rate, product = model.initial_spot, model.initial_rate, spec.product
+    pricer, t = get_pricer(spec.pricer_version), end * spec.tick_years
+    snap_old = MarketSnapshot(start, spot, rate)
+    if isinstance(product, VanillaSwap):
+        try:  # priced first, so that a price out of range still reads as a market error
+            pricer(product, t, snap_old)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _out_of_range("settlement value", exc) from None
+        raise ScenarioValidationError("product", "buffer calibration holds the rate flat, "
+                                      "so it cannot size a vanilla_swap's buffer")
     shocks = normal_variates(scenario.seed, stream, trials * gap).reshape(trials, gap)
     if trials == 0:
         return []
     drift_term, vol_term = _log_move_terms(model)
-    # column by column, so each trial's shocks add up left to right
-    # (np.sum's pairwise order would round differently)
+    # column by column, so each trial's shocks add up left to right (np.sum's pairwise
+    # order would round differently); an inf or NaN fails the spot check below
     log_moves = np.zeros(trials)
-    for j in range(gap):
-        log_moves += drift_term + vol_term * shocks[:, j]
-    spot, rate = model.initial_spot, model.initial_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(gap):
+            log_moves += drift_term + vol_term * shocks[:, j]
     # the spot rises with the log move, so the two extreme trials bound all
     try:
         lowest = spot * math.exp(log_moves.min())
@@ -774,31 +787,29 @@ def one_period_samples(scenario: Scenario, trials: int,
         raise _out_of_range("spot", exc) from None
     if not 0.0 < lowest <= highest < math.inf:
         raise _out_of_range("spot", f"spots {lowest!r} to {highest!r}")
-    pricer = get_pricer(spec.pricer_version)
-    snap_old = MarketSnapshot(start, spot, rate)
     try:
-        # every spot lies in (0, inf) by the check above, so the trial snapshots skip
-        # MarketSnapshot's check; the log moves become floats 4096 at a time, not one list
+        # the log moves become floats 4096 at a time, not one list
         moves = chain.from_iterable(log_moves[i:i + 4096].tolist() for i in range(0, trials, 4096))
-        snaps = map(MarketSnapshot._make, zip(
-            repeat(end), map(spot.__mul__, map(math.exp, moves)), repeat(rate)))
+        spots = map(spot.__mul__, map(math.exp, moves))  # np.exp may be one ulp off libm's
         # settlement_amount's period and tick checks depend only on (start, end):
         # trial 0 runs them, the other trials share one start-snapshot price
-        samples = [settlement_amount(spec.product, start, end, snap_old, next(snaps),
-                                     spec.tick_years, pricer).value]
-        t = end * spec.tick_years
-        value_start = pricer(spec.product, t, snap_old)
-        # refused after trial 0, so that a price out of range still reads as a market error
-        if isinstance(spec.product, VanillaSwap):
-            raise ScenarioValidationError("product", "buffer calibration holds the rate flat, "
-                                          "so it cannot size a vanilla_swap's buffer")
-        samples += [pricer(spec.product, t, snap) - value_start for snap in snaps]
+        first = settlement_amount(product, start, end, snap_old, MarketSnapshot._make(
+            (end, next(spots), rate)), spec.tick_years, pricer).value
+        value_start = pricer(product, t, snap_old)
+        if pricer is price and isinstance(product, Forward):  # price's own order of operations
+            spots = np.fromiter(spots, np.float64, trials - 1)
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails below
+                samples = np.append(first, product.notional * (spots - product.strike)
+                                    * math.exp(-rate * (product.maturity - t)) - value_start)
+        else:
+            samples = np.array([first] + [pricer(product, t, snap) - value_start for snap in map(
+                MarketSnapshot._make, zip(repeat(end), spots, repeat(rate)))])
     except (OverflowError, ZeroDivisionError) as exc:
         raise _out_of_range("settlement value", exc) from None
     # reported here as an input error; margin_buffer would raise a bare ValueError
     if not np.isfinite(samples).all():
         raise _out_of_range("settlement value", "not finite")
-    return samples
+    return samples.tolist()
 
 
 def render_report_csv(report: RunReport) -> str:

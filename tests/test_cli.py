@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import pytest
 
@@ -282,14 +283,20 @@ def test_path_csv_spot_that_is_not_positive_is_an_input_error(scenario_file, tmp
     {"market__volatility": "1e200"},    # the variance overflows
     # exp() stays finite but the spot does not
     {"market__initial_spot": "1e308", "market__drift": "500"},
-], ids=["huge_volatility", "huge_drift", "overflowing_variance", "overflowing_spot"])
+    # one tick's log move is finite, a first period's sum of ten is not
+    {"market__drift": "1.7e308", "market__tick_years": "1"},
+], ids=["huge_volatility", "huge_drift", "overflowing_variance", "overflowing_spot",
+        "overflowing_log_move"])
 @pytest.mark.parametrize("command", ["run", "calibrate"])
 def test_model_that_leaves_the_float_range_is_an_input_error(scenario_file, tmp_path, capsys,
                                                              overrides, command):
     path = scenario_file(**overrides)
     args = ["run", path, "--out", str(tmp_path / "o")] if command == "run" \
         else ["calibrate", path, "--trials", "200"]
-    assert main(args) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a numpy RuntimeWarning would be recorded here
+        assert main(args) == 2
+    assert [str(w.message) for w in caught] == []
     assert "error: market: the model drives the spot out of the float range" \
         in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -337,12 +344,21 @@ def test_pricer_out_of_range_is_an_oracle_failure_in_run(scenario_file, tmp_path
     assert "termination_cause: ERROR" in report and "cycles: 0" in report
 
 
-@pytest.mark.parametrize("overrides", PRICER_OUT_OF_RANGE, ids=PRICER_OUT_OF_RANGE_IDS)
+# N * (S - K) overflows where |S - K| > 1.8, in 142 of the 200 trials: the one-pass
+# forward prices finite and infinite samples side by side
+SOME_TRIALS_OVERFLOW = {"contract__notional": "1e308", "market__volatility": "0.3"}
+
+
+@pytest.mark.parametrize("overrides", [*PRICER_OUT_OF_RANGE, SOME_TRIALS_OVERFLOW],
+                         ids=[*PRICER_OUT_OF_RANGE_IDS, "some_trials_overflow"])
 def test_pricer_out_of_range_is_an_input_error_in_calibrate(scenario_file, capsys, overrides):
-    assert main(["calibrate", scenario_file(**overrides), "--trials", "200"]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "error: market: the model drives the settlement value out of the float range" in err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a numpy RuntimeWarning would be recorded here
+        assert main(["calibrate", scenario_file(**overrides), "--trials", "200"]) == 2
+    assert [str(w.message) for w in caught] == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        "error: market: the model drives the settlement value out of the float range")
 
 
 def test_negative_inception_tick_is_an_input_error(scenario_file, tmp_path, capsys):
@@ -376,10 +392,12 @@ class Drawn(Exception):
     pass
 
 
+def no_draws(*args):
+    raise Drawn
+
+
 def test_calibration_trials_above_the_bound_are_an_input_error(scenario_file, capsys,
                                                                 monkeypatch):
-    def no_draws(*args):
-        raise Drawn
     monkeypatch.setattr(simulator, "normal_variates", no_draws)
     path = scenario_file()  # the first period is 10 ticks long
     on_bound = simulator.MAX_CALIBRATION_VARIATES // 10
@@ -390,3 +408,24 @@ def test_calibration_trials_above_the_bound_are_an_input_error(scenario_file, ca
             f"{simulator.MAX_CALIBRATION_VARIATES}, got {on_bound + 1} x 10") in err
     with pytest.raises(Drawn):  # on the bound, the variates are drawn
         main(["calibrate", path, "--trials", str(on_bound)])
+
+
+@pytest.mark.parametrize("overrides,error", [
+    ({**SWAP, "market__volatility": "0.3"},
+     "error: product: buffer calibration holds the rate flat"),
+    # the start snapshot is priced before the refusal, so this stays a market error
+    ({**PRICER_OUT_OF_RANGE[2], "market__volatility": "0.3"},
+     "error: market: the model drives the settlement value out of the float range"),
+    # a model that drives the spot out of range is refused for the product too
+    ({**SWAP, "market__drift": "1e6"}, "error: product: buffer calibration holds the rate flat"),
+], ids=["swap", "zero_discount", "huge_drift"])
+def test_a_swap_is_refused_before_any_variate_is_drawn(scenario_file, capsys, monkeypatch,
+                                                       overrides, error):
+    monkeypatch.setattr(simulator, "normal_variates", no_draws)
+    path = scenario_file(**overrides)  # the first period is 10 ticks long
+    assert main(["calibrate", path, "--trials", "200"]) == 2
+    assert error in capsys.readouterr().err
+    # the trials bound is checked first
+    trials = simulator.MAX_CALIBRATION_VARIATES // 10 + 1
+    assert main(["calibrate", path, "--trials", str(trials)]) == 2
+    assert "error: trials: trials x first-period ticks must be <= " in capsys.readouterr().err

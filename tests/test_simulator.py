@@ -5,6 +5,7 @@ import os
 from dataclasses import replace as dc_replace
 from pathlib import Path
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdcsim import (
     EventKind,
+    Forward,
     Journal,
     MarketModel,
     MarketSnapshot,
@@ -301,6 +303,56 @@ def test_one_period_samples_check_only_the_start_snapshot(product, monkeypatch):
     model = scenario.market
     assert checked == [(scenario.contract.settlement_times[0], model.initial_spot,
                         model.initial_rate)]
+
+
+def test_the_one_pass_forward_equals_the_per_trial_loop(monkeypatch):
+    # a wrapper of the built-in pricer is not `price` itself, so under another
+    # version name it takes the per-trial loop
+    per_trial = "flat-curve-per-trial"
+    monkeypatch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
+    register_pricer(per_trial, lambda product, t, snapshot: valuation.price(product, t, snapshot))
+    terms = st.floats(-1e4, 1e4) | st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(notional=terms, strike=terms, spot=st.floats(1e-3, 1e4) | st.floats(1e-300, 1e300),
+           rate=st.just(0.0) | st.floats(-0.5, 0.5) | st.floats(-1e6, 1e6),
+           volatility=st.floats(0.0, 2.0), drift=st.floats(-2.0, 2.0),
+           tick_years=st.floats(1e-4, 0.1), start=st.integers(0, 5), gap=st.integers(1, 17),
+           after=st.integers(0, 20), trials=st.integers(1, 200), seed=st.integers(0, 2**31))
+    def check(notional, strike, spot, rate, volatility, drift, tick_years, start, gap, after,
+              trials, seed):
+        # only these terms reach calibration; a bare namespace lets the first period be
+        # one tick long, which no prefund window fits
+        contract = dict(settlement_times=(start, start + gap), tick_years=tick_years,
+                        product=Forward(notional, strike, (start + gap + after) * tick_years))
+        scenario = dc_replace(make_scenario(), seed=seed,
+                              market=MarketModel(spot, rate, volatility, drift, tick_years))
+
+        def calibrated(version):
+            """The samples, or the error text if calibration refuses the terms."""
+            spec = SimpleNamespace(**contract, pricer_version=version)
+            try:
+                return one_period_samples(dc_replace(scenario, contract=spec), trials)
+            except SdcError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        one_pass, looped = calibrated(PRICER_FLAT_CURVE_V1), calibrated(per_trial)
+        assert type(one_pass) is type(looped)
+        assert _same_bits(one_pass, looped) if isinstance(one_pass, list) else one_pass == looped
+
+    check()
+
+
+def test_a_wrapped_built_in_pricer_keeps_the_per_trial_loop(monkeypatch):
+    # a tracer re-registers the built-in version with a wrapper of `price`
+    scenario = make_scenario(**CALIBRATED_MARKET, **CALIBRATED_PRODUCTS["forward"])
+    one_pass = one_period_samples(scenario, 3000)
+    calls = []
+    monkeypatch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
+    register_pricer(PRICER_FLAT_CURVE_V1,
+                    lambda *args: calls.append(args) or valuation.price(*args))
+    assert _same_bits(one_period_samples(scenario, 3000), one_pass)
+    assert len(calls) == 2 + 1 + 2999  # trial 0's two terms, the start price, the other trials
 
 
 def test_path_csv_round_trip(tmp_path):
