@@ -34,7 +34,6 @@ from .valuation import (
     MarketSnapshot,
     SettlementAmount,
     VanillaSwap,
-    discount_factor,
     margin_buffer,
     price,
     register_pricer,

@@ -42,10 +42,6 @@ class CorruptJournal(SdcError):
 
 # --- valuation ---
 
-class NegativeTenor(SdcError):
-    pass
-
-
 class PastMaturity(SdcError):
     pass
 

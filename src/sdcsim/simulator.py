@@ -49,7 +49,6 @@ from .valuation import (
     VanillaSwap,
     get_pricer,
     margin_buffer,
-    price,
     round_to_minor_units,
     settlement_amount,
 )
@@ -747,9 +746,9 @@ def calibrate_buffer(scenario: Scenario, q: float, trials: int,
 def one_period_samples(scenario: Scenario, trials: int,
                        stream: int = CALIBRATION_STREAM) -> list[float]:
     """Independent settlement amounts for the first period under the scenario's market
-    model. Past trial 0, a forward on the built-in pricer is priced in one numpy pass and
-    any other pricer per trial, on snapshots built unchecked (the extreme trials bound
-    every spot). A swap is refused before any draw: the model holds its rate flat."""
+    model, from one `settlement_amount` call whose end snapshot, built unchecked (the
+    extreme trials bound every spot), holds all trials' spots as one float64 array. A
+    swap is refused before any draw: the model holds its rate flat."""
     if scenario.market is None:
         raise ScenarioValidationError("path_file", "buffer calibration needs a market model")
     model, spec = scenario.market, scenario.contract
@@ -760,11 +759,11 @@ def one_period_samples(scenario: Scenario, trials: int,
             "trials", f"trials x first-period ticks must be <= {MAX_CALIBRATION_VARIATES}, "
                       f"got {trials} x {gap}")
     spot, rate, product = model.initial_spot, model.initial_rate, spec.product
-    pricer, t = get_pricer(spec.pricer_version), end * spec.tick_years
+    pricer = get_pricer(spec.pricer_version)
     snap_old = MarketSnapshot(start, spot, rate)
     if isinstance(product, VanillaSwap):
         try:  # priced first, so that a price out of range still reads as a market error
-            pricer(product, t, snap_old)
+            pricer(product, end * spec.tick_years, snap_old)
         except (OverflowError, ZeroDivisionError) as exc:
             raise _out_of_range("settlement value", exc) from None
         raise ScenarioValidationError("product", "buffer calibration holds the rate flat, "
@@ -787,23 +786,14 @@ def one_period_samples(scenario: Scenario, trials: int,
         raise _out_of_range("spot", exc) from None
     if not 0.0 < lowest <= highest < math.inf:
         raise _out_of_range("spot", f"spots {lowest!r} to {highest!r}")
-    try:
-        # the log moves become floats 4096 at a time, not one list
-        moves = chain.from_iterable(log_moves[i:i + 4096].tolist() for i in range(0, trials, 4096))
-        spots = map(spot.__mul__, map(math.exp, moves))  # np.exp may be one ulp off libm's
-        # settlement_amount's period and tick checks depend only on (start, end):
-        # trial 0 runs them, the other trials share one start-snapshot price
-        first = settlement_amount(product, start, end, snap_old, MarketSnapshot._make(
-            (end, next(spots), rate)), spec.tick_years, pricer).value
-        value_start = pricer(product, t, snap_old)
-        if pricer is price and isinstance(product, Forward):  # price's own order of operations
-            spots = np.fromiter(spots, np.float64, trials - 1)
-            with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails below
-                samples = np.append(first, product.notional * (spots - product.strike)
-                                    * math.exp(-rate * (product.maturity - t)) - value_start)
-        else:
-            samples = np.array([first] + [pricer(product, t, snap) - value_start for snap in map(
-                MarketSnapshot._make, zip(repeat(end), spots, repeat(rate)))])
+    # the log moves become floats 4096 at a time, not one list
+    moves = chain.from_iterable(log_moves[i:i + 4096].tolist() for i in range(0, trials, 4096))
+    spots = np.fromiter(map(spot.__mul__, map(math.exp, moves)),  # np.exp may be one ulp off
+                        np.float64, trials)
+    try:  # one end snapshot holds every trial's spot; an inf or NaN sample fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = settlement_amount(product, start, end, snap_old, MarketSnapshot._make(
+                (end, spots, rate)), spec.tick_years, pricer).value
     except (OverflowError, ZeroDivisionError) as exc:
         raise _out_of_range("settlement value", exc) from None
     # reported here as an input error; margin_buffer would raise a bare ValueError

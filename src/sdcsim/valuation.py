@@ -36,7 +36,6 @@ from typing import Callable, NamedTuple, Sequence, Union
 from .errors import (
     EmptySamples,
     MissingSnapshot,
-    NegativeTenor,
     PastMaturity,
     TimestampMismatch,
     UnknownPricer,
@@ -104,27 +103,20 @@ class VanillaSwap:
 Product = Union[Forward, VanillaSwap]
 
 
-def discount_factor(snapshot: MarketSnapshot, t: float, maturity: float) -> float:
-    """df(t, T) = exp(-r (T - t)) on the snapshot's flat curve; 1 when T = t."""
-    if maturity < t:
-        raise NegativeTenor(f"discounting backwards: t={t}, T={maturity}")
-    return math.exp(-snapshot.zero_rate * (maturity - t))
-
-
 def price(product: Product, t: float, snapshot: MarketSnapshot) -> float:
     """Value V(t, M(s)) of the product's remaining cash flows at time t (years)."""
     if t > product.maturity:
         raise PastMaturity(f"t={t} is past maturity {product.maturity}")
     if isinstance(product, Forward):
         return product.notional * (snapshot.spot - product.strike) * \
-            math.exp(-snapshot.zero_rate * (product.maturity - t))  # discount_factor
+            math.exp(-snapshot.zero_rate * (product.maturity - t))  # df(t, T)
     r = snapshot.zero_rate
     total = 0.0
     df_start = 1.0  # first remaining period accrues from t: df(t, t)
     for T_j, tau in zip(product.payment_times, product.accruals):
         if T_j <= t:
             continue
-        df_end = math.exp(-r * (T_j - t))  # discount_factor(snapshot, t, T_j)
+        df_end = math.exp(-r * (T_j - t))  # df(t, T_j)
         fwd = (df_start / df_end - 1.0) / tau
         total += tau * (fwd - product.fixed_rate) * df_end
         df_start = df_end
@@ -158,8 +150,6 @@ def settlement_amount(product: Product, period_start: int, period_end: int,
             f"period ({period_start}, {period_end})")
     t = period_end * tick_years
     value_end = pricer(product, t, snap_new)
-    # positional: keyword construction of this frozen dataclass costs
-    # measurably more, and calibration calls this once per trial
     return SettlementAmount(value_end - pricer(product, t, snap_old), period_end, value_end)
 
 
@@ -210,9 +200,9 @@ class MarginOracle:
 
     Built over the contract's market path (ticks strictly increasing) with
     the terms it pins. One valuation per period, cached for idempotent
-    re-queries; nothing is journaled here. A pricer overflow, a discount
-    factor that underflows to zero or a non-finite period value raises
-    ValuationOutOfRange and caches nothing.
+    re-queries; nothing is journaled here. A pricer overflow, a swap's
+    discount factor that underflows to zero or a non-finite period value
+    raises ValuationOutOfRange and caches nothing.
 
     `value` prices V(t_end) on one snapshot; agents projecting the upcoming
     settlement price through it too. Its memo holds the current period end

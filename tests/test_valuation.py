@@ -15,7 +15,6 @@ from sdcsim import (
     MarginOracle,
     MarketSnapshot,
     VanillaSwap,
-    discount_factor,
     margin_buffer,
     price,
     register_pricer,
@@ -25,7 +24,6 @@ from sdcsim import (
 from sdcsim.errors import (
     EmptySamples,
     MissingSnapshot,
-    NegativeTenor,
     PastMaturity,
     TimestampMismatch,
     UnknownPricer,
@@ -59,27 +57,6 @@ def test_snapshot_is_a_named_tuple():
     assert type(s._replace(spot=99.0)) is MarketSnapshot
 
 
-# -- discount factors --
-
-def test_df_is_one_at_zero_tenor():
-    assert discount_factor(snap(rate=0.37), 2.0, 2.0) == 1.0
-
-
-def test_df_is_one_at_zero_rate():
-    assert discount_factor(snap(rate=0.0), 0.0, 5.0) == 1.0
-
-
-def test_df_matches_independent_exponential():
-    assert discount_factor(snap(rate=0.05), 1.0, 3.0) == pytest.approx(
-        math.exp(-0.10), abs=1e-15)
-    assert discount_factor(snap(rate=0.05), 1.0, 3.0) == pytest.approx(0.904837, abs=5e-7)
-
-
-def test_df_rejects_negative_tenor():
-    with pytest.raises(NegativeTenor):
-        discount_factor(snap(), 2.0, 1.0)
-
-
 # -- forward pricing --
 
 def test_forward_at_strike_is_worthless():
@@ -97,6 +74,7 @@ def test_forward_discounts_the_payoff():
     product = Forward(notional=10.0, strike=90.0, maturity=3.0)
     value = price(product, 1.0, snap(spot=100.0, rate=0.05))
     assert value == pytest.approx(10.0 * 10.0 * math.exp(-0.05 * 2.0), rel=1e-15)
+    assert price(product, 3.0, snap(spot=100.0, rate=0.05)) == 10.0 * 10.0  # df(T, T) is 1
 
 
 def test_pricing_past_maturity_rejected():
