@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Thin adapter over the library: validate scenario files, run simulations,
-verify exported journals, calibrate margin buffers. Exit codes are
-stable for scripting:
+verify exported journals, calibrate margin buffers. `main` alone turns an
+SdcError or OSError into exit 2 (`run` reports an OSError while it runs or
+writes as exit 1). Exit codes are stable for scripting:
 
     0  success (a run that terminates at maturity)
     1  engine error (oracle failure, refused initialization, IO failure)
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .errors import SdcError
 from .journal import Journal
-from .simulator import Mode, calibrate_buffer, load_scenario, run_simulation, write_report
+from .simulator import Mode, Scenario, calibrate_buffer, load_scenario, run_simulation, write_report
 
 EXIT_OK = 0
 EXIT_ENGINE_ERROR = 1
@@ -32,24 +33,24 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario file, with `--seed` applied if given."""
+    scenario = load_scenario(args.scenario)
+    if args.seed is None:
+        return scenario
+    if args.seed < 0:
+        raise SdcError("seed must be non-negative")
+    return replace(scenario, seed=args.seed)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        load_scenario(args.scenario)
-    except (SdcError, OSError) as exc:
-        return _fail(str(exc))
+    load_scenario(args.scenario)
     print(f"{args.scenario}: ok")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (SdcError, OSError) as exc:
-        return _fail(str(exc))
-    if args.seed is not None:
-        if args.seed < 0:
-            return _fail("seed must be non-negative")
-        scenario = replace(scenario, seed=args.seed)
+    scenario = _scenario(args)
     if args.mode is not None:
         scenario = replace(scenario, mode=Mode(args.mode))
     try:
@@ -60,8 +61,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_report(artifacts.report, out / f"report.{ext}", fmt=args.format)
         artifacts.journal.export(out / "journal.bin")
         artifacts.ledger.export_csv(out / "ledger.csv")
-    except SdcError as exc:
-        return _fail(str(exc))  # e.g. a broken path file referenced by the scenario
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE_ERROR
@@ -76,10 +75,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        journal = Journal.load(args.journal)
-    except (SdcError, OSError) as exc:
-        return _fail(str(exc))
+    journal = Journal.load(args.journal)
     print(f"{args.journal}: {len(journal)} blocks, chain verified")
     return EXIT_OK
 
@@ -89,19 +85,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         return _fail(f"quantile level must be in (0, 1], got {args.q}")
     if args.trials < 1:
         return _fail(f"trials must be positive, got {args.trials}")
-    try:
-        scenario = load_scenario(args.scenario)
-    except (SdcError, OSError) as exc:
-        return _fail(str(exc))
-    if args.seed is not None:
-        if args.seed < 0:
-            return _fail("seed must be non-negative")
-        scenario = replace(scenario, seed=args.seed)
-    try:
-        buffer = calibrate_buffer(scenario, args.q, args.trials)
-    except SdcError as exc:
-        return _fail(str(exc))
-    print(buffer)
+    print(calibrate_buffer(_scenario(args), args.q, args.trials))
     return EXIT_OK
 
 
@@ -143,7 +127,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SdcError, OSError) as exc:  # a bad input or an unreadable file
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -233,14 +233,14 @@ class ContractInstance:
         if self._state.phase is not Phase.ACCOUNTS_OPEN:
             raise AccountsNotOpen(f"margin wallet closed in {self._label}")
         self.ledger.lock_segregated(self.spec.contract_id, party, Bucket.MARGIN,
-                                    check_amount(amount), actor=party)
+                                    amount, actor=party)
 
     def withdraw_margin(self, party: AccountId, amount: int) -> None:
         self._require_party(party)
         if self._state.phase is not Phase.ACCOUNTS_OPEN:
             raise AccountsNotOpen(f"margin wallet closed in {self._label}")
         self.ledger.release_segregated(self.spec.contract_id, party, Bucket.MARGIN,
-                                       check_amount(amount), party, actor=party)
+                                       amount, party, actor=party)
 
     def deposit_fee(self, party: AccountId, amount: int) -> None:
         """Fee posting is legal only before initialization completes."""
@@ -248,7 +248,7 @@ class ContractInstance:
         if self._state.phase is not Phase.PRE_CHECK:
             raise WrongState("termination fee can only be posted at inception")
         self.ledger.lock_segregated(self.spec.contract_id, party, Bucket.FEE,
-                                    check_amount(amount), actor=party)
+                                    amount, actor=party)
 
     def withdraw_fee(self, party: AccountId, amount: int) -> None:
         """Fee withdrawal is legal only after regular termination at maturity."""
@@ -257,7 +257,7 @@ class ContractInstance:
                 and self._state.cause is TerminationCause.MATURED):
             raise WrongState("termination fee is locked until the contract matures")
         self.ledger.release_segregated(self.spec.contract_id, party, Bucket.FEE,
-                                       check_amount(amount), party, actor=party)
+                                       amount, party, actor=party)
 
     def close_accounts(self) -> None:
         if self._state.phase is not Phase.ACCOUNTS_OPEN:

@@ -398,22 +398,22 @@ class Journal:
         bad block if the file is truncated, fails chain verification, or
         holds a payload that does not decode (see the module docstring)."""
         data = Path(path).read_bytes()
-        starts, stops = array("q"), array("q")  # each block's payload start and block end
+        journal = cls()
+        heads, payloads, hashes = journal._heads, journal._payloads, journal._hashes
+        starts = array("q")  # each block's payload start, for `_walk`
         unpack = _U32.unpack_from
         off, end = 0, len(data)
         while off < end:
             if off + _HEAD_SIZE > end:
                 raise CorruptJournal(f"block {len(starts)}: truncated block header")
             start = off + _HEAD_SIZE
+            heads.append(data[off:start - 4])
             off = start + unpack(data, start - 4)[0] + 32
             if off > end:
                 raise CorruptJournal(f"block {len(starts)}: truncated block body")
             starts.append(start)
-            stops.append(off)
-        journal = cls()
-        journal._heads = heads = [data[s - _HEAD_SIZE:s - 4] for s in starts]
-        journal._payloads = payloads = [data[s:t - 32] for s, t in zip(starts, stops)]
-        journal._hashes = hashes = [data[t - 32:t] for t in stops]
+            payloads.append(data[start:off - 32])
+            hashes.append(data[off - 32:off])
         broken = _chain_break(heads, payloads, hashes)
         if broken is not None:
             raise CorruptJournal(f"chain verification failed at block {broken}")

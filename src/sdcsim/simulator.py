@@ -747,8 +747,9 @@ def one_period_samples(scenario: Scenario, trials: int,
                        stream: int = CALIBRATION_STREAM) -> list[float]:
     """Independent settlement amounts for the first period under the scenario's market
     model, from one `settlement_amount` call whose end snapshot, built unchecked (the
-    extreme trials bound every spot), holds all trials' spots as one float64 array. A
-    swap is refused before any draw: the model holds its rate flat."""
+    extreme trials bound every spot), holds all trials' spots as one float64 array; a
+    pricer that does not price it element by element is refused. A swap is refused
+    before any draw: the model holds its rate flat."""
     if scenario.market is None:
         raise ScenarioValidationError("path_file", "buffer calibration needs a market model")
     model, spec = scenario.market, scenario.contract
@@ -796,6 +797,11 @@ def one_period_samples(scenario: Scenario, trials: int,
                 (end, spots, rate)), spec.tick_years, pricer).value
     except (OverflowError, ZeroDivisionError) as exc:
         raise _out_of_range("settlement value", exc) from None
+    except TypeError:  # e.g. math.log of the spot column
+        samples = None
+    if not isinstance(samples, np.ndarray) or samples.shape != (trials,):
+        raise ScenarioValidationError("pricer", f"{spec.pricer_version!r} does not price "
+                                                "a column of spots element by element")
     # reported here as an input error; margin_buffer would raise a bare ValueError
     if not np.isfinite(samples).all():
         raise _out_of_range("settlement value", "not finite")

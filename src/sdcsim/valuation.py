@@ -21,10 +21,10 @@ moves on the ledger.
 
 The MarginOracle, built once per contract over its market path with the
 terms the contract pins, is the one place a run prices the period-end value
-V(t_end). It only prices: a period's settlement amount is computed once and
-cached, so both parties see one number, and the contract journals the amount
-it is delivered. The value terms are memoized for the current period end, so
-the willful agents' projections and the settlement read one price per snapshot.
+V(t_end). It only prices: settlement_amount computes a period's amount once,
+reading the value terms through a memo kept for the current period end, and
+the amount is cached, so both parties see one number (the contract journals
+it) and the willful agents' projections and the settlement share each price.
 """
 
 from __future__ import annotations
@@ -199,15 +199,15 @@ class MarginOracle:
     """Settlement-amount source shared by both parties of one contract.
 
     Built over the contract's market path (ticks strictly increasing) with
-    the terms it pins. One valuation per period, cached for idempotent
-    re-queries; nothing is journaled here. A pricer overflow, a swap's
-    discount factor that underflows to zero or a non-finite period value
-    raises ValuationOutOfRange and caches nothing.
+    the terms it pins. Each period is valued once by `settlement_amount` and
+    cached for idempotent re-queries; nothing is journaled here. A pricer
+    overflow, a swap's discount factor that underflows to zero or a
+    non-finite period value raises ValuationOutOfRange and caches nothing.
 
-    `value` prices V(t_end) on one snapshot; agents projecting the upcoming
-    settlement price through it too. Its memo holds the current period end
-    only and restarts when that changes, so it never holds more than one
-    period's snapshots (window ticks, start and end).
+    `value` prices V(t_end) on one snapshot; `settlement_amount` and agents
+    projecting the upcoming settlement price through it. Its memo holds the
+    current period end only and restarts when that changes, so it never holds
+    more than one period's snapshots (window ticks, start and end).
     """
 
     def __init__(self, path: Sequence[MarketSnapshot], product: Product,
@@ -249,15 +249,11 @@ class MarginOracle:
         key = (period_start, period_end)
         amount = self._cache.get(key)
         if amount is None:
-            # settlement_amount's period check and formula (end term first),
-            # both terms read through the value memo; passing settlement_amount
-            # a memo-reading pricer instead measurably slowed long forward grids
-            if period_start >= period_end:
-                raise TimestampMismatch(f"period must advance: {period_start} -> {period_end}")
-            self._snapshot(period_start)  # a missing start is reported before a missing end
-            value_end = self.value(period_end, period_end)
-            amount = SettlementAmount(value_end - self.value(period_end, period_start),
-                                      period_end, value_end)
+            # a missing start is reported before a missing end
+            amount = settlement_amount(
+                self.product, period_start, period_end, self._snapshot(period_start),
+                self._snapshot(period_end), self.tick_years,
+                lambda product, t, snapshot: self.value(period_end, snapshot.as_of))
             if not math.isfinite(amount.value):
                 raise ValuationOutOfRange(
                     f"period ({period_start}, {period_end}) is {amount.value!r}")

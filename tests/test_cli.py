@@ -38,8 +38,13 @@ def test_validate_rejects_missing_section(tmp_path, capsys):
     assert "[market]" in capsys.readouterr().err
 
 
-def test_validate_rejects_missing_path():
+def test_validate_rejects_missing_path(capsys):
     assert main(["validate", "/no/such/file.ini"]) == 2
+    # and so does verify, with one error line
+    capsys.readouterr()
+    assert main(["verify", "/no/such/journal.bin"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_run_writes_artifacts_and_exits_zero_on_maturity(scenario_file, tmp_path, capsys):
@@ -70,6 +75,17 @@ def test_run_report_names_the_cause(scenario_file, tmp_path):
 def test_run_exit_one_on_engine_error(scenario_file, tmp_path):
     path = scenario_file(agents__funding_b="599")
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    # IO: a path file that does not exist is read only by the run, so nothing is written
+    missing = scenario_file(
+        name="missing.ini",
+        drop=("market.initial_spot", "market.initial_rate", "market.volatility",
+              "market.drift"),
+        market__path_file=str(tmp_path / "no_such.csv"))
+    assert main(["run", missing, "--out", str(tmp_path / "p")]) == 1
+    assert not (tmp_path / "p").exists()
+    # IO: the output directory is a regular file
+    (tmp_path / "file").write_text("")
+    assert main(["run", scenario_file(), "--out", str(tmp_path / "file")]) == 1
 
 
 def test_seed_override_changes_the_journal(scenario_file, tmp_path):
@@ -154,9 +170,12 @@ def test_calibrate_is_reproducible(scenario_file, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_negative_seed_override_is_usage_error(scenario_file, tmp_path):
+def test_negative_seed_override_is_usage_error(scenario_file, tmp_path, capsys):
     assert main(["run", scenario_file(), "--out", str(tmp_path / "o"),
                  "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    assert main(["calibrate", scenario_file(), "--trials", "200", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
 def test_broken_path_file_is_an_input_error(scenario_file, tmp_path):

@@ -350,6 +350,21 @@ def test_a_wrapped_built_in_pricer_prices_every_trial_in_one_call(monkeypatch):
     assert column.shape == (3000,)
 
 
+@pytest.mark.parametrize("pricer", [
+    lambda product, t, snapshot: product.notional * math.log(snapshot.spot),
+    lambda product, t, snapshot: product.notional * float(np.mean(snapshot.spot)),
+], ids=["scalar_only", "one_value_per_column"])
+def test_a_pricer_that_is_not_element_wise_is_refused(pricer, monkeypatch):
+    monkeypatch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
+    register_pricer("scalar-v1", pricer)
+    scenario = make_scenario(**CALIBRATED_MARKET, **CALIBRATED_PRODUCTS["forward"],
+                             contract__pricer="scalar-v1")
+    with pytest.raises(ScenarioValidationError) as refused:
+        one_period_samples(scenario, 3000)
+    assert str(refused.value) == ("pricer: 'scalar-v1' does not price a column of spots "
+                                  "element by element")
+
+
 def test_path_csv_round_trip(tmp_path):
     model = MarketModel(100.0, 0.02, 0.3, 0.0, 0.004)
     path = generate_path(model, 5, 30)

@@ -331,18 +331,22 @@ def test_oracle_missing_snapshot_refuses():
         oracle_over([]).query(0, 10)
 
 
-@pytest.mark.parametrize("product,rate", [
-    (Forward(notional=10.0, strike=100.0, maturity=0.2), -1e6),    # exp() overflows
-    (Forward(notional=1e308, strike=1e308, maturity=0.2), 0.0),    # -inf - -inf
+@pytest.mark.parametrize("product,rate,message", [
+    (Forward(notional=10.0, strike=100.0, maturity=0.2), -1e6,     # exp() overflows
+     "pricing tick 10 overflows (math range error)"),
+    (Forward(notional=1e308, strike=1e308, maturity=0.2), 0.0,     # -inf - -inf
+     "period (0, 10) is nan"),
     # df(t, T_j) underflows to 0.0 and the forward rate divides by it
     (VanillaSwap(notional=100.0, fixed_rate=0.02, payment_times=(0.15, 0.2),
-                 accruals=(0.15, 0.05)), 1e6),
+                 accruals=(0.15, 0.05)), 1e6,
+     "pricing tick 10 overflows (float division by zero)"),
 ], ids=["overflow", "nan", "zero_discount"])
-def test_oracle_out_of_range_value_refuses_and_journals_nothing(product, rate):
+def test_oracle_out_of_range_value_refuses_and_journals_nothing(product, rate, message):
     oracle = oracle_over([snap(tick=0, rate=rate), snap(tick=10, spot=101.0, rate=rate)],
                          product)
-    with pytest.raises(ValuationOutOfRange):
+    with pytest.raises(ValuationOutOfRange) as refused:
         oracle.query(0, 10)
+    assert str(refused.value) == message
     assert oracle.cached(0, 10) is None
 
 
