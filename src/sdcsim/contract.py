@@ -42,7 +42,7 @@ from .errors import (
 from .journal import (FAILED_TERMINATION, MATURED_TERMINATION, PREFUND_TERMINATION, SETTLEMENT,
                       SYSTEM_ACTOR, TRANSITION, VALUATION, RecordShape)
 from .ledger import AccountId, Bucket, Ledger, check_amount
-from .valuation import Product, SettlementAmount, round_to_minor_units
+from .valuation import MATURITY_TOLERANCE, Product, SettlementAmount, round_to_minor_units
 
 
 class Phase(str, Enum):
@@ -119,7 +119,7 @@ class ContractSpec:
         if self.tick_years <= 0:
             raise ValueError("tick_years must be positive")
         grid_maturity = grid[-1] * self.tick_years
-        if abs(self.product.maturity - grid_maturity) > 1e-9:
+        if abs(self.product.maturity - grid_maturity) > MATURITY_TOLERANCE:
             raise ValueError(f"product maturity {self.product.maturity} does not sit on the "
                              f"final grid tick ({grid_maturity})")
         if self.party_a == self.party_b:

@@ -8,7 +8,9 @@ products are priced on it:
     (with r = 0 a settlement equals N * dS exactly).
   * VanillaSwap (payer-fixed): N * sum over remaining payments of
     tau_j * (f_j - K) * df(t, T_j), with forward rates read off the same
-    curve and the first remaining period accruing from t.
+    curve and the first remaining period accruing from t. The remaining
+    schedule is built once per valuation time; the arithmetic per payment
+    is unchanged.
 
 A period's settlement amount is the value change induced purely by the
 market-data move: both value terms are evaluated at the period end, one
@@ -30,7 +32,7 @@ it) and the willful agents' projections and the settlement share each price.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -82,6 +84,9 @@ class VanillaSwap:
     fixed_rate: float
     payment_times: tuple[float, ...]   # years, strictly increasing
     accruals: tuple[float, ...]        # year fractions, positive
+    # (t, ((T_j - t, tau_j), ...)) for the last valuation time `price` saw: a
+    # cache, so no argument and no part of ==, hash or repr
+    _remaining: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.payment_times:
@@ -102,23 +107,30 @@ class VanillaSwap:
 
 Product = Union[Forward, VanillaSwap]
 
+# years by which a valuation time may pass the maturity, and a contract's final
+# grid time (tick * tick_years, which need not round to it) may miss it
+MATURITY_TOLERANCE = 1e-9
+
 
 def price(product: Product, t: float, snapshot: MarketSnapshot) -> float:
     """Value V(t, M(s)) of the product's remaining cash flows at time t (years)."""
-    if t > product.maturity:
+    if t > product.maturity + MATURITY_TOLERANCE:
         raise PastMaturity(f"t={t} is past maturity {product.maturity}")
     if isinstance(product, Forward):
         return product.notional * (snapshot.spot - product.strike) * \
             math.exp(-snapshot.zero_rate * (product.maturity - t))  # df(t, T)
-    r = snapshot.zero_rate
+    memo_t, remaining = product._remaining
+    if t != memo_t:  # a NaN t never matches, and every payment is kept for it
+        remaining = tuple((T_j - t, tau) for T_j, tau in zip(product.payment_times,
+                                                             product.accruals) if not T_j <= t)
+        object.__setattr__(product, "_remaining", (t, remaining))
+    neg_r, fixed_rate, exp = -snapshot.zero_rate, product.fixed_rate, math.exp
     total = 0.0
     df_start = 1.0  # first remaining period accrues from t: df(t, t)
-    for T_j, tau in zip(product.payment_times, product.accruals):
-        if T_j <= t:
-            continue
-        df_end = math.exp(-r * (T_j - t))  # df(t, T_j)
+    for tenor, tau in remaining:
+        df_end = exp(neg_r * tenor)  # df(t, T_j)
         fwd = (df_start / df_end - 1.0) / tau
-        total += tau * (fwd - product.fixed_rate) * df_end
+        total += tau * (fwd - fixed_rate) * df_end
         df_start = df_end
     return product.notional * total
 

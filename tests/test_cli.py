@@ -263,6 +263,28 @@ def test_finite_path_csv_runs(scenario_file, tmp_path):
                  "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("mode", ["active", "passive", "driver"])
+@pytest.mark.parametrize("policy", ["compliant", "willful:1000000000"])
+def test_a_maturity_within_the_tolerance_of_the_grid_runs(scenario_file, tmp_path, policy, mode):
+    # 3 * 0.1 is 0.30000000000000004, a hair past the 0.3 maturity
+    csv = tmp_path / "rates.csv"
+    csv.write_text("time,spot,zero_rate\n0,100.0,0.02\n1,100.0,0.021\n"
+                   "2,100.0,0.019\n3,100.0,0.025\n")
+    path = scenario_file(
+        drop=("market.initial_spot", "market.initial_rate", "market.volatility",
+              "market.drift"),
+        **{**SWAP, "contract__payment_times": "0.3", "contract__accruals": "0.3",
+           "contract__settlement_times": "0,3", "contract__prefund_window": "1",
+           "market__tick_years": "0.1"},
+        market__path_file=str(csv), agents__policy_a=policy)
+    assert main(["validate", path]) == 0
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out), "--mode", mode]) == 0
+    report = (out / "report.txt").read_text()
+    assert "termination_cause: MATURED" in report
+    assert "cycle=0 settle_tick=3 f=0.0 transfer=0 " in report
+
+
 @pytest.mark.parametrize("field,value", [
     ("spot", "nan"), ("spot", "inf"), ("zero_rate", "nan"), ("zero_rate", "inf"),
     ("zero_rate", "-inf"),

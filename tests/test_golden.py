@@ -3,8 +3,8 @@
 The determinism tests compare one run with another, so a change that
 alters every journal in the same way would pass them. These hashes pin
 the bytes themselves: a refactor or speed-up that keeps behaviour must
-leave every one of them unchanged. They cover the bundled scenarios in
-each trigger mode, a swap priced on a rate path by willful agents (once
+leave every one of them unchanged. They cover, in each trigger mode, the
+bundled scenarios and a swap priced on a rate path by willful agents (once
 with no trigger and once with party A emptying its wallet mid-run), and a
 long forward grid. The buffer calibration's samples and buffers are pinned
 the same way.
@@ -51,7 +51,15 @@ GOLDEN = {
         "3e1e4837f5be7eaecfcf17398dd0b89d4f9118b884b7015e098000c23da948cf",
     ("vanilla_swap", "active"):
         "c0692d25d7fe9a7bc96445c0654abb335d8d4a679605a74859cd5d34fe737b57",
+    ("vanilla_swap", "passive"):
+        "c0692d25d7fe9a7bc96445c0654abb335d8d4a679605a74859cd5d34fe737b57",
+    ("vanilla_swap", "driver"):
+        "c0692d25d7fe9a7bc96445c0654abb335d8d4a679605a74859cd5d34fe737b57",
     ("willful_swap", "active"):
+        "25a46453ffc8216781164fc55b747dd5b19d2aaa51bbac05b2cc1f91b6fff7e7",
+    ("willful_swap", "passive"):
+        "25a46453ffc8216781164fc55b747dd5b19d2aaa51bbac05b2cc1f91b6fff7e7",
+    ("willful_swap", "driver"):
         "25a46453ffc8216781164fc55b747dd5b19d2aaa51bbac05b2cc1f91b6fff7e7",
     ("long_grid", "active"):
         "c3c29e04c9b7c31c5062f5016e8efb62e94be0eecc435d59829b05e819fe24bf",
@@ -85,9 +93,21 @@ REPORTS = {
     ("vanilla_swap", "active"): (
         "b81ee3322ab3680ff156a7613f02ec95b5c6bb6944b2751287f8b698bce28068",
         "a20f151c827be78b62535264aaa9a3db08c52cd3afe491b7e11c24cff88dc160"),
+    ("vanilla_swap", "driver"): (
+        "b81ee3322ab3680ff156a7613f02ec95b5c6bb6944b2751287f8b698bce28068",
+        "4b7beb2aceeae88618cf9e3437de0fb930602880d4a365c65a713b53fded9273"),
+    ("vanilla_swap", "passive"): (
+        "b81ee3322ab3680ff156a7613f02ec95b5c6bb6944b2751287f8b698bce28068",
+        "60b39390b0e47eaa0265af232f993bb83ceb1a592159e20d09ac3e560c1b8e52"),
     ("willful_swap", "active"): (
         "b3284e1536c0a1cfcf98adf612e10b35cd5a72e4df51c6af472eb363ffb89875",
         "98497269b3494f29a0bd5c1ead14e68e833bec5cc812ac445b1f5aec44299a23"),
+    ("willful_swap", "driver"): (
+        "b3284e1536c0a1cfcf98adf612e10b35cd5a72e4df51c6af472eb363ffb89875",
+        "cf29645742ac7cca501a93701fc3f7a1b1ac91196df506c497598ad80fa198eb"),
+    ("willful_swap", "passive"): (
+        "b3284e1536c0a1cfcf98adf612e10b35cd5a72e4df51c6af472eb363ffb89875",
+        "1b7fcbf80b9283e90653e878d359ec3e12dee70386ccfb6aac9040769e5d86e3"),
     ("volatile_forward", "active"): (
         "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
         "a63dbfcbe1439c15705ae9189c7d8b5c24862fceece41caf7364d9259cb682e7"),
@@ -204,8 +224,8 @@ def test_final_journal_hash_is_pinned(name, mode, tmp_path):
 
 
 def test_golden_set_covers_every_bundled_scenario_in_every_mode():
-    bundled = {p.stem for p in SCENARIOS.glob("*.ini")}
-    assert {(name, mode.value) for name in bundled for mode in Mode} <= set(GOLDEN)
+    every_mode = {p.stem for p in SCENARIOS.glob("*.ini")} | {"vanilla_swap", "willful_swap"}
+    assert {(name, mode.value) for name in every_mode for mode in Mode} <= set(GOLDEN)
     assert set(REPORTS) == set(GOLDEN)
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import ast
+import copy
 import itertools
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +83,11 @@ def test_pricing_past_maturity_rejected():
     product = Forward(notional=1.0, strike=100.0, maturity=1.0)
     with pytest.raises(PastMaturity):
         price(product, 1.5, snap())
+    with pytest.raises(PastMaturity):
+        price(product, 1.0 + 2 * valuation.MATURITY_TOLERANCE, snap())
+    # a grid time within the contract's maturity tolerance is priced
+    assert price(product, 1.0 + valuation.MATURITY_TOLERANCE / 2, snap(spot=101.0)) \
+        == pytest.approx(1.0)
 
 
 # -- swap pricing --
@@ -152,6 +159,27 @@ def test_swap_price_is_bit_identical_to_the_two_discount_factor_loop(case, past)
     assert price(swap, t, s) == reference_swap_price(swap, t, s)
     with pytest.raises(PastMaturity):
         price(swap, swap.maturity + past, s)
+
+
+def test_swap_remaining_schedule_follows_the_valuation_time():
+    # the swap keeps the schedule of the last time it was priced at; going
+    # back to an earlier time, or on to a payment date, must rebuild it
+    swap = VanillaSwap(notional=1e6, fixed_rate=0.025, payment_times=(0.5, 1.0, 1.75, 2.5),
+                       accruals=(0.5, 0.5, 0.75, 0.75))
+    twin = VanillaSwap(swap.notional, swap.fixed_rate, swap.payment_times, swap.accruals)
+    before = (hash(swap), repr(swap))
+    for t in (1.2, 1.2, 0.0, 1.0, 1.2, -0.0, 0.5, 2.1, 2.5, 0.75):
+        for rate in (0.03, 0.0, -0.0, -0.01):
+            s = snap(rate=rate)
+            assert price(swap, t, s) == reference_swap_price(swap, t, s), (t, rate)
+    assert math.isnan(price(swap, math.nan, snap()))  # no payment is dropped for a NaN time
+    assert price(swap, 1.2, snap()) == reference_swap_price(swap, 1.2, snap())
+    assert swap == twin and (hash(swap), repr(swap)) == before
+    assert replace(swap, fixed_rate=0.03) == replace(twin, fixed_rate=0.03)
+    copied = copy.deepcopy(swap)
+    assert copied == swap and price(copied, 0.5, snap()) == price(twin, 0.5, snap())
+    with pytest.raises(TypeError):
+        VanillaSwap(1e6, 0.025, (1.0,), (1.0,), (None, ()))
 
 
 # -- settlement amounts --
