@@ -56,10 +56,27 @@ class Phase(str, Enum):
     ERROR = "Error"
 
 
+# the members as module names: a lookup on an Enum class (`Phase.ERROR`) costs ~0.2 us
+(PRE_CHECK, ACCOUNTS_OPEN, MARGIN_CHECK, AWAIT_VALUATION, MARGIN_CALCULATION, SETTLED, TERMINATED,
+ ERROR) = Phase
+MARGIN, FEE = Bucket.MARGIN, Bucket.FEE
+FINAL_PHASES = frozenset({TERMINATED, ERROR})
+
+
 class TerminationCause(str, Enum):
     INSUFFICIENT_PREFUND = "INSUFFICIENT_PREFUND"
     SETTLEMENT_FAILED = "SETTLEMENT_FAILED"
     MATURED = "MATURED"
+
+
+# the label of a state in each phase that carries a field; any other is labelled by its value
+_LABELS = {
+    ACCOUNTS_OPEN: lambda s: f"AccountsOpen[until={s.until}]",
+    AWAIT_VALUATION: lambda s: f"AwaitValuation[settleAt={s.settle_at}]",
+    SETTLED: lambda s: f"Settled[{s.cycle}]",
+    TERMINATED: lambda s: f"Terminated[{s.cause.value}@{s.at}]",
+    ERROR: lambda s: f"Error[{s.detail}]",
+}
 
 
 class ContractState(NamedTuple):
@@ -72,17 +89,8 @@ class ContractState(NamedTuple):
     detail: str | None = None         # ERROR
 
     def label(self) -> str:
-        if self.phase is Phase.ACCOUNTS_OPEN:
-            return f"AccountsOpen[until={self.until}]"
-        if self.phase is Phase.AWAIT_VALUATION:
-            return f"AwaitValuation[settleAt={self.settle_at}]"
-        if self.phase is Phase.SETTLED:
-            return f"Settled[{self.cycle}]"
-        if self.phase is Phase.TERMINATED:
-            return f"Terminated[{self.cause.value}@{self.at}]"
-        if self.phase is Phase.ERROR:
-            return f"Error[{self.detail}]"
-        return self.phase.value
+        render = _LABELS.get(self.phase)
+        return self.phase._value_ if render is None else render(self)  # `.value` costs ~0.3 us
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,8 @@ class ContractInstance:
             ledger.balance_of(party)  # parties must exist on this ledger
         self.spec = spec
         self.ledger = ledger
-        self._state = ContractState(phase=Phase.PRE_CHECK)
+        self._append, self._now = ledger.journal.append, ledger.clock.now  # bound once
+        self._state = ContractState(PRE_CHECK)
         self._label = self._state.label()  # rendered once per state, by `_transition`
         self.cycle = 0
         self.pending_valuation: SettlementAmount | None = None
@@ -172,13 +181,13 @@ class ContractInstance:
 
     @property
     def is_final(self) -> bool:
-        return self._state.phase in (Phase.TERMINATED, Phase.ERROR)
+        return self._state.phase in FINAL_PHASES
 
     def margin_bucket(self, party: AccountId) -> int:
-        return self.ledger.segregated_balance(self.spec.contract_id, party, Bucket.MARGIN)
+        return self.ledger.segregated_balance(self.spec.contract_id, party, MARGIN)
 
     def fee_bucket(self, party: AccountId) -> int:
-        return self.ledger.segregated_balance(self.spec.contract_id, party, Bucket.FEE)
+        return self.ledger.segregated_balance(self.spec.contract_id, party, FEE)
 
     # -- helpers --
 
@@ -189,7 +198,8 @@ class ContractInstance:
     def _transition(self, new: ContractState, cause: str) -> None:
         old, self._label = self._label, new.label()
         self._state = new
-        self._journal(TRANSITION, cause, self.spec.contract_id, self._label, old)
+        self._append(TRANSITION.pack(self._now(), SYSTEM_ACTOR, cause, self.spec.contract_id,
+                                     self._label, old))
 
     def _release(self, party: AccountId, bucket: Bucket, amount: int, to: AccountId) -> None:
         if amount > 0:
@@ -198,7 +208,7 @@ class ContractInstance:
 
     def _journal(self, shape: RecordShape, *values) -> None:
         """Journal a `shape` record by the system, now; `values` in its key order."""
-        self.ledger.journal.append(shape.pack(self.ledger.clock.now(), SYSTEM_ACTOR, *values))
+        self._append(shape.pack(self._now(), SYSTEM_ACTOR, *values))
 
     # -- lifecycle operations --
 
@@ -209,7 +219,7 @@ class ContractInstance:
         first margin buffer; refuses (naming the deficient party) without
         touching the ledger otherwise.
         """
-        if self._state.phase is not Phase.PRE_CHECK:
+        if self._state.phase is not PRE_CHECK:
             raise WrongState(f"{self.spec.contract_id} already initialized")
         top_ups = {}
         for party in self.spec.parties:
@@ -222,81 +232,77 @@ class ContractInstance:
             top_ups[party] = top_up
         for party in self.spec.parties:
             if top_ups[party]:
-                self.ledger.lock_segregated(self.spec.contract_id, party, Bucket.FEE,
+                self.ledger.lock_segregated(self.spec.contract_id, party, FEE,
                                             top_ups[party], actor=SYSTEM_ACTOR)
-        self._transition(ContractState(phase=Phase.ACCOUNTS_OPEN,
-                                       until=self.ledger.clock.now() + self.spec.prefund_window),
+        self._transition(ContractState(ACCOUNTS_OPEN, until=self._now() + self.spec.prefund_window),
                          cause="initialized")
 
     def deposit_margin(self, party: AccountId, amount: int) -> None:
         self._require_party(party)
-        if self._state.phase is not Phase.ACCOUNTS_OPEN:
+        if self._state.phase is not ACCOUNTS_OPEN:
             raise AccountsNotOpen(f"margin wallet closed in {self._label}")
-        self.ledger.lock_segregated(self.spec.contract_id, party, Bucket.MARGIN,
-                                    amount, actor=party)
+        self.ledger.lock_segregated(self.spec.contract_id, party, MARGIN, amount, actor=party)
 
     def withdraw_margin(self, party: AccountId, amount: int) -> None:
         self._require_party(party)
-        if self._state.phase is not Phase.ACCOUNTS_OPEN:
+        if self._state.phase is not ACCOUNTS_OPEN:
             raise AccountsNotOpen(f"margin wallet closed in {self._label}")
-        self.ledger.release_segregated(self.spec.contract_id, party, Bucket.MARGIN,
+        self.ledger.release_segregated(self.spec.contract_id, party, MARGIN,
                                        amount, party, actor=party)
 
     def deposit_fee(self, party: AccountId, amount: int) -> None:
         """Fee posting is legal only before initialization completes."""
         self._require_party(party)
-        if self._state.phase is not Phase.PRE_CHECK:
+        if self._state.phase is not PRE_CHECK:
             raise WrongState("termination fee can only be posted at inception")
-        self.ledger.lock_segregated(self.spec.contract_id, party, Bucket.FEE,
-                                    amount, actor=party)
+        self.ledger.lock_segregated(self.spec.contract_id, party, FEE, amount, actor=party)
 
     def withdraw_fee(self, party: AccountId, amount: int) -> None:
         """Fee withdrawal is legal only after regular termination at maturity."""
         self._require_party(party)
-        if not (self._state.phase is Phase.TERMINATED
+        if not (self._state.phase is TERMINATED
                 and self._state.cause is TerminationCause.MATURED):
             raise WrongState("termination fee is locked until the contract matures")
-        self.ledger.release_segregated(self.spec.contract_id, party, Bucket.FEE,
-                                       amount, party, actor=party)
+        self.ledger.release_segregated(self.spec.contract_id, party, FEE, amount, party, actor=party)
 
     def close_accounts(self) -> None:
-        if self._state.phase is not Phase.ACCOUNTS_OPEN:
+        if self._state.phase is not ACCOUNTS_OPEN:
             raise WrongState(f"cannot close accounts in {self._label}")
-        now = self.ledger.clock.now()
+        now = self._now()
         if now < self._state.until:
             raise TooEarly(f"window open until tick {self._state.until}, now {now}")
-        self._transition(ContractState(phase=Phase.MARGIN_CHECK), cause="window-closed")
+        self._transition(ContractState(MARGIN_CHECK), cause="window-closed")
 
     def margin_check(self) -> None:
         """Verify both margin buckets cover their buffers; terminate otherwise."""
-        if self._state.phase is not Phase.MARGIN_CHECK:
+        if self._state.phase is not MARGIN_CHECK:
             raise WrongState(f"no margin check due in {self._label}")
         deficient = tuple(p for p in self.spec.parties
                           if self.margin_bucket(p) < self.spec.margin_required(p))
         if not deficient:
             settle_at = self.spec.settlement_times[self.cycle + 1]
-            self._transition(ContractState(phase=Phase.AWAIT_VALUATION, settle_at=settle_at),
+            self._transition(ContractState(AWAIT_VALUATION, settle_at=settle_at),
                              cause="margins-sufficient")
             return
         # Termination for insufficient prefunding: each deficient party's fee
         # bucket crosses to the counterparty; margins and surviving fees return.
         for party in self.spec.parties:
             if party in deficient:
-                self._release(party, Bucket.FEE, self.fee_bucket(party), self.spec.other(party))
+                self._release(party, FEE, self.fee_bucket(party), self.spec.other(party))
         for party in self.spec.parties:
-            self._release(party, Bucket.MARGIN, self.margin_bucket(party), party)
+            self._release(party, MARGIN, self.margin_bucket(party), party)
             if party not in deficient:
-                self._release(party, Bucket.FEE, self.fee_bucket(party), party)
-        now = self.ledger.clock.now()
+                self._release(party, FEE, self.fee_bucket(party), party)
+        now = self._now()
         self._journal(PREFUND_TERMINATION, TerminationCause.INSUFFICIENT_PREFUND.value,
                       self.spec.contract_id, ",".join(deficient), now)
-        self._transition(ContractState(phase=Phase.TERMINATED,
+        self._transition(ContractState(TERMINATED,
                                        cause=TerminationCause.INSUFFICIENT_PREFUND, at=now),
                          cause="margin-prefunding-insufficient")
 
     def deliver_valuation(self, amount: SettlementAmount) -> None:
         """Journal the period's delivered valuation and await its settlement."""
-        if self._state.phase is not Phase.AWAIT_VALUATION:
+        if self._state.phase is not AWAIT_VALUATION:
             raise WrongState(f"no valuation awaited in {self._label}")
         if amount.as_of != self._state.settle_at:
             raise TimestampMismatch(
@@ -305,8 +311,7 @@ class ContractInstance:
         self._journal(VALUATION, self.spec.contract_id, amount.as_of,
                       self.spec.settlement_times[self.cycle], self.spec.pricer_version,
                       repr(amount.value))
-        self._transition(ContractState(phase=Phase.MARGIN_CALCULATION,
-                                       settle_at=self._state.settle_at),
+        self._transition(ContractState(MARGIN_CALCULATION, settle_at=self._state.settle_at),
                          cause="valuation-delivered")
 
     def settle(self) -> None:
@@ -317,10 +322,10 @@ class ContractInstance:
         partially with the whole bucket, crosses the payer's fee and
         terminates.
         """
-        if self._state.phase is not Phase.MARGIN_CALCULATION:
+        if self._state.phase is not MARGIN_CALCULATION:
             raise WrongState(f"cannot settle in {self._label}")
         due = self._state.settle_at
-        now = self.ledger.clock.now()
+        now = self._now()
         if now < due:
             raise TooEarly(f"settlement due at tick {due}, now {now}")
         if now > due:
@@ -340,46 +345,43 @@ class ContractInstance:
         if payer is not None and amount > self.margin_bucket(payer):
             # Partial settlement: whole margin bucket plus the fee cross over.
             paid = self.margin_bucket(payer)
-            self._release(payer, Bucket.MARGIN, paid, receiver)
-            self._release(payer, Bucket.FEE, self.fee_bucket(payer), receiver)
-            self._release(receiver, Bucket.MARGIN, self.margin_bucket(receiver), receiver)
-            self._release(receiver, Bucket.FEE, self.fee_bucket(receiver), receiver)
+            self._release(payer, MARGIN, paid, receiver)
+            self._release(payer, FEE, self.fee_bucket(payer), receiver)
+            self._release(receiver, MARGIN, self.margin_bucket(receiver), receiver)
+            self._release(receiver, FEE, self.fee_bucket(receiver), receiver)
             self._journal(SETTLEMENT, paid, cid, self.cycle, "partial", payer, receiver,
                           repr(f.value))
             self._journal(FAILED_TERMINATION, TerminationCause.SETTLEMENT_FAILED.value, cid,
                           paid, amount, payer, now)
-            self._transition(ContractState(phase=Phase.TERMINATED,
+            self._transition(ContractState(TERMINATED,
                                            cause=TerminationCause.SETTLEMENT_FAILED, at=now),
                              cause="settlement-exceeded-margin")
             return
 
         if payer is not None and amount > 0:
-            self._release(payer, Bucket.MARGIN, amount, receiver)
+            self._release(payer, MARGIN, amount, receiver)
         self._journal(SETTLEMENT, amount, cid, self.cycle, "matured" if maturing else "settled",
                       payer or "", receiver or "", repr(f.value))
         settled_cycle = self.cycle
         self.pending_valuation = None
         if maturing:
             for party in self.spec.parties:
-                self._release(party, Bucket.MARGIN, self.margin_bucket(party), party)
+                self._release(party, MARGIN, self.margin_bucket(party), party)
             self._journal(MATURED_TERMINATION, TerminationCause.MATURED.value, cid, now)
-            self._transition(ContractState(phase=Phase.SETTLED, cycle=settled_cycle),
+            self._transition(ContractState(SETTLED, cycle=settled_cycle),
                              cause="final-settlement-executed")
-            self._transition(ContractState(phase=Phase.TERMINATED,
-                                           cause=TerminationCause.MATURED, at=now),
+            self._transition(ContractState(TERMINATED, cause=TerminationCause.MATURED, at=now),
                              cause="matured")
             return
         self.cycle += 1
-        self._transition(ContractState(phase=Phase.SETTLED, cycle=settled_cycle),
-                         cause="settlement-executed")
-        self._transition(ContractState(phase=Phase.ACCOUNTS_OPEN,
-                                       until=now + self.spec.prefund_window),
+        self._transition(ContractState(SETTLED, cycle=settled_cycle), cause="settlement-executed")
+        self._transition(ContractState(ACCOUNTS_OPEN, until=now + self.spec.prefund_window),
                          cause="cycle-complete")
 
     def return_fees(self) -> None:
         """Post both termination fees back after regular maturity; a second
         call finds both buckets empty and changes nothing."""
-        if not (self._state.phase is Phase.TERMINATED
+        if not (self._state.phase is TERMINATED
                 and self._state.cause is TerminationCause.MATURED):
             raise WrongState("fees are only posted back after maturity")
         for party in self.spec.parties:
@@ -391,4 +393,4 @@ class ContractInstance:
         """End the contract in ERROR on an oracle failure: absorbing, every bucket stays locked."""
         if self.is_final:
             raise WrongState(f"contract already final in {self._label}")
-        self._transition(ContractState(phase=Phase.ERROR, detail=detail), cause="oracle-failure")
+        self._transition(ContractState(ERROR, detail=detail), cause="oracle-failure")

@@ -159,8 +159,9 @@ class Ledger:
         self._accounts[party] -= amount
         key = (contract_id, party, bucket)
         self._segregated[key] = self._segregated.get(key, 0) + amount
+        # `_value_` is what Enum's `value` property returns; the property costs ~0.3 us
         self.journal.append(LOCK.pack(self.clock.now(), actor or party,
-                                      amount, bucket.value, contract_id, party))
+                                      amount, bucket._value_, contract_id, party))
 
     def release_segregated(self, contract_id: str, party: AccountId, bucket: Bucket,
                            amount: int, to: AccountId, actor: str | None = None) -> None:
@@ -174,7 +175,7 @@ class Ledger:
         self._segregated[key] = held - amount
         self._accounts[to] += amount
         self.journal.append(RELEASE.pack(self.clock.now(), actor or party,
-                                         amount, bucket.value, contract_id, to, party))
+                                         amount, bucket._value_, contract_id, to, party))
 
     # -- export --
 

@@ -29,6 +29,7 @@ import io
 import math
 import operator
 import re
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, chain, repeat
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contract import ContractInstance, ContractSpec, Phase
+from .contract import ACCOUNTS_OPEN, ContractInstance, ContractSpec, Phase
 from .errors import OracleFailure, ScenarioParseError, ScenarioValidationError, UnknownPricer
 from .journal import SETTLEMENT, VALUATION, Clock, EventKind, Journal, write_atomic
 from .ledger import AccountId, Bucket, Ledger
@@ -127,7 +128,7 @@ class CompliantAgent:
 
     def on_tick(self, engine: Engine, party: AccountId) -> None:
         contract = engine.contract
-        if contract.phase is not Phase.ACCOUNTS_OPEN:
+        if contract.phase is not ACCOUNTS_OPEN:
             return
         shortfall = contract.spec.margin_required(party) - contract.margin_bucket(party)
         if shortfall > 0:
@@ -169,7 +170,7 @@ class WillfulAgent(CompliantAgent):
         if self.triggered:
             return
         contract = engine.contract
-        if contract.phase is not Phase.ACCOUNTS_OPEN:
+        if contract.phase is not ACCOUNTS_OPEN:
             return
         exposure = self._projected_exposure(engine, party)
         if exposure is not None and exposure > self.threshold:
@@ -327,10 +328,18 @@ def _out_of_range(what: str, cause) -> ScenarioValidationError:
 
 
 def load_path_csv(path: str | Path) -> list[MarketSnapshot]:
-    """Market path file: header `time,spot,zero_rate`, one row per tick."""
+    """Market path file: header `time,spot,zero_rate`, one row per tick, read a
+    column at a time; if a check fails, a row-by-row read names the first bad row."""
     lines = _read_text(Path(path)).splitlines()
     if not lines or lines[0].strip() != "time,spot,zero_rate":
         raise ScenarioParseError("path file must start with header 'time,spot,zero_rate'", line=1)
+    with suppress(ValueError):  # a row without three fields, or a field that does not convert
+        ticks, spots, rates = zip(*map(str.split, filter(str.strip, lines[1:]), repeat(",")),
+                                  strict=True)
+        ticks, spots, rates = list(map(int, ticks)), list(map(float, spots)), list(map(float, rates))
+        if (all(map(operator.lt, ticks, ticks[1:])) and all(map((0.0).__lt__, spots))
+                and all(map(math.isfinite, spots + rates))):
+            return list(map(MarketSnapshot._make, zip(ticks, spots, rates)))
     snapshots = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():

@@ -113,6 +113,34 @@ def reference_one_period_samples(scenario, trials: int, stream: int) -> list[flo
     return samples
 
 
+def reference_path_rows(text: str):
+    """A market path file read row by row: its (tick, spot, rate) rows, or the
+    (reason, line) of the first row that fails a check, in the checks' order."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "time,spot,zero_rate":
+        return "path file must start with header 'time,spot,zero_rate'", 1
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        fields = raw.split(",")
+        if len(fields) != 3:
+            return "expected 'time,spot,zero_rate'", lineno
+        try:
+            tick, spot, rate = int(fields[0]), float(fields[1]), float(fields[2])
+        except ValueError as exc:
+            return str(exc), lineno
+        if spot <= 0:
+            return f"spot must be positive, got {spot}", lineno
+        for name, value in (("spot", spot), ("zero_rate", rate)):
+            if not math.isfinite(value):
+                return f"{name} must be finite, got {value!r}", lineno
+        if rows and tick <= rows[-1][0]:
+            return "ticks must be strictly increasing", lineno
+        rows.append((tick, spot, rate))
+    return rows
+
+
 def par_rate(payment_times, accruals, rate: float, t: float = 0.0) -> float:
     """Fixed rate that values the swap to zero on a flat curve."""
     df = lambda T: math.exp(-rate * (T - t))

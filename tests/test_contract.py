@@ -12,6 +12,7 @@ from sdcsim import (
     SettlementAmount,
     TerminationCause,
 )
+from sdcsim import contract as contract_module
 from sdcsim.errors import (
     AccountsNotOpen,
     InsufficientSegregated,
@@ -64,6 +65,13 @@ def run_cycle(contract, clock, value: float) -> Settled:
 def deficient(journal) -> str:
     (termination,) = journal.records(EventKind.TERMINATION)
     return termination.detail("deficient")
+
+
+def test_the_module_names_are_the_enum_members():
+    """`contract.py` binds its phases by unpacking `Phase` in definition order,
+    and its buckets by name: each module name must be the member it names."""
+    assert all(getattr(contract_module, phase.name) is phase for phase in Phase)
+    assert all(getattr(contract_module, bucket.name) is bucket for bucket in Bucket)
 
 
 # -- initialization --

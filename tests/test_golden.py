@@ -6,8 +6,11 @@ the bytes themselves: a refactor or speed-up that keeps behaviour must
 leave every one of them unchanged. They cover, in each trigger mode, the
 bundled scenarios and a swap priced on a rate path by willful agents (once
 with no trigger and once with party A emptying its wallet mid-run), and a
-long forward grid. The buffer calibration's samples and buffers are pinned
-the same way.
+long forward grid. Variants of `volatile_forward` reach the paths those
+never take: a partial settlement, a refused initialization, an oracle
+failure, a contract id too long for `RecordShape.pack`'s ASCII template,
+and journaled rejections. The buffer calibration's samples and buffers are
+pinned the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from sdcsim import Mode, load_scenario, parse_scenario, run_simulation
+from sdcsim import (Engine, LifecycleEvent, Mode, ScriptStep, load_scenario, parse_scenario,
+                    run_simulation)
+from sdcsim.journal import (FAILED_TERMINATION, LOCK, MATURED_TERMINATION, PREFUND_TERMINATION,
+                            REJECTION, RELEASE, SETTLEMENT, TRANSFER, TRANSITION, VALUATION)
 from sdcsim.simulator import (
     calibrate_buffer,
     one_period_samples,
@@ -63,6 +69,36 @@ GOLDEN = {
         "25a46453ffc8216781164fc55b747dd5b19d2aaa51bbac05b2cc1f91b6fff7e7",
     ("long_grid", "active"):
         "c3c29e04c9b7c31c5062f5016e8efb62e94be0eecc435d59829b05e819fe24bf",
+    ("thin_margins", "active"):
+        "82a9a0c056fd30e160f4f3467f25280aa8b6078762bf0c3c24fe09b4582ecaa5",
+    ("thin_margins", "passive"):
+        "82a9a0c056fd30e160f4f3467f25280aa8b6078762bf0c3c24fe09b4582ecaa5",
+    ("thin_margins", "driver"):
+        "82a9a0c056fd30e160f4f3467f25280aa8b6078762bf0c3c24fe09b4582ecaa5",
+    ("underfunded", "active"):
+        "7dce71c900ddb122d16df111e7f2a16a2c79ebff56a88e6da513ca341dfe5baf",
+    ("underfunded", "passive"):
+        "7dce71c900ddb122d16df111e7f2a16a2c79ebff56a88e6da513ca341dfe5baf",
+    ("underfunded", "driver"):
+        "7dce71c900ddb122d16df111e7f2a16a2c79ebff56a88e6da513ca341dfe5baf",
+    ("missing_tick", "active"):
+        "69309d17666673f888794df8e7d5c698e822cc6d5787104d1cc9064e13be9173",
+    ("missing_tick", "passive"):
+        "69309d17666673f888794df8e7d5c698e822cc6d5787104d1cc9064e13be9173",
+    ("missing_tick", "driver"):
+        "69309d17666673f888794df8e7d5c698e822cc6d5787104d1cc9064e13be9173",
+    ("long_contract_id", "active"):
+        "0d555f3e1d7f87c0d7816f6f927e17c578d9717333974d5f7e705e1bef0a8f27",
+    ("long_contract_id", "passive"):
+        "0d555f3e1d7f87c0d7816f6f927e17c578d9717333974d5f7e705e1bef0a8f27",
+    ("long_contract_id", "driver"):
+        "0d555f3e1d7f87c0d7816f6f927e17c578d9717333974d5f7e705e1bef0a8f27",
+    ("rejected_rows", "active"):
+        "06c4bb601ec8c7b31a68e94640c3bc81b28afe3dd3928fbc79664ab5fd4abb45",
+    ("rejected_rows", "passive"):
+        "5dd49b76337b555bde547b75e956c7a0f6bb0e5439197ef82c94a43ee87d1584",
+    ("rejected_rows", "driver"):
+        "d118884c07f4c3576edadaeef4ba82e34059d8d5e9bc7e166df8e039130f1ae4",
 }
 
 # SHA-256 of render_report_csv and render_report_text for each case. The
@@ -117,6 +153,51 @@ REPORTS = {
     ("volatile_forward", "passive"): (
         "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
         "ada933258ebdc1eee5118fa186b62e8a74588d56c74daab19cd4dd14fe2dc111"),
+    ("thin_margins", "active"): (
+        "032d6defd786a86a81cafc46c1d65607e1671f2995e58cc5290a5d0ada4f8c91",
+        "85b241add5829fb79ae66fc82e1df874d2cb379a3145a197686c8685fbfac60a"),
+    ("thin_margins", "passive"): (
+        "032d6defd786a86a81cafc46c1d65607e1671f2995e58cc5290a5d0ada4f8c91",
+        "3c9211a756ddeb5267a3ac17bb397bd782937be52f46b263768976fa562403a9"),
+    ("thin_margins", "driver"): (
+        "032d6defd786a86a81cafc46c1d65607e1671f2995e58cc5290a5d0ada4f8c91",
+        "6bd7df8cbb8eb4359863e0509da8ce332de9fbe357258f27d290d93079fce780"),
+    ("underfunded", "active"): (
+        "822e393a2e5a0b1abab37a0f0b815cc0d06098dea4b379adc4e3649edc108a81",
+        "34ad8fa85724e02e2ac0311f4dbbc61b885fd39f6667594a9f42beb0776635a4"),
+    ("underfunded", "passive"): (
+        "822e393a2e5a0b1abab37a0f0b815cc0d06098dea4b379adc4e3649edc108a81",
+        "33c45e32b101d05dc1883a59611fb90858b3ed9ea3b5bb6b32ae0cc9b38d9b7c"),
+    ("underfunded", "driver"): (
+        "822e393a2e5a0b1abab37a0f0b815cc0d06098dea4b379adc4e3649edc108a81",
+        "e5cc8f8ca68c1921af6f12aaf17f5393cb6b78e37bc2c792c0a89b5ad9062781"),
+    ("missing_tick", "active"): (
+        "15211d18df31f0069b8e5f9b16f3fe0afcde5ccca23e47dc2cafb429a2b7ac9e",
+        "2597a37efff5cc1b157a44ec76bd6684423ebdc414b519430c2dfc83b26c5d87"),
+    ("missing_tick", "passive"): (
+        "15211d18df31f0069b8e5f9b16f3fe0afcde5ccca23e47dc2cafb429a2b7ac9e",
+        "9d7d5ebba77fd0e196400898f943a45540e7c6be3fcd3c6a4dd672fbf20a0b7f"),
+    ("missing_tick", "driver"): (
+        "15211d18df31f0069b8e5f9b16f3fe0afcde5ccca23e47dc2cafb429a2b7ac9e",
+        "abb354de008e19e68e2f6bfbcaaf377885c812ad7c5a5930758c7558345b3658"),
+    ("long_contract_id", "active"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "050ec05861f7639757bc8b7ec4b8dba8a0db3260f5f5e348a2b3206b59665830"),
+    ("long_contract_id", "passive"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "c3c70e982fded299e70a749452d54c2af30132f68c84c68e1b663c70d4b5ffcd"),
+    ("long_contract_id", "driver"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "1e38b94fee393dd98ce477985730f8b8312ddd1448baf3f45947adb1970003a7"),
+    ("rejected_rows", "active"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "3603b9c853ac10c4194b1177952a7ac55672720444f43b482c37419ad4b470b2"),
+    ("rejected_rows", "passive"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "b6e7dbe514b36ef2aa50d90ca80e8e657b3e038de4c434687a9e3426c061bdf8"),
+    ("rejected_rows", "driver"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "4efe57625bae9a8fcb2fc97574d6c9f1d3d18b7ea109d1ebfade6a4beff32608"),
 }
 
 # SHA-256 of repr(one_period_samples(scenario, 5000, stream)) and
@@ -205,17 +286,65 @@ def _scenario(name: str, tmp_path: Path):
         return _swap_scenario(tmp_path, policy_a="willful:10000", name=name)
     if name == "long_grid":
         return _long_grid_scenario()
+    if name in VARIANTS:
+        return VARIANTS[name](load_scenario(SCENARIOS / "volatile_forward.ini"), tmp_path)
     return load_scenario(SCENARIOS / f"{name}.ini")
+
+
+def _with_contract(scenario, **terms):
+    return replace(scenario, contract=replace(scenario.contract, **terms))
+
+
+def _path_missing_tick_40(scenario, tmp_path: Path):
+    """The scenario on a path file with no row for settlement tick 40."""
+    rows = ["time,spot,zero_rate"]
+    rows += [f"{k},{100.0 + (k * 7 % 11 - 5) * 0.5!r},0.01" for k in range(101) if k != 40]
+    path = tmp_path / "gap.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return replace(scenario, market=None, path_file=str(path))
+
+
+# `volatile_forward` variants, each reaching a path the other cases never take
+VARIANTS = {
+    # SETTLEMENT_FAILED: a partial Settlement and a FAILED_TERMINATION
+    "thin_margins": lambda s, _: _with_contract(s, margin_a=30, margin_b=30),
+    # PRECONDITION_FAILED: party A cannot cover its fee and first buffer
+    "underfunded": lambda s, _: replace(s, funding_a=100),
+    # ERROR: the oracle finds no snapshot for tick 40, an Error[...] label
+    "missing_tick": _path_missing_tick_40,
+    # a 130-character contract id packs through EventRecord, not the ASCII template
+    "long_contract_id": lambda s, _: _with_contract(s, contract_id="SDC-" + "x" * 126),
+    # journaled rejections: rows that `_with_rejected_rows` adds to the run's script
+    "rejected_rows": lambda s, _: s,
+}
+
+
+def _with_rejected_rows(script):
+    """The script plus rows requested out of turn, by an outsider, at a wrong
+    tick and ahead of the valuation, each placed before its tick's own rows."""
+    party, E = script[0].party, LifecycleEvent
+    extra = [ScriptStep(0, E.MARGIN_CHECK, party), ScriptStep(13, E.CLOSE_ACCOUNTS, "outsider#9"),
+             ScriptStep(25, E.SETTLEMENT, party), ScriptStep(30, E.SETTLEMENT, party)]
+    return sorted([*extra, *script], key=lambda step: step.tick)
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name,mode", sorted(GOLDEN))
-def test_final_journal_hash_is_pinned(name, mode, tmp_path):
+def _pinned_run(name: str, mode: str, tmp_path: Path, monkeypatch):
     scenario = replace(_scenario(name, tmp_path), mode=Mode(mode))
-    artifacts = run_simulation(scenario)
+    with monkeypatch.context() as patch:
+        if name == "rejected_rows":
+            run = Engine.run
+            patch.setattr(Engine, "run", lambda engine, script=None: run(
+                engine, _with_rejected_rows(engine.timeline if script is None else script)))
+        return run_simulation(scenario)
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN))
+def test_final_journal_hash_is_pinned(name, mode, tmp_path, monkeypatch):
+    artifacts = _pinned_run(name, mode, tmp_path, monkeypatch)
     assert all(artifacts.report.checks.values())
     assert artifacts.journal.final_hash().hex() == GOLDEN[name, mode]
     report = artifacts.report
@@ -224,9 +353,27 @@ def test_final_journal_hash_is_pinned(name, mode, tmp_path):
 
 
 def test_golden_set_covers_every_bundled_scenario_in_every_mode():
-    every_mode = {p.stem for p in SCENARIOS.glob("*.ini")} | {"vanilla_swap", "willful_swap"}
+    every_mode = ({p.stem for p in SCENARIOS.glob("*.ini")} | {"vanilla_swap", "willful_swap"}
+                  | set(VARIANTS))
     assert {(name, mode.value) for name in every_mode for mode in Mode} <= set(GOLDEN)
     assert set(REPORTS) == set(GOLDEN)
+
+
+# every shape the engine writes; APPROVAL, BURN and TRANSFER_FROM have no engine caller
+ENGINE_SHAPES = (TRANSFER, LOCK, RELEASE, TRANSITION, REJECTION, VALUATION, SETTLEMENT,
+                 PREFUND_TERMINATION, FAILED_TERMINATION, MATURED_TERMINATION)
+
+
+def test_the_pinned_runs_reach_every_outcome_and_every_engine_shape(tmp_path, monkeypatch):
+    causes, written = set(), set()
+    for name in sorted({name for name, _ in GOLDEN}):
+        artifacts = _pinned_run(name, "active", tmp_path, monkeypatch)
+        causes.add(artifacts.report.termination_cause)
+        payloads = artifacts.journal.payloads()
+        written |= {shape for shape in ENGINE_SHAPES if any(shape.read(payloads))}
+    assert causes == {"MATURED", "INSUFFICIENT_PREFUND", "SETTLEMENT_FAILED", "ERROR",
+                      "PRECONDITION_FAILED"}
+    assert written == set(ENGINE_SHAPES)
 
 
 @pytest.mark.parametrize("name,stream", sorted(CALIBRATION))

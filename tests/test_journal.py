@@ -131,8 +131,8 @@ def test_load_payload_check_agrees_with_the_decoder(rec):
     variants += [payload[:i] + bytes([byte]) + payload[i + 1:]
                  for i in range(len(payload)) for byte in (0x00, 0x80, 0xC3, 0xFF)]
     assert list(journal_module._strings([payload])) != [None]
-    for variant in variants:
-        (strings,) = journal_module._strings([variant])
+    # one call over every variant: the walk reads each payload on its own
+    for variant, strings in zip(variants, journal_module._strings(variants), strict=True):
         assert (strings is None) == (_verdict(EventRecord.from_bytes, variant) is not None)
         if strings is not None:
             fields = (struct.unpack_from(">Q", variant)[0], strings[0], strings[1],

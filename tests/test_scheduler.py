@@ -188,6 +188,22 @@ def test_request_event_admissibility():
     assert contract.cycle == 1
 
 
+def test_only_parties_and_a_set_oracle_account_may_request():
+    bare = make_engine()  # built without an oracle account
+    assert bare._initialize()
+    blocks = len(bare.journal)
+    assert bare.request_event(None, E.OPEN_ACCOUNTS, 0) == (False, "NotAuthorized")
+    assert len(bare.journal) == blocks
+    assert bare.request_event(bare.spec.party_b, E.OPEN_ACCOUNTS, 0).accepted
+
+    contract = make_engine().contract
+    oracle = contract.ledger.open_account("oracle")
+    engine = Engine(contract, scripted_oracle(contract.spec, (0.0,) * 3), oracle_account=oracle)
+    assert engine._initialize()
+    assert engine.request_event(None, E.OPEN_ACCOUNTS, 0).reason == "NotAuthorized"
+    assert engine.request_event(oracle, E.OPEN_ACCOUNTS, 0).accepted
+
+
 def test_rejected_requests_change_nothing():
     engine = make_engine()
     engine._initialize()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import math
 import os
+import weakref
 from dataclasses import replace as dc_replace
 from pathlib import Path
 from statistics import NormalDist
@@ -49,6 +51,7 @@ from support import (
     open_intervals_respected,
     reference_normal_variates,
     reference_one_period_samples,
+    reference_path_rows,
     reference_path_spots,
 )
 
@@ -428,6 +431,35 @@ def test_path_csv_yields_finite_snapshots_or_an_sdc_error(tmp_path, text):
         assert math.isfinite(snap.spot) and snap.spot > 0
         assert math.isfinite(snap.zero_rate)
     assert [s.as_of for s in snapshots] == sorted({s.as_of for s in snapshots})
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(_CSV_ROW, max_size=8), blank=st.sampled_from(["", "  "]))
+def test_path_csv_reads_as_a_row_by_row_reader_does(tmp_path, rows, blank):
+    """Columns converted at once give the rows, or the error text and line,
+    that checking row by row gives."""
+    text = _csv_text(rows).replace("\n", f"\n{blank}\n", 1)  # a blank line, counted
+    file = tmp_path / "path.csv"
+    file.write_text(text, encoding="utf-8")
+    expected = reference_path_rows(text)
+    try:
+        assert [tuple(snap) for snap in load_path_csv(file)] == expected
+    except ScenarioParseError as exc:
+        assert (exc.reason, exc.line) == expected
+
+
+def test_a_finished_run_is_freed_without_the_cycle_collector():
+    """No reference cycle holds a run's engine, contract, journal or ledger, so
+    each run's memory goes with its artifacts, not at some later collection."""
+    artifacts = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini"))
+    held = [weakref.ref(part) for part in (artifacts.engine, artifacts.engine.contract,
+                                           artifacts.journal, artifacts.ledger)]
+    gc.disable()
+    try:
+        del artifacts
+        assert [ref() for ref in held] == [None] * len(held)
+    finally:
+        gc.enable()
 
 
 def test_negative_seed_is_rejected_at_load():
