@@ -39,7 +39,7 @@ import numpy as np
 
 from .contract import ACCOUNTS_OPEN, ContractInstance, ContractSpec, Phase
 from .errors import OracleFailure, ScenarioParseError, ScenarioValidationError, UnknownPricer
-from .journal import SETTLEMENT, VALUATION, Clock, EventKind, Journal, write_atomic
+from .journal import SETTLEMENT, SYSTEM_ACTOR, VALUATION, Clock, EventKind, Journal, write_atomic
 from .ledger import AccountId, Bucket, Ledger
 from .scheduler import Engine, ScriptStep, format_script, parse_script
 from .valuation import (
@@ -584,7 +584,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 @dataclass
 class CycleRow:
-    """One report row, read from a journaled Settlement."""
+    """One report row: a cycle's settlement, derived and proved against its journaled Settlement."""
 
     cycle: int
     period_start: int
@@ -633,45 +633,39 @@ _RESULTS = {"settled": "SETTLED", "matured": "MATURED", "partial": "FAILED"}
 
 def _settlement_rows(journal: Journal, spec: ContractSpec,
                      oracle: MarginOracle) -> tuple[list[CycleRow], bool]:
-    """Report rows from the journaled Settlements, and whether they reconcile: cycles 0,
-    1, ... on their period-end ticks (rows stop at the first that is not, or does not fit
-    its shape and numbers), values the oracle cached and the period's Valuation carries,
-    amounts and payers as `settle` derives them, and no valued period left unsettled."""
-    grid = spec.settlement_times
-    directions = {1: (spec.party_b, spec.party_a), -1: (spec.party_a, spec.party_b), 0: ("", "")}
+    """Report rows, and whether the journaled Valuations and Settlements reconcile: cycle c's
+    pair must be the bytes `deliver_valuation` and `settle` write from the amount the oracle
+    cached for period c. Only a Settlement that differs is decoded, and it passes only as a
+    partial one: a smaller decimal amount, outcome `partial`, all else as written. Rows stop
+    at the first record that is neither; they reconcile when every record got a row and no
+    cached period is left unsettled."""
+    grid, cid, last = spec.settlement_times, spec.contract_id, spec.cycles - 1
     valuations, settlements = journal.payloads_of(EventKind.VALUATION, EventKind.SETTLEMENT)
-    valued: list[str | None] = []  # the c-th Valuation's value, or None unless it values period c
-    for c, row in enumerate(VALUATION.read(valuations)):
-        ts, _, fields = row or (None, None, ())  # contract, end, start, pricer, value
-        valued.append(fields[-1] if c < spec.cycles and ts == grid[c + 1] and fields[:-1] == (
-            spec.contract_id, str(grid[c + 1]), str(grid[c]), spec.pricer_version) else None)
     rows: list[CycleRow] = []
-    ok = True
-    for row in SETTLEMENT.read(settlements):
-        cycle = len(rows)
-        ts, _, (amount_s, contract, cycle_s, outcome, payer, receiver, value_s) = \
-            row or (None, None, (None,) * 7)  # None: off its shape, which the next check fails
-        if cycle_s != str(cycle) or cycle >= spec.cycles or ts != grid[cycle + 1]:
-            return rows, False
-        try:
-            value, amount = float(value_s), int(amount_s)
-            due = abs(round_to_minor_units(value))
-        except (ValueError, OverflowError):  # inf or nan rounds to no int
-            return rows, False
-        cached = oracle.cached(grid[cycle], grid[cycle + 1])
-        ok = (ok and cached is not None and cached.value == value and outcome in _RESULTS
-              and contract == spec.contract_id and cycle < len(valued) and valued[cycle] == value_s
-              and amount_s == str(amount)
-              and (0 <= amount < due if outcome == "partial" else amount == due)
-              and (payer, receiver) == directions[(value > 0) - (value < 0)])
-        rows.append(CycleRow(
-            cycle=cycle, period_start=grid[cycle], settle_tick=ts,
-            value_end=cached.value_end if cached else None, f_value=value, amount=amount,
-            payer=payer, receiver=receiver, result=_RESULTS.get(outcome, outcome)))
+    for c, valued, settled in zip(range(spec.cycles), valuations, settlements):
+        start, end = grid[c], grid[c + 1]
+        if (cached := oracle.cached(start, end)) is None:
+            break
+        value, f = cached.value, repr(cached.value)
+        payer, receiver = ((spec.party_b, spec.party_a) if value > 0 else
+                           (spec.party_a, spec.party_b) if value < 0 else ("", ""))
+        due = amount = abs(round_to_minor_units(value))
+        outcome = "matured" if c == last else "settled"
+        if valued != VALUATION.pack(end, SYSTEM_ACTOR, cid, end, start, spec.pricer_version, f):
+            break
+        if settled != SETTLEMENT.pack(end, SYSTEM_ACTOR, due, cid, c, outcome, payer, receiver, f):
+            paid = row[2][0] if (row := next(SETTLEMENT.read([settled]))) else ""
+            if not (paid.isdecimal() and len(paid) <= len(str(due)) and int(paid) < due):
+                break  # no more digits than `due`: `int` never meets a long string
+            amount, outcome = int(paid), "partial"
+            if settled != SETTLEMENT.pack(end, SYSTEM_ACTOR, amount, cid, c, outcome, payer,
+                                          receiver, f):
+                break
+        rows.append(CycleRow(c, start, end, cached.value_end, value, amount, payer, receiver,
+                             _RESULTS[outcome]))
     n = len(rows)
-    unsettled = len(valued) > n or (
-        n < spec.cycles and oracle.cached(grid[n], grid[n + 1]) is not None)
-    return rows, ok and not unsettled
+    return rows, n == len(valuations) == len(settlements) and (
+        n == spec.cycles or oracle.cached(grid[n], grid[n + 1]) is None)
 
 
 def run_simulation(scenario: Scenario) -> RunArtifacts:

@@ -21,11 +21,13 @@ from pathlib import Path
 
 import pytest
 
+import sdcsim.journal
 from sdcsim import (Engine, LifecycleEvent, Mode, ScriptStep, load_scenario, parse_scenario,
                     run_simulation)
 from sdcsim.journal import (FAILED_TERMINATION, LOCK, MATURED_TERMINATION, PREFUND_TERMINATION,
                             REJECTION, RELEASE, SETTLEMENT, TRANSFER, TRANSITION, VALUATION)
 from sdcsim.simulator import (
+    _settlement_rows,
     calibrate_buffer,
     one_period_samples,
     render_report_csv,
@@ -350,6 +352,19 @@ def test_final_journal_hash_is_pinned(name, mode, tmp_path, monkeypatch):
     report = artifacts.report
     assert (_sha256(render_report_csv(report)), _sha256(render_report_text(report))) \
         == REPORTS[name, mode]
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN))
+def test_reconciliation_decodes_only_a_partial_settlement(name, mode, tmp_path, monkeypatch):
+    artifacts = _pinned_run(name, mode, tmp_path, monkeypatch)
+    engine, decodes = artifacts.engine, []
+    strings = sdcsim.journal._strings
+    monkeypatch.setattr(sdcsim.journal, "_strings",
+                        lambda payloads: decodes.append(len(payloads)) or strings(payloads))
+    assert _settlement_rows(artifacts.journal, engine.spec, engine.oracle) \
+        == (artifacts.report.cycles, True)
+    # every other Settlement, and every Valuation, is the re-encoding of what the oracle cached
+    assert decodes == ([1] if artifacts.report.termination_cause == "SETTLEMENT_FAILED" else [])
 
 
 def test_golden_set_covers_every_bundled_scenario_in_every_mode():

@@ -659,6 +659,8 @@ SETTLEMENT_TAMPERS = {
         r, payer=r.detail("receiver"), receiver=r.detail("payer")),
     "another_contracts": lambda r: _with_details(r, contract="SDC-2"),
     "amount_with_a_sign": lambda r: _with_details(r, amount="+" + r.detail("amount")),
+    "another_actor": lambda r: dc_replace(r, actor=r.detail("payer")),
+    "matured_early": lambda r: _with_details(r, outcome="matured"),
 }
 
 
@@ -684,13 +686,26 @@ def test_reconciliation_check_detects_mismatches():
     assert (len(artifacts.journal), len(unvalued)) == (27, 25)
     repriced = _rechained(artifacts.journal, lambda r: _with_details(
         r, pricer="other-v1") if r == first else r)
-    for tampered in (raised, unvalued, repriced):
+    by_another = _rechained(artifacts.journal, lambda r: dc_replace(
+        r, actor=rows[0].payer) if r == first else r)
+    for tampered in (raised, unvalued, repriced, by_another):
         assert not _settlement_rows(tampered, engine.spec, engine.oracle)[1]
+    # rows stop at the first record that is not what its writer wrote
+    volatile = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini"))
+    assert volatile.report.termination_cause == "MATURED"
+    k = 4
+    assert volatile.report.cycles[k].result == "SETTLED" and volatile.report.cycles[k].amount > 0
+    spec, oracle = volatile.engine.spec, volatile.engine.oracle
+    for name, tamper in SETTLEMENT_TAMPERS.items():
+        tampered = _with_tampered_settlement(volatile.journal, k, tamper)
+        assert _settlement_rows(tampered, spec, oracle) == (volatile.report.cycles[:k], False), name
+    kth = volatile.journal.records(EventKind.VALUATION)[k]
+    raised = _rechained(volatile.journal, lambda r: _with_details(
+        r, value=repr(float(r.detail("value")) + 1000)) if r == kth else r)
+    assert _settlement_rows(raised, spec, oracle) == (volatile.report.cycles[:k], False)
     # a valued period must have settled: cut a run's last Settlement, whether
     # it failed (this run) or matured (the bundled volatile forward); the
     # journaled Valuation alone tells, even if the oracle forgot the period
-    volatile = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini"))
-    assert volatile.report.termination_cause == "MATURED"
     for run in (artifacts, volatile):
         assert all(run.report.checks.values())
         last = run.report.cycles[-1]
