@@ -26,6 +26,7 @@ So any party requesting the timeline's rows yields one journal, bit for bit.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain, repeat
 from typing import NamedTuple, Protocol, Sequence
 
 from .contract import FINAL_PHASES, ContractInstance, ContractSpec, Phase, TerminationCause
@@ -53,17 +54,15 @@ class ScriptStep(NamedTuple):
 def timeline_script(spec: ContractSpec) -> list[ScriptStep]:
     """The timeline: one cycle per settlement interval, the last cycle
     carrying MATURITY, every event requested by party A."""
-    a, window, grid = spec.party_a, spec.prefund_window, spec.settlement_times
-    E = LifecycleEvent
-    steps: list[ScriptStep] = []
-    for t_open, t_settle in zip(grid, grid[1:]):
-        steps += (ScriptStep(t_open, E.OPEN_ACCOUNTS, a),
-                  ScriptStep(t_open + window, E.CLOSE_ACCOUNTS, a),
-                  ScriptStep(t_open + window + 1, E.MARGIN_CHECK, a),
-                  ScriptStep(t_settle, E.VALUATION, a),
-                  ScriptStep(t_settle, E.SETTLEMENT, a))
-    steps.append(ScriptStep(grid[-1], E.MATURITY, a))
-    return steps
+    window, grid, E = spec.prefund_window, spec.settlement_times, LifecycleEvent
+    opens, settles = grid[:-1], grid[1:]
+    ticks = [*chain.from_iterable(zip(opens, map(window.__add__, opens),
+                                      map((window + 1).__add__, opens), settles, settles)),
+             grid[-1]]
+    kinds = ((E.OPEN_ACCOUNTS, E.CLOSE_ACCOUNTS, E.MARGIN_CHECK, E.VALUATION, E.SETTLEMENT)
+             * len(opens) + (E.MATURITY,))
+    # `tuple.__new__` is what `ScriptStep._make` calls, without its Python frame per row
+    return list(map(tuple.__new__, repeat(ScriptStep), zip(ticks, kinds, repeat(spec.party_a))))
 
 
 _EVENTS = {kind.value: kind for kind in LifecycleEvent}
@@ -74,7 +73,7 @@ def format_script(steps: Sequence[ScriptStep]) -> str:
 
 
 def parse_script(text: str) -> list[ScriptStep]:
-    steps = []
+    ticks, kinds, parties = [], [], []  # columns: freed row tuples would fragment the heap
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -90,8 +89,10 @@ def parse_script(text: str) -> list[ScriptStep]:
             kind = _EVENTS.get(parts[1].strip()) or LifecycleEvent(parts[1].strip())
         except ValueError as exc:
             raise ScenarioParseError(str(exc), line=lineno) from None
-        steps.append(ScriptStep(tick, kind, parts[2].strip()))
-    return steps
+        ticks.append(tick)
+        kinds.append(kind)
+        parties.append(parts[2].strip())
+    return list(map(tuple.__new__, repeat(ScriptStep), zip(ticks, kinds, parties)))
 
 
 class RequestOutcome(NamedTuple):

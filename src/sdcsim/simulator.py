@@ -121,6 +121,15 @@ class Scenario:
 # -- agent policies --
 
 
+def _top_up(contract: ContractInstance, party: AccountId) -> None:
+    """Deposit what the party's free balance allows of its margin shortfall."""
+    shortfall = contract.spec.margin_required(party) - contract.margin_bucket(party)
+    if shortfall > 0:
+        deposit = min(shortfall, contract.ledger.balance_of(party))
+        if deposit > 0:
+            contract.deposit_margin(party, deposit)
+
+
 class CompliantAgent:
     """Tops the margin bucket up to the required buffer whenever allowed."""
 
@@ -128,13 +137,8 @@ class CompliantAgent:
 
     def on_tick(self, engine: Engine, party: AccountId) -> None:
         contract = engine.contract
-        if contract.phase is not ACCOUNTS_OPEN:
-            return
-        shortfall = contract.spec.margin_required(party) - contract.margin_bucket(party)
-        if shortfall > 0:
-            deposit = min(shortfall, engine.ledger.balance_of(party))
-            if deposit > 0:
-                contract.deposit_margin(party, deposit)
+        if contract.phase is ACCOUNTS_OPEN:
+            _top_up(contract, party)
 
 
 class DefaultingAgent(CompliantAgent):
@@ -158,6 +162,7 @@ class WillfulAgent(CompliantAgent):
     against the period-start snapshot, both priced by the oracle's `value`
     (so both agents and the settlement share one price per snapshot); the
     settlement-time snapshot is never available before accounts close.
+    Without a projection (past the last cycle, or an `OracleFailure`) it only tops up.
     """
 
     wakes = frozenset({Phase.ACCOUNTS_OPEN})
@@ -172,28 +177,24 @@ class WillfulAgent(CompliantAgent):
         contract = engine.contract
         if contract.phase is not ACCOUNTS_OPEN:
             return
-        exposure = self._projected_exposure(engine, party)
-        if exposure is not None and exposure > self.threshold:
-            held = contract.margin_bucket(party)
-            if held > 0:
-                contract.withdraw_margin(party, held)
-            self.triggered = True
-            return
-        super().on_tick(engine, party)
-
-    def _projected_exposure(self, engine: Engine, party: AccountId) -> float | None:
-        spec = engine.spec
-        cycle = engine.contract.cycle
-        if cycle >= spec.cycles:
-            return None
-        start, end = spec.settlement_times[cycle:cycle + 2]
-        value = engine.oracle.value
-        try:
-            projected = value(end, engine.clock.now()) - value(end, start)
-        except OracleFailure:  # a missing snapshot or a price out of range
-            return None
-        pays = projected > 0 if party == spec.party_b else projected < 0
-        return abs(projected) if pays else 0.0
+        spec, cycle = contract.spec, contract.cycle
+        grid = spec.settlement_times
+        if cycle < len(grid) - 1:
+            start, end = grid[cycle], grid[cycle + 1]
+            value = engine.oracle.value
+            try:
+                projected = value(end, engine.clock.now()) - value(end, start)
+            except OracleFailure:  # a missing snapshot or a price out of range
+                pass
+            else:
+                pays = projected > 0 if party == spec.party_b else projected < 0
+                if (abs(projected) if pays else 0.0) > self.threshold:
+                    held = contract.margin_bucket(party)
+                    if held > 0:
+                        contract.withdraw_margin(party, held)
+                    self.triggered = True
+                    return
+        _top_up(contract, party)
 
 
 def make_policy(spec: PolicySpec):
@@ -309,7 +310,9 @@ def generate_path(model: MarketModel, seed: int, ticks: int,
     # a spot at 0.0 or inf stays there or turns NaN, so the last one tells for all
     if not 0.0 < spots[-1] < math.inf:
         raise _out_of_range("spot", f"spot {spots[-1]!r} at tick {ticks - 1}")
-    return list(map(MarketSnapshot._make, zip(range(ticks), spots, repeat(model.initial_rate))))
+    # `tuple.__new__`, as `MarketSnapshot._make` calls it: no frame and no spot check per row
+    return list(map(tuple.__new__, repeat(MarketSnapshot),
+                    zip(range(ticks), spots, repeat(model.initial_rate))))
 
 
 def _log_move_terms(model: MarketModel) -> tuple[float, float]:
@@ -339,7 +342,7 @@ def load_path_csv(path: str | Path) -> list[MarketSnapshot]:
         ticks, spots, rates = list(map(int, ticks)), list(map(float, spots)), list(map(float, rates))
         if (all(map(operator.lt, ticks, ticks[1:])) and all(map((0.0).__lt__, spots))
                 and all(map(math.isfinite, spots + rates))):
-            return list(map(MarketSnapshot._make, zip(ticks, spots, rates)))
+            return list(map(tuple.__new__, repeat(MarketSnapshot), zip(ticks, spots, rates)))
     snapshots = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -695,7 +698,9 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
     initial_supply = ledger.total_supply()
 
     requester = {Mode.ACTIVE: oracle_account, Mode.PASSIVE: party_b, Mode.DRIVER: party_a}
-    script = [ScriptStep(tick, kind, requester[scenario.mode]) for tick, kind, _ in engine.timeline]
+    tick, kind, timeline = operator.itemgetter(0), operator.itemgetter(1), engine.timeline
+    script = list(map(tuple.__new__, repeat(ScriptStep), zip(
+        map(tick, timeline), map(kind, timeline), repeat(requester[scenario.mode]))))
     if scenario.mode is Mode.DRIVER:
         script = parse_script(format_script(script))
     engine.run(script)

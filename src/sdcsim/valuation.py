@@ -52,8 +52,8 @@ class _MarketData(NamedTuple):
 
 
 class MarketSnapshot(_MarketData):
-    """Observed market data at one simulation tick. `_make` and `_replace`
-    skip the positive-spot check that construction makes."""
+    """Observed market data at one simulation tick. `_make`, `_replace` and
+    `tuple.__new__` skip the positive-spot check that construction makes."""
 
     __slots__ = ()
 

@@ -137,4 +137,4 @@ def test_parse_script_on_arbitrary_text_fails_closed(text):
         steps = parse_script(text)
     except SdcError:
         return
-    assert all(isinstance(s, ScriptStep) and s.tick < 2**64 for s in steps)
+    assert all(type(s) is ScriptStep and s.tick < 2**64 for s in steps)

@@ -1,8 +1,9 @@
 """Planted faults, and the check that must catch each one.
 
-Each fault is planted by patching one method for one run of the bundled
-`volatile_forward` scenario in active mode, which matures after ten
-cycles. Each row names the check that must read False on the faulted run:
+Each fault is planted by patching one method for one run in active mode,
+of the bundled `volatile_forward` scenario, which matures after ten cycles,
+or of its `thin_margins` variant (margins of 30), which ends in
+SETTLEMENT_FAILED. Each row names the check that must read False on the faulted run:
 one of the run's own checks, or `audit`, the independent journal auditor
 that ROADMAP item 1 plans. A fault that no check catches yet is a strict
 expected failure whose reason names the item meant to catch it, so the
@@ -12,6 +13,7 @@ row turns red once the fault is caught and its mark must go.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -24,6 +26,13 @@ from sdcsim.ledger import Bucket
 from sdcsim.simulator import CompliantAgent
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "volatile_forward.ini"
+
+SCENARIOS = {
+    "volatile_forward": lambda scenario: scenario,
+    # a payer owes more than its margin of 30: a partial Settlement, then SETTLEMENT_FAILED
+    "thin_margins": lambda scenario: replace(
+        scenario, contract=replace(scenario.contract, margin_a=30, margin_b=30)),
+}
 
 lock_segregated, release_segregated = Ledger.lock_segregated, Ledger.release_segregated
 release, journal_record, return_fees = (ContractInstance._release, ContractInstance._journal,
@@ -82,6 +91,12 @@ def settlement_overstating_the_payment(self, shape, *values):
     journal_record(self, shape, *values)
 
 
+def partial_settlement_understating_the_payment(self, shape, *values):
+    if shape is SETTLEMENT and values[3] == "partial":  # amount, contract, cycle, outcome, ...
+        values = (values[0] - 1, *values[1:])
+    journal_record(self, shape, *values)
+
+
 class DepositsEveryTick(CompliantAgent):
     """Compliant, and deposits one more unit on every tick of a live contract."""
 
@@ -101,6 +116,8 @@ class Fault(NamedTuple):
     check: str                  # a key of the run report's checks, or "audit"
     pending: str | None = None  # the item meant to catch a fault no check catches yet
     policy: type | None = None  # both parties' agent, if not the scenario's
+    scenario: str = "volatile_forward"  # a key of SCENARIOS
+    ends: str = "MATURED"       # the termination cause of the scenario's clean run
 
 
 BALANCES = "item 1: the audit's balances disagree with the ledger's (a run check from item 16)"
@@ -121,15 +138,19 @@ FAULTS = [
           "item 1: the run must end in exactly one Termination"),
     Fault("settlement_overstates_the_payment", ContractInstance, "_journal",
           settlement_overstating_the_payment, "settlements_reconciled"),
+    Fault("partial_settlement_understates_the_payment", ContractInstance, "_journal",
+          partial_settlement_understating_the_payment, "audit",
+          "item 1: a partial Settlement's amount must be what its Release took from the payer",
+          scenario="thin_margins", ends="SETTLEMENT_FAILED"),
 ]
 
 
-def _run(monkeypatch, fault: Fault | None = None):
+def _run(monkeypatch, scenario: str, fault: Fault | None = None):
     if fault is not None:
         monkeypatch.setattr(fault.owner, fault.method, fault.planted)
         if fault.policy is not None:
             monkeypatch.setattr(simulator, "make_policy", lambda spec: fault.policy())
-    return run_simulation(load_scenario(SCENARIO))
+    return run_simulation(SCENARIOS[scenario](load_scenario(SCENARIO)))
 
 
 def _marked(fault: Fault):
@@ -139,14 +160,15 @@ def _marked(fault: Fault):
 
 @pytest.mark.parametrize("fault", map(_marked, FAULTS))
 def test_a_check_catches_the_planted_fault(fault, monkeypatch):
-    assert _run(monkeypatch, fault).report.checks.get(fault.check) is False
+    assert _run(monkeypatch, fault.scenario, fault).report.checks.get(fault.check) is False
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda fault: fault.name)
 def test_each_planted_fault_changes_a_run_that_still_matures(fault, monkeypatch):
-    # so that an expected failure above is the check missing the fault, not a dead plant
-    clean = _run(monkeypatch)
-    faulted = _run(monkeypatch, fault)
-    assert faulted.report.termination_cause == clean.report.termination_cause == "MATURED"
+    # so that an expected failure above is the check missing the fault, not a dead plant; the
+    # faulted run ends as the clean one does (matures, for every row on `volatile_forward`)
+    clean = _run(monkeypatch, fault.scenario)
+    faulted = _run(monkeypatch, fault.scenario, fault)
+    assert faulted.report.termination_cause == clean.report.termination_cause == fault.ends
     assert (faulted.report.journal_hash, faulted.report.final_wealth) \
         != (clean.report.journal_hash, clean.report.final_wealth)

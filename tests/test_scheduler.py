@@ -489,7 +489,10 @@ def test_journal_timestamps_never_decrease():
 def test_script_round_trip():
     contract, *_ = make_contract()
     steps = timeline_script(contract.spec)
-    assert parse_script(format_script(steps)) == steps
+    parsed = parse_script(format_script(steps))
+    assert parsed == steps
+    # `==` compares plain tuples; `_replace` and field access need the exact type
+    assert {type(step) for step in steps + parsed} == {ScriptStep}
 
 
 def test_script_parse_errors_carry_line_numbers():

@@ -31,11 +31,12 @@ from sdcsim import (
     write_report,
 )
 from sdcsim import simulator, valuation
-from sdcsim.errors import ScenarioParseError, ScenarioValidationError, SdcError
-from sdcsim.scheduler import Engine
-from sdcsim.valuation import PRICER_FLAT_CURVE_V1, get_pricer
+from sdcsim.errors import MissingSnapshot, ScenarioParseError, ScenarioValidationError, SdcError
+from sdcsim.scheduler import Engine, ScriptStep
+from sdcsim.valuation import PRICER_FLAT_CURVE_V1, MarginOracle, get_pricer
 from sdcsim.simulator import (
     VARIATE_CHUNK,
+    WillfulAgent,
     _settlement_rows,
     calibrate_buffer,
     generate_path,
@@ -46,7 +47,7 @@ from sdcsim.simulator import (
     render_report_text,
 )
 
-from conftest import COUNTING_PRICER
+from conftest import COUNTING_PRICER, make_contract
 from support import (
     open_intervals_respected,
     reference_normal_variates,
@@ -373,7 +374,10 @@ def test_path_csv_round_trip(tmp_path):
     path = generate_path(model, 5, 30)
     file = tmp_path / "path.csv"
     write_path_csv(path, file)
-    assert load_path_csv(file) == path
+    loaded = load_path_csv(file)
+    assert loaded == path
+    # `==` compares plain tuples; `_replace` and field access need the exact type
+    assert {type(snap) for snap in path + loaded} == {MarketSnapshot}
 
 
 def test_path_csv_rejects_bad_header(tmp_path):
@@ -443,7 +447,9 @@ def test_path_csv_reads_as_a_row_by_row_reader_does(tmp_path, rows, blank):
     file.write_text(text, encoding="utf-8")
     expected = reference_path_rows(text)
     try:
-        assert [tuple(snap) for snap in load_path_csv(file)] == expected
+        snapshots = load_path_csv(file)
+        assert [tuple(snap) for snap in snapshots] == expected
+        assert all(type(snap) is MarketSnapshot for snap in snapshots)
     except ScenarioParseError as exc:
         assert (exc.reason, exc.line) == expected
 
@@ -621,6 +627,47 @@ def test_willful_agent_acts_alike_in_every_mode(seed):
     assert {r.termination_cause for r in reports} == {"INSUFFICIENT_PREFUND"}
 
 
+def _engine_at_inception(missing_tick=None):
+    """`make_contract`'s forward, initialized at tick 0 with no margin posted yet (400 due),
+    priced by a `MarginOracle` on a flat path that lacks `missing_tick`; and party B."""
+    contract, *_ = make_contract()
+    spec = contract.spec
+    path = generate_path(MarketModel(100.0, 0.0, 0.0, 0.0, spec.tick_years), 1,
+                         spec.settlement_times[-1] + 1)
+    oracle = MarginOracle([s for s in path if s.as_of != missing_tick], spec.product,
+                          spec.pricer_version, spec.tick_years)
+    engine = Engine(contract, oracle)
+    assert engine._initialize()
+    return engine, spec.party_b
+
+
+def test_the_willful_exposure_rule():
+    # a projection is always compared, even a favourable one: 0.0 > -1 triggers, 0.0 > 0 does not
+    for threshold, triggers, posted in ((-1, True, 0), (0, False, 400)):
+        engine, b = _engine_at_inception()
+        agent = WillfulAgent(threshold)
+        agent.on_tick(engine, b)
+        assert (agent.triggered, engine.contract.margin_bucket(b)) == (triggers, posted)
+
+    # no snapshot for the window tick: no projection, so no trigger test, but the top-up runs
+    engine, b = _engine_at_inception(missing_tick=2)
+    engine.clock.advance_to(2)
+    with pytest.raises(MissingSnapshot):
+        engine.oracle.value(10, 2)
+    agent = WillfulAgent(-1)
+    agent.on_tick(engine, b)
+    assert (agent.triggered, engine.contract.margin_bucket(b)) == (False, 400)
+
+    # past the last cycle there is no period to project: the oracle is not asked
+    engine, b = _engine_at_inception()
+    engine.contract.cycle = engine.spec.cycles
+    asked = []
+    engine.oracle.value = lambda *args: asked.append(args)
+    agent = WillfulAgent(-1)
+    agent.on_tick(engine, b)
+    assert (agent.triggered, engine.contract.margin_bucket(b), asked) == (False, 400, [])
+
+
 @pytest.mark.parametrize("mode", ["active", "passive", "driver"])
 def test_every_mode_reconciles(mode):
     scenario = make_scenario(market__volatility="0.2", run__mode=mode)
@@ -795,11 +842,13 @@ def test_inception_does_not_have_to_sit_on_tick_zero():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_the_trigger_mode_chooses_who_requests_the_events(mode, monkeypatch):
-    requesters, parsed = [], []
-    request, parse = Engine.request_event, simulator.parse_script
+    requesters, parsed, scripts = [], [], []
+    request, parse, run = Engine.request_event, simulator.parse_script, Engine.run
     monkeypatch.setattr(Engine, "request_event", lambda self, party, kind, now: (
         requesters.append(party) or request(self, party, kind, now)))
     monkeypatch.setattr(simulator, "parse_script", lambda text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(Engine, "run",
+                        lambda self, script: scripts.append(script) or run(self, script))
     artifacts = run_simulation(make_scenario(run__mode=mode.value))
     engine = artifacts.engine
     expected = {Mode.ACTIVE: engine.oracle_account, Mode.PASSIVE: engine.spec.party_b,
@@ -807,6 +856,9 @@ def test_the_trigger_mode_chooses_who_requests_the_events(mode, monkeypatch):
     assert artifacts.report.termination_cause == "MATURED"
     assert requesters == [expected] * len(engine.timeline)
     assert len(parsed) == (mode is Mode.DRIVER)
+    [script] = scripts
+    assert len(script) == len(engine.timeline)
+    assert {type(step) for step in script + engine.timeline} == {ScriptStep}
 
 
 # -- buffer calibration --
