@@ -31,6 +31,7 @@ from .simulator import (
 from .valuation import (
     Forward,
     MarginOracle,
+    MarketPath,
     MarketSnapshot,
     SettlementAmount,
     VanillaSwap,

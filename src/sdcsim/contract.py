@@ -124,10 +124,10 @@ class ContractSpec:
         gap = min(t2 - t1 for t1, t2 in zip(grid, grid[1:]))
         if not 1 <= self.prefund_window < gap:
             raise ValueError(f"prefund window must be in [1, {gap}), got {self.prefund_window}")
-        if self.tick_years <= 0:
+        if not self.tick_years > 0:
             raise ValueError("tick_years must be positive")
         grid_maturity = grid[-1] * self.tick_years
-        if abs(self.product.maturity - grid_maturity) > MATURITY_TOLERANCE:
+        if not abs(self.product.maturity - grid_maturity) <= MATURITY_TOLERANCE:
             raise ValueError(f"product maturity {self.product.maturity} does not sit on the "
                              f"final grid tick ({grid_maturity})")
         if self.party_a == self.party_b:

@@ -45,6 +45,7 @@ from .scheduler import Engine, ScriptStep, format_script, parse_script
 from .valuation import (
     Forward,
     MarginOracle,
+    MarketPath,
     MarketSnapshot,
     Product,
     VanillaSwap,
@@ -79,11 +80,11 @@ class MarketModel:
     tick_years: float
 
     def __post_init__(self):
-        if self.initial_spot <= 0:
+        if not self.initial_spot > 0:
             raise ValueError("initial_spot must be positive")
-        if self.volatility < 0:
+        if not self.volatility >= 0:
             raise ValueError("volatility must be non-negative")
-        if self.tick_years <= 0:
+        if not self.tick_years > 0:
             raise ValueError("tick_years must be positive")
 
 
@@ -292,9 +293,9 @@ _FAR_DEN = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751
 
 
 def generate_path(model: MarketModel, seed: int, ticks: int,
-                  stream: int = PATH_STREAM) -> list[MarketSnapshot]:
-    """Geometric Brownian spot path of `ticks` snapshots starting at tick 0;
-    the zero rate stays at its initial value."""
+                  stream: int = PATH_STREAM) -> MarketPath:
+    """Geometric Brownian spot path of `ticks` snapshots starting at tick 0:
+    `range` ticks, the spots, and the initial zero rate repeated."""
     if ticks < 1:
         raise ValueError("need at least one tick")
     drift_term, vol_term = _log_move_terms(model)
@@ -310,9 +311,7 @@ def generate_path(model: MarketModel, seed: int, ticks: int,
     # a spot at 0.0 or inf stays there or turns NaN, so the last one tells for all
     if not 0.0 < spots[-1] < math.inf:
         raise _out_of_range("spot", f"spot {spots[-1]!r} at tick {ticks - 1}")
-    # `tuple.__new__`, as `MarketSnapshot._make` calls it: no frame and no spot check per row
-    return list(map(tuple.__new__, repeat(MarketSnapshot),
-                    zip(range(ticks), spots, repeat(model.initial_rate))))
+    return MarketPath(range(ticks), spots, [model.initial_rate] * ticks)
 
 
 def _log_move_terms(model: MarketModel) -> tuple[float, float]:
@@ -330,9 +329,9 @@ def _out_of_range(what: str, cause) -> ScenarioValidationError:
         "market", f"the model drives the {what} out of the float range ({cause})")
 
 
-def load_path_csv(path: str | Path) -> list[MarketSnapshot]:
-    """Market path file: header `time,spot,zero_rate`, one row per tick, read a
-    column at a time; if a check fails, a row-by-row read names the first bad row."""
+def load_path_csv(path: str | Path) -> MarketPath:
+    """Market path file: header `time,spot,zero_rate`, one row per tick, read
+    into columns; if a check fails, a row-by-row read names the first bad row."""
     lines = _read_text(Path(path)).splitlines()
     if not lines or lines[0].strip() != "time,spot,zero_rate":
         raise ScenarioParseError("path file must start with header 'time,spot,zero_rate'", line=1)
@@ -342,8 +341,8 @@ def load_path_csv(path: str | Path) -> list[MarketSnapshot]:
         ticks, spots, rates = list(map(int, ticks)), list(map(float, spots)), list(map(float, rates))
         if (all(map(operator.lt, ticks, ticks[1:])) and all(map((0.0).__lt__, spots))
                 and all(map(math.isfinite, spots + rates))):
-            return list(map(tuple.__new__, repeat(MarketSnapshot), zip(ticks, spots, rates)))
-    snapshots = []
+            return MarketPath(ticks, spots, rates)
+    rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -351,17 +350,18 @@ def load_path_csv(path: str | Path) -> list[MarketSnapshot]:
         if len(parts) != 3:
             raise ScenarioParseError("expected 'time,spot,zero_rate'", line=lineno)
         try:
-            snapshot = MarketSnapshot(as_of=int(parts[0]), spot=float(parts[1]),
-                                      zero_rate=float(parts[2]))
+            tick, spot, rate = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ScenarioParseError(str(exc), line=lineno) from None
-        for field, value in (("spot", snapshot.spot), ("zero_rate", snapshot.zero_rate)):
+        if spot <= 0:  # a NaN spot passes, to be named as not finite
+            raise ScenarioParseError(f"spot must be positive, got {spot}", line=lineno)
+        for field, value in (("spot", spot), ("zero_rate", rate)):
             if not math.isfinite(value):
                 raise ScenarioParseError(f"{field} must be finite, got {value!r}", line=lineno)
-        if snapshots and snapshot.as_of <= snapshots[-1].as_of:
+        if rows and tick <= rows[-1][0]:
             raise ScenarioParseError("ticks must be strictly increasing", line=lineno)
-        snapshots.append(snapshot)
-    return snapshots
+        rows.append((tick, spot, rate))
+    return MarketPath(*zip(*rows))
 
 
 def _read_text(path: Path) -> str:
@@ -372,7 +372,7 @@ def _read_text(path: Path) -> str:
             from None
 
 
-def write_path_csv(snapshots: list[MarketSnapshot], path: str | Path) -> None:
+def write_path_csv(snapshots: MarketPath | list[MarketSnapshot], path: str | Path) -> None:
     out = io.StringIO()
     out.write("time,spot,zero_rate\n")
     for snap in snapshots:

@@ -32,8 +32,12 @@ it) and the willful agents' projections and the settlement share each price.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence, Union
+from itertools import repeat
+from typing import NamedTuple, Union
 
 from .errors import (
     EmptySamples,
@@ -52,15 +56,52 @@ class _MarketData(NamedTuple):
 
 
 class MarketSnapshot(_MarketData):
-    """Observed market data at one simulation tick. `_make`, `_replace` and
-    `tuple.__new__` skip the positive-spot check that construction makes."""
+    """Observed market data at one simulation tick. Construction raises
+    ValueError unless spot > 0 (so a NaN spot fails); `_make`, `_replace` and
+    `tuple.__new__` skip the check, as a MarketPath does for its rows."""
 
     __slots__ = ()
 
     def __new__(cls, as_of: int, spot: float, zero_rate: float):
-        if spot <= 0:
+        if not spot > 0:
             raise ValueError(f"spot must be positive, got {spot}")
         return tuple.__new__(cls, (as_of, spot, zero_rate))
+
+
+@dataclass(eq=False)
+class MarketPath(Sequence):
+    """A market path as three columns. It iterates, indexes by position (a slice
+    is a MarketPath) and compares (`==`, also with a list) as MarketSnapshot
+    rows, each built by `tuple.__new__` (no spot check) when read and not kept."""
+
+    ticks: Sequence[int] = ()
+    spots: Sequence[float] = ()
+    rates: Sequence[float] = ()     # zero rates
+
+    def __len__(self) -> int:
+        return len(self.ticks)
+
+    def __getitem__(self, i: int | slice) -> MarketSnapshot | MarketPath:
+        if isinstance(i, slice):
+            return MarketPath(self.ticks[i], self.spots[i], self.rates[i])
+        return tuple.__new__(MarketSnapshot, (self.ticks[i], self.spots[i], self.rates[i]))
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(MarketSnapshot), zip(self.ticks, self.spots, self.rates))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (MarketPath, list)) and list(self) == list(other)
+
+    def at(self, tick: int) -> MarketSnapshot:
+        """The row at `tick`, at its offset from the first tick; the ticks strictly
+        increase, so only a column with gaps is searched (by bisection)."""
+        ticks, n = self.ticks, len(self.ticks)
+        i = tick - ticks[0] if n else n
+        if not (0 <= i < n and ticks[i] == tick):
+            i = bisect_left(ticks, tick) if n and ticks[-1] - ticks[0] >= n else n
+            if i == n or ticks[i] != tick:
+                raise MissingSnapshot(f"no market snapshot stored for tick {tick}")
+        return tuple.__new__(MarketSnapshot, (ticks[i], self.spots[i], self.rates[i]))
 
 
 @dataclass(frozen=True)
@@ -72,7 +113,7 @@ class Forward:
     maturity: float       # years
 
     def __post_init__(self):
-        if self.maturity <= 0:
+        if not self.maturity > 0:
             raise ValueError("maturity must be positive")
 
 
@@ -93,11 +134,11 @@ class VanillaSwap:
             raise ValueError("swap needs at least one payment time")
         if len(self.payment_times) != len(self.accruals):
             raise ValueError("payment_times and accruals must have equal length")
-        if any(t2 <= t1 for t1, t2 in zip(self.payment_times, self.payment_times[1:])):
+        if any(not t2 > t1 for t1, t2 in zip(self.payment_times, self.payment_times[1:])):
             raise ValueError("payment times must be strictly increasing")
-        if self.payment_times[0] <= 0:
+        if not self.payment_times[0] > 0:
             raise ValueError("first payment time must be after contract start")
-        if any(tau <= 0 for tau in self.accruals):
+        if any(not tau > 0 for tau in self.accruals):
             raise ValueError("accruals must be positive")
 
     @property
@@ -210,11 +251,13 @@ def get_pricer(version: str) -> Callable[[Product, float, MarketSnapshot], float
 class MarginOracle:
     """Settlement-amount source shared by both parties of one contract.
 
-    Built over the contract's market path (ticks strictly increasing) with
-    the terms it pins. Each period is valued once by `settlement_amount` and
-    cached for idempotent re-queries; nothing is journaled here. A pricer
-    overflow, a swap's discount factor that underflows to zero or a
-    non-finite period value raises ValuationOutOfRange and caches nothing.
+    Built over the contract's market path (a MarketPath, or MarketSnapshot
+    rows turned into one; ticks strictly increasing) with the terms it pins.
+    A snapshot is built only for a tick it prices. Each period is valued once
+    by `settlement_amount` and cached for idempotent re-queries; nothing is
+    journaled here. A pricer overflow, a swap's discount factor that
+    underflows to zero or a non-finite period value raises ValuationOutOfRange
+    and caches nothing.
 
     `value` prices V(t_end) on one snapshot; `settlement_amount` and agents
     projecting the upcoming settlement price through it. Its memo holds the
@@ -224,23 +267,19 @@ class MarginOracle:
 
     def __init__(self, path: Sequence[MarketSnapshot], product: Product,
                  pricer_version: str, tick_years: float):
-        for prev, snapshot in zip(path, path[1:]):
-            if snapshot.as_of <= prev.as_of:
-                raise ValueError(f"snapshots must arrive in increasing tick order "
-                                 f"({prev.as_of} then {snapshot.as_of})")
-        self._snapshots = {snapshot.as_of: snapshot for snapshot in path}
+        if not isinstance(path, MarketPath):
+            path = MarketPath(*zip(*path))
+        ticks = path.ticks
+        if not all(map(operator.lt, ticks, ticks[1:])):  # one pass; a loop names the pair
+            prev, tick = next((a, b) for a, b in zip(ticks, ticks[1:]) if not a < b)
+            raise ValueError(f"snapshots must arrive in increasing tick order ({prev} then {tick})")
+        self._snapshot = path.at  # a tick the path lacks raises MissingSnapshot
         self.product = product
         self.pricer_version = pricer_version
         self.tick_years = tick_years
         self._cache: dict[tuple[int, int], SettlementAmount] = {}
         self._memo_end: int | None = None
         self._memo: dict[int, float] = {}
-
-    def _snapshot(self, tick: int) -> MarketSnapshot:
-        try:
-            return self._snapshots[tick]
-        except KeyError:
-            raise MissingSnapshot(f"no market snapshot stored for tick {tick}") from None
 
     def value(self, period_end: int, as_of: int) -> float:
         """V(t_end) of the contract's product on the snapshot at `as_of`."""

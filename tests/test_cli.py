@@ -244,7 +244,7 @@ def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_
     """The volatile_forward contract on a 101-row path CSV, optionally with one
     non-finite value at `bad_tick`."""
     model = MarketModel(100.0, 0.01, 0.2, 0.0, 0.004)
-    rows = generate_path(model, seed=2024, ticks=101)
+    rows = list(generate_path(model, seed=2024, ticks=101))  # a row list: one row is replaced
     if bad_field is not None:
         rows[bad_tick] = rows[bad_tick]._replace(**{bad_field: float(bad_value)})
     csv = tmp_path / "path.csv"

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import re
+from dataclasses import replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -72,6 +76,18 @@ def test_the_module_names_are_the_enum_members():
     and its buckets by name: each module name must be the member it names."""
     assert all(getattr(contract_module, phase.name) is phase for phase in Phase)
     assert all(getattr(contract_module, bucket.name) is bucket for bucket in Bucket)
+
+
+@pytest.mark.parametrize("terms,message", [
+    (dict(tick_years=math.nan), "tick_years must be positive"),
+    # a product that does not check its own maturity reaches the grid test
+    (dict(product=SimpleNamespace(maturity=math.nan)),
+     "product maturity nan does not sit on the final grid tick (0.3)"),
+], ids=["tick_years", "product_maturity"])
+def test_nan_fails_the_spec_checks(terms, message):
+    spec = make_spec("bank1", "bank2")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(spec, **terms)
 
 
 # -- initialization --

@@ -18,6 +18,7 @@ from sdcsim import (
     Forward,
     Journal,
     MarketModel,
+    MarketPath,
     MarketSnapshot,
     Mode,
     VanillaSwap,
@@ -179,6 +180,18 @@ def test_swap_maturity_must_sit_on_the_grid():
 
 
 # -- market paths --
+
+@pytest.mark.parametrize("field,message", [
+    ("initial_spot", "initial_spot must be positive"),
+    ("volatility", "volatility must be non-negative"),
+    ("tick_years", "tick_years must be positive"),
+])
+def test_nan_fails_the_market_model_checks(field, message):
+    terms = dict(initial_spot=100.0, initial_rate=0.01, volatility=0.2, drift=0.0,
+                 tick_years=0.004)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MarketModel(**{**terms, field: math.nan})
+
 
 def test_zero_volatility_path_is_constant():
     model = MarketModel(100.0, 0.01, 0.0, 0.0, 0.004)
@@ -377,7 +390,15 @@ def test_path_csv_round_trip(tmp_path):
     loaded = load_path_csv(file)
     assert loaded == path
     # `==` compares plain tuples; `_replace` and field access need the exact type
-    assert {type(snap) for snap in path + loaded} == {MarketSnapshot}
+    assert {type(snap) for snap in [*path, *loaded]} == {MarketSnapshot}
+
+
+def test_a_path_writes_the_bytes_of_its_rows(tmp_path):
+    path = generate_path(MarketModel(100.0, 0.02, 0.3, 0.0, 0.004), 5, 30)
+    write_path_csv(path, tmp_path / "columns.csv")
+    write_path_csv(list(path), tmp_path / "rows.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert type(path) is type(load_path_csv(tmp_path / "columns.csv")) is MarketPath
 
 
 def test_path_csv_rejects_bad_header(tmp_path):
@@ -639,6 +660,68 @@ def _engine_at_inception(missing_tick=None):
     engine = Engine(contract, oracle)
     assert engine._initialize()
     return engine, spec.party_b
+
+
+def _volatile_oracles(drop=None):
+    """Two oracles for `volatile_forward.ini`, one over its generated path's columns and one
+    over its rows, each without the tick `drop`; and the contract's settlement grid."""
+    scenario = load_scenario(SCENARIOS / "volatile_forward.ini")
+    spec = scenario.contract
+    path = generate_path(scenario.market, scenario.seed, ticks=spec.settlement_times[-1] + 1)
+    keep = [i for i, tick in enumerate(path.ticks) if tick != drop]
+    columns = MarketPath(*([column[i] for i in keep] for column in
+                           (path.ticks, path.spots, path.rates)))
+    rows = [row for row in path if row.as_of != drop]
+    return [MarginOracle(p, spec.product, spec.pricer_version, spec.tick_years)
+            for p in (columns, rows)], spec.settlement_times
+
+
+def test_an_oracle_over_rows_equals_one_over_columns():
+    (by_columns, by_rows), grid = _volatile_oracles()
+    for start, end in zip(grid, grid[1:]):
+        for oracle in (by_columns, by_rows):
+            assert oracle.cached(start, end) is None
+        for as_of in range(start, end + 1):
+            assert by_rows.value(end, as_of) == by_columns.value(end, as_of)
+        amount = by_columns.query(start, end)
+        assert by_rows.query(start, end) == amount
+        assert by_columns.cached(start, end) == by_rows.cached(start, end) == amount
+
+
+def test_an_oracle_over_rows_or_columns_misses_the_same_settlement_tick():
+    grid_tick = 20
+    (by_columns, by_rows), grid = _volatile_oracles(drop=grid_tick)
+    assert grid_tick in grid
+    for start, end in zip(grid, grid[1:]):
+        refusals = []
+        for oracle in (by_columns, by_rows):
+            try:
+                refusals.append(oracle.query(start, end))
+            except MissingSnapshot as exc:
+                refusals.append(str(exc))
+        assert refusals[0] == refusals[1]
+        if grid_tick in (start, end):
+            assert refusals[0] == f"no market snapshot stored for tick {grid_tick}"
+
+
+def test_run_simulation_reads_its_path_through_the_path_layer(tmp_path, monkeypatch):
+    """The bench times the path layer by wrapping `generate_path` and `load_path_csv`
+    on the module: a run that stopped calling them by those names would read 0 there."""
+    calls = []
+    for name in ("generate_path", "load_path_csv"):
+        def counting(*args, _name=name, _call=getattr(simulator, name), **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(simulator, name, counting)
+    run_simulation(make_scenario())
+    assert calls == ["generate_path"]
+    write_path_csv(generate_path(MarketModel(100.0, 0.0, 0.0, 0.0, 0.004), 1, 31),
+                   tmp_path / "p.csv")
+    calls.clear()
+    run_simulation(make_scenario(drop=("market.initial_spot", "market.initial_rate",
+                                       "market.volatility", "market.drift"),
+                                 market__path_file=str(tmp_path / "p.csv")))
+    assert calls == ["load_path_csv"]
 
 
 def test_the_willful_exposure_rule():

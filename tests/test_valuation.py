@@ -5,6 +5,7 @@ import copy
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from sdcsim import (
     Forward,
     MarginOracle,
+    MarketPath,
     MarketSnapshot,
     VanillaSwap,
     margin_buffer,
@@ -57,6 +59,28 @@ def test_snapshot_is_a_named_tuple():
     assert (s.as_of, s.spot, s.zero_rate) == tuple(s) == (3, 101.5, 0.01)
     assert s._replace(spot=99.0) == MarketSnapshot(3, 99.0, 0.01)
     assert type(s._replace(spot=99.0)) is MarketSnapshot
+
+
+# -- NaN fails every positivity and order check --
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: MarketSnapshot(0, NAN, 0.0), "spot must be positive, got nan"),
+    (lambda: Forward(1.0, 1.0, NAN), "maturity must be positive"),
+    (lambda: VanillaSwap(1.0, 0.02, (NAN,), (0.5,)),
+     "first payment time must be after contract start"),
+    (lambda: VanillaSwap(1.0, 0.02, (NAN, 1.0), (0.5, NAN)),
+     "payment times must be strictly increasing"),
+    (lambda: VanillaSwap(1.0, 0.02, (0.5, NAN), (0.5, 0.5)),
+     "payment times must be strictly increasing"),
+    (lambda: VanillaSwap(1.0, 0.02, (0.5, 1.0), (0.5, NAN)), "accruals must be positive"),
+], ids=["snapshot_spot", "forward_maturity", "swap_first_payment_time",
+        "swap_payment_times_nan_first", "swap_payment_times_nan_later", "swap_accruals"])
+def test_nan_fails_the_snapshot_and_product_checks(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 # -- forward pricing --
@@ -333,6 +357,63 @@ FORWARD = Forward(notional=10.0, strike=100.0, maturity=0.2)
 def oracle_over(path, product=FORWARD, pricer_version="flat-curve-v1",
                 tick_years=0.01) -> MarginOracle:
     return MarginOracle(path, product, pricer_version, tick_years)
+
+
+def _dict_lookup(rows, tick):
+    """The row at `tick` from a dict over the rows, as the oracle once kept them."""
+    try:
+        return {row.as_of: row for row in rows}[tick]
+    except KeyError:
+        raise MissingSnapshot(f"no market snapshot stored for tick {tick}") from None
+
+
+def _outcome(lookup, tick):
+    try:
+        return lookup(tick)
+    except MissingSnapshot as exc:
+        return MissingSnapshot, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=st.integers(-4, 6), steps=st.lists(st.integers(1, 3), max_size=10),
+       as_range=st.booleans(), data=st.data())
+def test_path_lookup_equals_a_dict_over_its_rows(first, steps, as_range, data):
+    ticks = list(itertools.accumulate(steps, initial=first))
+    n = len(ticks)
+    spots = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    rates = data.draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
+    rows = [MarketSnapshot(t, s, r) for t, s, r in zip(ticks, spots, rates)]
+    step = steps[0] if steps else 1
+    # a tick column with one step is also tried as a `range`, as `generate_path` makes it
+    column = range(first, first + step * n, step) if as_range and set(steps) <= {step} else ticks
+    path = MarketPath(column, spots, rates)
+    lookups = {"path": path.at,
+               "oracle_over_columns": oracle_over(path)._snapshot,
+               "oracle_over_rows": oracle_over(rows)._snapshot}
+    for tick in range(ticks[0] - 2, ticks[-1] + 3):
+        want = _outcome(lambda t: _dict_lookup(rows, t), tick)
+        for name, lookup in lookups.items():
+            got = _outcome(lookup, tick)
+            assert got == want, (name, tick)
+            assert type(got) is type(want), (name, tick)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ticks=st.lists(st.integers(-3, 6), max_size=8),
+       span=st.tuples(st.integers(-3, 6), st.integers(-3, 6), st.sampled_from([-2, -1, 1, 2])))
+def test_the_order_error_names_the_first_bad_pair_for_rows_and_columns(ticks, span):
+    for column in (ticks, range(*span)):  # a `range` column, as `generate_path` makes
+        rows = [snap(tick=t) for t in column]
+        bad = next(((a, b) for a, b in zip(column, column[1:]) if b <= a), None)
+        n = len(column)
+        for path in (rows, MarketPath(column, [100.0] * n, [0.02] * n)):
+            if bad is None:
+                oracle_over(path)
+                continue
+            with pytest.raises(ValueError) as refused:
+                oracle_over(path)
+            assert str(refused.value) == ("snapshots must arrive in increasing tick order "
+                                          f"({bad[0]} then {bad[1]})")
 
 
 def test_store_requires_increasing_ticks():
