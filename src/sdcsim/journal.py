@@ -26,13 +26,13 @@ A `Journal` keeps three parallel columns: each block's hash preimage head
 `JournalBlock`s from them on demand, and `Journal.verify` recomputes the
 hashes and compares heads and hashes with the stored ones as it goes.
 
-Every payload reader goes through one batched numpy walk over the length
-prefixes (`_walk`): `Journal.load` (the `verify` command) uses its verdicts
-after framing the blocks and checking the chain, and `Journal.records` and
-`RecordShape.read` slice the strings out of the joined payloads. A payload
-the walk cannot vouch for goes through `EventRecord.from_bytes`, which
-raises CorruptJournal if it does not decode (truncated, trailing bytes, bad
-UTF-8, unknown kind). `Journal.load` names the first bad block, counted
+`EventRecord.from_bytes` is the one decoder of payloads: `Journal.records`
+and `RecordShape.read` call it per payload, and it raises CorruptJournal if
+one does not decode (truncated, trailing bytes, bad UTF-8, unknown kind).
+`Journal.load` (the `verify` command) checks a whole file with one batched
+numpy walk over the length prefixes (`_walk`) after framing the blocks and
+checking the chain, and only a payload the walk cannot vouch for goes
+through the decoder. `Journal.load` names the first bad block, counted
 from 0 in file order ("block 17: truncated block body", "chain verification
 failed at block 17", "block 17: truncated string data"); a cut file is
 reported before a chain break, and a chain break even when a payload is
@@ -45,10 +45,9 @@ import hashlib
 import os
 import struct
 from array import array
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import eq, not_
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -169,7 +168,7 @@ class RecordShape:
     `pack(timestamp, actor, *values)` takes the values in key order, each
     through `str`, into one ASCII template of the pre-packed kind, count and
     keys; anything else goes through `EventRecord`'s UTF-8 codec. `read`
-    gives the values back from a batch of payloads.
+    gives the values back, each payload decoded by `EventRecord.from_bytes`.
     """
 
     def __init__(self, kind: EventKind, keys: str):
@@ -195,9 +194,15 @@ class RecordShape:
     def read(self, payloads: list[bytes]) -> Iterator[tuple[int, str, tuple[str, ...]] | None]:
         """Each payload's (timestamp, actor, values in key order), or None for
         one that does not decode or is not of this shape, read as iterated."""
-        return ((_U64.unpack_from(p)[0], s[1], tuple(s[3::2]))
-                if s and s[0] == self.kind and tuple(s[2::2]) == self.keys else None
-                for p, s in zip(payloads, _strings(payloads)))
+        for payload in payloads:
+            try:
+                record = EventRecord.from_bytes(payload)
+            except CorruptJournal:
+                yield None
+                continue
+            strings = tuple(chain.from_iterable(record.details))  # each key, then its value
+            yield ((record.timestamp, record.actor, strings[1::2])
+                   if record.kind is self.kind and strings[::2] == self.keys else None)
 
 
 # The record shapes. README "File formats" names each writer; the last three have no engine caller.
@@ -216,13 +221,12 @@ BURN = RecordShape(EventKind.BURN, "amount src")
 TRANSFER_FROM = RecordShape(EventKind.TRANSFER, "amount dst spender src")
 
 
-def _walk(payloads: list[bytes], data: bytes, starts, cuts: list | None = None) -> list[bool]:
+def _walk(payloads: list[bytes], data: bytes, starts) -> list[bool]:
     """Per payload, whether its length prefixes alone show it to decode: they
     end exactly at its end, its kind is known and every byte after the
     timestamp is ASCII; anything else is left to `EventRecord.from_bytes`.
     `data` holds `payloads[i]` at `starts[i]`. Each step reads the next prefix
-    of every payload still being walked at once. Given `cuts`, each string
-    step appends the positions of the payloads it read and each string's span.
+    of every payload still being walked at once.
     """
     # imported on first use: loaded ahead of the rest of the package (which imports
     # this module first), numpy leaves the process about 2 MB larger
@@ -245,8 +249,6 @@ def _walk(payloads: list[bytes], data: bytes, starts, cuts: list | None = None) 
             off, left = off + 4, 2 * n
         else:
             off, left = off + 4 + n, left - 1
-            if cuts is not None:
-                cuts.append((live, off - n, off))
         done = left == 0
         passed[live[done & (off == end)]] = True
         keep = ~done & (off + 4 * left <= end)
@@ -254,29 +256,6 @@ def _walk(payloads: list[bytes], data: bytes, starts, cuts: list | None = None) 
         step += 1
     return [ok and payload[12:12 + n] in _KIND_NAMES and payload[8:].isascii()
             for payload, ok, n in zip(payloads, passed.tolist(), kind_lengths.tolist())]
-
-
-_CHUNK = 1024  # payloads per walk in `_strings`: a chunk's strings are all held at once
-
-
-def _strings(payloads: list[bytes]) -> Iterator[list[str] | None]:
-    """Each payload's strings as `EventRecord.from_bytes` reads them, or None if
-    it does not decode; those `_walk` passes are sliced out of one decode per chunk."""
-    for chunk in (payloads[at:at + _CHUNK] for at in range(0, len(payloads), _CHUNK)):
-        data = b"".join(chunk)
-        cuts: list = []
-        passed = _walk(chunk, data, array("q", accumulate(map(len, chunk), initial=0))[:-1], cuts)
-        out = [[] if ok else None for ok in passed]
-        text = data.decode("latin-1")  # the same as UTF-8 on the ASCII the walk passes
-        for pos, first, last in cuts:
-            for i, a, b in zip(pos.tolist(), first.tolist(), last.tolist()):
-                if passed[i]:
-                    out[i].append(text[a:b])
-        for i in compress(count(), map(not_, passed)):
-            with suppress(CorruptJournal):  # None: it does not decode
-                record = EventRecord.from_bytes(chunk[i])
-                out[i] = [record.kind.value, record.actor, *chain.from_iterable(record.details)]
-        yield from out
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -376,10 +355,7 @@ class Journal:
 
     def records(self, kind: EventKind | None = None) -> list[EventRecord]:
         """`payloads(kind)`, each decoded into an `EventRecord` (CorruptJournal if one is not)."""
-        payloads = self.payloads(kind)
-        return [EventRecord(_U64.unpack_from(p)[0], _KINDS_BY_NAME[s[0]], s[1],
-                            tuple(zip(s[2::2], s[3::2]))) if s else EventRecord.from_bytes(p)
-                for p, s in zip(payloads, _strings(payloads))]
+        return list(map(EventRecord.from_bytes, self.payloads(kind)))
 
     def export(self, path: str | Path) -> None:
         """Write all blocks to `path` atomically (see `write_atomic`)."""

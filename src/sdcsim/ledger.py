@@ -166,6 +166,7 @@ class Ledger:
     def release_segregated(self, contract_id: str, party: AccountId, bucket: Bucket,
                            amount: int, to: AccountId, actor: str | None = None) -> None:
         check_amount(amount)
+        self._known(party)
         self._known(to)
         key = (contract_id, party, bucket)
         held = self._segregated.get(key, 0)

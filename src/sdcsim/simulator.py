@@ -335,12 +335,11 @@ def load_path_csv(path: str | Path) -> MarketPath:
     lines = _read_text(Path(path)).splitlines()
     if not lines or lines[0].strip() != "time,spot,zero_rate":
         raise ScenarioParseError("path file must start with header 'time,spot,zero_rate'", line=1)
-    with suppress(ValueError):  # a row without three fields, or a field that does not convert
+    with suppress(ValueError):  # a row not of three fields, a bad field, or ticks out of order
         ticks, spots, rates = zip(*map(str.split, filter(str.strip, lines[1:]), repeat(",")),
                                   strict=True)
         ticks, spots, rates = list(map(int, ticks)), list(map(float, spots)), list(map(float, rates))
-        if (all(map(operator.lt, ticks, ticks[1:])) and all(map((0.0).__lt__, spots))
-                and all(map(math.isfinite, spots + rates))):
+        if all(map((0.0).__lt__, spots)) and all(map(math.isfinite, spots + rates)):
             return MarketPath(ticks, spots, rates)
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -70,13 +70,21 @@ class MarketSnapshot(_MarketData):
 
 @dataclass(eq=False)
 class MarketPath(Sequence):
-    """A market path as three columns. It iterates, indexes by position (a slice
-    is a MarketPath) and compares (`==`, also with a list) as MarketSnapshot
-    rows, each built by `tuple.__new__` (no spot check) when read and not kept."""
+    """A market path as three columns of one length, ticks strictly increasing; it iterates,
+    indexes by position (a slice is a MarketPath) and compares (`==`, also with a list) as
+    MarketSnapshot rows, each built by `tuple.__new__` (no spot check) when read and not kept."""
 
     ticks: Sequence[int] = ()
     spots: Sequence[float] = ()
     rates: Sequence[float] = ()     # zero rates
+
+    def __post_init__(self):
+        ticks, lengths = self.ticks, tuple(map(len, (self.ticks, self.spots, self.rates)))
+        if len(set(lengths)) > 1:
+            raise ValueError(f"path columns differ in length (ticks, spots, rates: {lengths})")
+        if not all(map(operator.lt, ticks, ticks[1:])):  # one pass; a loop names the pair
+            prev, tick = next((a, b) for a, b in zip(ticks, ticks[1:]) if not a < b)
+            raise ValueError(f"snapshots must arrive in increasing tick order ({prev} then {tick})")
 
     def __len__(self) -> int:
         return len(self.ticks)
@@ -268,11 +276,7 @@ class MarginOracle:
     def __init__(self, path: Sequence[MarketSnapshot], product: Product,
                  pricer_version: str, tick_years: float):
         if not isinstance(path, MarketPath):
-            path = MarketPath(*zip(*path))
-        ticks = path.ticks
-        if not all(map(operator.lt, ticks, ticks[1:])):  # one pass; a loop names the pair
-            prev, tick = next((a, b) for a, b in zip(ticks, ticks[1:]) if not a < b)
-            raise ValueError(f"snapshots must arrive in increasing tick order ({prev} then {tick})")
+            path = MarketPath(*zip(*path))  # checks the tick order
         self._snapshot = path.at  # a tick the path lacks raises MissingSnapshot
         self.product = product
         self.pricer_version = pricer_version

@@ -184,6 +184,16 @@ def test_release_beyond_bucket_rejected(funded):
         ledger.release_segregated("C", a, Bucket.MARGIN, 11, to=a)
 
 
+@pytest.mark.parametrize("amount", [0, 5])
+def test_release_for_an_unknown_party_is_refused_and_journals_nothing(funded, amount):
+    ledger, a, _ = funded
+    ledger.lock_segregated("C", a, Bucket.MARGIN, 10)
+    before = (ledger.journal.final_hash(), ledger.to_csv())
+    with pytest.raises(UnknownAccount, match="ghost#99"):
+        ledger.release_segregated("C", "ghost#99", Bucket.MARGIN, amount, to=a)
+    assert (ledger.journal.final_hash(), ledger.to_csv()) == before
+
+
 def test_negative_amounts_never_accepted(funded):
     ledger, a, b = funded
     with pytest.raises(ValueError):

@@ -406,14 +406,22 @@ def test_the_order_error_names_the_first_bad_pair_for_rows_and_columns(ticks, sp
         rows = [snap(tick=t) for t in column]
         bad = next(((a, b) for a, b in zip(column, column[1:]) if b <= a), None)
         n = len(column)
-        for path in (rows, MarketPath(column, [100.0] * n, [0.02] * n)):
+        for build in (lambda: rows, lambda: MarketPath(column, [100.0] * n, [0.02] * n)):
             if bad is None:
-                oracle_over(path)
+                oracle_over(build())
                 continue
-            with pytest.raises(ValueError) as refused:
-                oracle_over(path)
+            with pytest.raises(ValueError) as refused:  # the path itself refuses the order
+                oracle_over(build())
             assert str(refused.value) == ("snapshots must arrive in increasing tick order "
                                           f"({bad[0]} then {bad[1]})")
+
+
+def test_a_path_that_at_could_not_read_is_refused():
+    # `at` would miss a tick each of the first two holds, and read past the third's short columns
+    for ticks, n, message in (([0, 1, 1, 2], 4, r"\(1 then 1\)"), ([0, 5, 3], 3, r"\(5 then 3\)"),
+                              ([0, 1, 2], 1, r"\(3, 1, 1\)")):
+        with pytest.raises(ValueError, match=message):
+            MarketPath(ticks, [1.0] * n, [0.0] * n)
 
 
 def test_store_requires_increasing_ticks():
