@@ -2,7 +2,7 @@
 
 from .contract import ContractInstance, ContractSpec, ContractState, Phase, TerminationCause
 from .errors import SdcError
-from .journal import Clock, EventKind, EventRecord, Journal, JournalBlock, SYSTEM_ACTOR
+from .journal import Clock, EventKind, EventRecord, Journal, SYSTEM_ACTOR
 from .ledger import AccountId, Bucket, Ledger
 from .scheduler import (
     Engine,

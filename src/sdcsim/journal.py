@@ -21,18 +21,18 @@ On-disk block layout (repeated per block, no file header):
 
     index(8 BE) || prev_hash(32) || payload_len(4 BE) || payload || hash(32)
 
-A `Journal` keeps three parallel columns: each block's hash preimage head
-(`index || prev_hash`), its payload and its hash. `Journal.blocks` builds
-`JournalBlock`s from them on demand, and `Journal.verify` recomputes the
-hashes and compares heads and hashes with the stored ones as it goes.
+A `Journal` is three parallel columns and no row view: each block's hash
+preimage head (`index || prev_hash`), its payload and its hash.
+`Journal.verify` recomputes the hashes and compares heads and hashes with
+the stored ones as it goes.
 
 `EventRecord.from_bytes` is the one decoder of payloads: `Journal.records`
-and `RecordShape.read` call it per payload, and it raises CorruptJournal if
-one does not decode (truncated, trailing bytes, bad UTF-8, unknown kind).
-`Journal.load` (the `verify` command) checks a whole file with one batched
-numpy walk over the length prefixes (`_walk`) after framing the blocks and
-checking the chain, and only a payload the walk cannot vouch for goes
-through the decoder. `Journal.load` names the first bad block, counted
+calls it per payload and `RecordShape.read` per payload of its kind, and it
+raises CorruptJournal if one does not decode (truncated, trailing bytes, bad
+UTF-8, unknown kind). `Journal.load` (the `verify` command) checks a whole
+file with one batched numpy walk over the length prefixes (`_walk`) after
+framing the blocks and checking the chain, and only a payload the walk
+cannot vouch for goes through the decoder. `Journal.load` names the first bad block, counted
 from 0 in file order ("block 17: truncated block body", "chain verification
 failed at block 17", "block 17: truncated string data"); a cut file is
 reported before a chain break, and a chain break even when a payload is
@@ -50,7 +50,7 @@ from enum import Enum
 from itertools import chain, compress, count, repeat
 from operator import eq, not_
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import CorruptJournal
 
@@ -168,7 +168,8 @@ class RecordShape:
     `pack(timestamp, actor, *values)` takes the values in key order, each
     through `str`, into one ASCII template of the pre-packed kind, count and
     keys; anything else goes through `EventRecord`'s UTF-8 codec. `read`
-    gives the values back, each payload decoded by `EventRecord.from_bytes`.
+    gives the values back, each payload of its kind decoded by
+    `EventRecord.from_bytes`.
     """
 
     def __init__(self, kind: EventKind, keys: str):
@@ -193,16 +194,17 @@ class RecordShape:
 
     def read(self, payloads: list[bytes]) -> Iterator[tuple[int, str, tuple[str, ...]] | None]:
         """Each payload's (timestamp, actor, values in key order), or None for
-        one that does not decode or is not of this shape, read as iterated."""
+        one that does not decode or is not of this shape, read as iterated.
+        A payload whose kind string at byte 8 is another kind's is not decoded."""
+        tag = _KIND_TAGS[self.kind]
         for payload in payloads:
             try:
-                record = EventRecord.from_bytes(payload)
+                record = payload.startswith(tag, 8) and EventRecord.from_bytes(payload)
             except CorruptJournal:
-                yield None
-                continue
-            strings = tuple(chain.from_iterable(record.details))  # each key, then its value
+                record = None
+            strings = tuple(chain.from_iterable(record.details)) if record else ()  # key, value
             yield ((record.timestamp, record.actor, strings[1::2])
-                   if record.kind is self.kind and strings[::2] == self.keys else None)
+                   if strings[::2] == self.keys else None)
 
 
 # The record shapes. README "File formats" names each writer; the last three have no engine caller.
@@ -282,13 +284,6 @@ _HEAD = struct.Struct(">Q32s")
 _HEAD_SIZE = _HEAD.size + 4  # and payload_len, on disk
 
 
-class JournalBlock(NamedTuple):
-    index: int
-    prev_hash: bytes
-    payload: bytes
-    hash: bytes
-
-
 def _digest(head: bytes, payload: bytes) -> bytes:
     return hashlib.sha256(head + payload).digest()
 
@@ -322,12 +317,6 @@ class Journal:
 
     def __len__(self) -> int:
         return len(self._hashes)
-
-    @property
-    def blocks(self) -> list[JournalBlock]:
-        """The blocks, built from the columns on each call."""
-        return [JournalBlock(*_HEAD.unpack(head), payload, digest)
-                for head, payload, digest in zip(self._heads, self._payloads, self._hashes)]
 
     def append(self, payload: bytes) -> None:
         hashes = self._hashes

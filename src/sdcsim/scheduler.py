@@ -32,7 +32,7 @@ from typing import NamedTuple, Protocol, Sequence
 from .contract import FINAL_PHASES, ContractInstance, ContractSpec, Phase, TerminationCause
 from .errors import OracleFailure, PreconditionFailed, ScenarioParseError, SdcError
 from .journal import REJECTION
-from .ledger import AccountId, Ledger
+from .ledger import AccountId
 from .valuation import SettlementAmount
 
 
@@ -139,10 +139,6 @@ class Engine:
         self._cursor = 0
         # fixed here: the parties, and the oracle account unless there is none
         self._requesters = {*contract.spec.parties, oracle_account} - {None}
-
-    @property
-    def ledger(self) -> Ledger:
-        return self.contract.ledger
 
     @property
     def spec(self) -> ContractSpec:

@@ -371,11 +371,11 @@ def _read_text(path: Path) -> str:
             from None
 
 
-def write_path_csv(snapshots: MarketPath | list[MarketSnapshot], path: str | Path) -> None:
+def write_path_csv(market: MarketPath, path: str | Path) -> None:
     out = io.StringIO()
     out.write("time,spot,zero_rate\n")
-    for snap in snapshots:
-        out.write(f"{snap.as_of},{snap.spot!r},{snap.zero_rate!r}\n")
+    for tick, spot, rate in zip(market.ticks, market.spots, market.rates):
+        out.write(f"{tick},{spot!r},{rate!r}\n")
     write_atomic(path, out.getvalue().encode())
 
 

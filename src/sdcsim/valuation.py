@@ -36,7 +36,6 @@ import operator
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple, Union
 
 from .errors import (
@@ -58,7 +57,7 @@ class _MarketData(NamedTuple):
 class MarketSnapshot(_MarketData):
     """Observed market data at one simulation tick. Construction raises
     ValueError unless spot > 0 (so a NaN spot fails); `_make`, `_replace` and
-    `tuple.__new__` skip the check, as a MarketPath does for its rows."""
+    `tuple.__new__` skip the check, as `MarketPath.at` does."""
 
     __slots__ = ()
 
@@ -69,10 +68,10 @@ class MarketSnapshot(_MarketData):
 
 
 @dataclass(eq=False)
-class MarketPath(Sequence):
-    """A market path as three columns of one length, ticks strictly increasing; it iterates,
-    indexes by position (a slice is a MarketPath) and compares (`==`, also with a list) as
-    MarketSnapshot rows, each built by `tuple.__new__` (no spot check) when read and not kept."""
+class MarketPath:
+    """A market path as three columns of one length, ticks strictly increasing. It has no
+    row view: `at` builds the MarketSnapshot of one tick, by `tuple.__new__` (no spot check),
+    when it is read, and keeps none."""
 
     ticks: Sequence[int] = ()
     spots: Sequence[float] = ()
@@ -86,22 +85,8 @@ class MarketPath(Sequence):
             prev, tick = next((a, b) for a, b in zip(ticks, ticks[1:]) if not a < b)
             raise ValueError(f"snapshots must arrive in increasing tick order ({prev} then {tick})")
 
-    def __len__(self) -> int:
-        return len(self.ticks)
-
-    def __getitem__(self, i: int | slice) -> MarketSnapshot | MarketPath:
-        if isinstance(i, slice):
-            return MarketPath(self.ticks[i], self.spots[i], self.rates[i])
-        return tuple.__new__(MarketSnapshot, (self.ticks[i], self.spots[i], self.rates[i]))
-
-    def __iter__(self):
-        return map(tuple.__new__, repeat(MarketSnapshot), zip(self.ticks, self.spots, self.rates))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (MarketPath, list)) and list(self) == list(other)
-
     def at(self, tick: int) -> MarketSnapshot:
-        """The row at `tick`, at its offset from the first tick; the ticks strictly
+        """The snapshot at `tick`, at its offset from the first tick; the ticks strictly
         increase, so only a column with gaps is searched (by bisection)."""
         ticks, n = self.ticks, len(self.ticks)
         i = tick - ticks[0] if n else n
@@ -259,13 +244,12 @@ def get_pricer(version: str) -> Callable[[Product, float, MarketSnapshot], float
 class MarginOracle:
     """Settlement-amount source shared by both parties of one contract.
 
-    Built over the contract's market path (a MarketPath, or MarketSnapshot
-    rows turned into one; ticks strictly increasing) with the terms it pins.
-    A snapshot is built only for a tick it prices. Each period is valued once
-    by `settlement_amount` and cached for idempotent re-queries; nothing is
-    journaled here. A pricer overflow, a swap's discount factor that
-    underflows to zero or a non-finite period value raises ValuationOutOfRange
-    and caches nothing.
+    Built over the contract's MarketPath with the terms it pins. A snapshot
+    is built only for a tick it prices, once per pricing. Each period is
+    valued once by `settlement_amount` and cached for idempotent re-queries;
+    nothing is journaled here. A pricer overflow, a swap's discount factor
+    that underflows to zero or a non-finite period value raises
+    ValuationOutOfRange and caches nothing.
 
     `value` prices V(t_end) on one snapshot; `settlement_amount` and agents
     projecting the upcoming settlement price through it. Its memo holds the
@@ -273,10 +257,8 @@ class MarginOracle:
     more than one period's snapshots (window ticks, start and end).
     """
 
-    def __init__(self, path: Sequence[MarketSnapshot], product: Product,
+    def __init__(self, path: MarketPath, product: Product,
                  pricer_version: str, tick_years: float):
-        if not isinstance(path, MarketPath):
-            path = MarketPath(*zip(*path))  # checks the tick order
         self._snapshot = path.at  # a tick the path lacks raises MissingSnapshot
         self.product = product
         self.pricer_version = pricer_version
@@ -287,6 +269,10 @@ class MarginOracle:
 
     def value(self, period_end: int, as_of: int) -> float:
         """V(t_end) of the contract's product on the snapshot at `as_of`."""
+        return self._value(period_end, as_of)
+
+    def _value(self, period_end: int, as_of: int, snapshot: MarketSnapshot | None = None) -> float:
+        """`value`, pricing `snapshot` (the one at `as_of`) if given on a memo miss."""
         if period_end != self._memo_end:
             self._memo_end = period_end
             self._memo = {}
@@ -294,7 +280,8 @@ class MarginOracle:
         if value is None:
             pricer = get_pricer(self.pricer_version)
             try:
-                value = pricer(self.product, period_end * self.tick_years, self._snapshot(as_of))
+                value = pricer(self.product, period_end * self.tick_years,
+                               snapshot or self._snapshot(as_of))
             except (OverflowError, ZeroDivisionError) as exc:
                 raise ValuationOutOfRange(f"pricing tick {as_of} overflows ({exc})") from None
             self._memo[as_of] = value
@@ -304,11 +291,11 @@ class MarginOracle:
         key = (period_start, period_end)
         amount = self._cache.get(key)
         if amount is None:
-            # a missing start is reported before a missing end
+            # a missing start is reported before a missing end; each snapshot is priced as built
             amount = settlement_amount(
                 self.product, period_start, period_end, self._snapshot(period_start),
                 self._snapshot(period_end), self.tick_years,
-                lambda product, t, snapshot: self.value(period_end, snapshot.as_of))
+                lambda product, t, snapshot: self._value(period_end, snapshot.as_of, snapshot))
             if not math.isfinite(amount.value):
                 raise ValuationOutOfRange(
                     f"period ({period_start}, {period_end}) is {amount.value!r}")

@@ -14,10 +14,11 @@ import struct
 from fractions import Fraction
 from statistics import NormalDist
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from sdcsim import EventKind, Journal, Phase
+from sdcsim import EventKind, Journal, MarketPath, MarketSnapshot, Phase
 
 
 def forward_value(notional: float, strike: float, spot: float, rate: float,
@@ -175,6 +176,22 @@ def write_chained(path, payloads, break_at: int | None = None) -> None:
     path.write_bytes(blob)
 
 
+class Block(NamedTuple):
+    """One journal block as a row, as `journal_blocks` gives and `journal_from_blocks` takes."""
+
+    index: int
+    prev_hash: bytes
+    payload: bytes
+    hash: bytes
+
+
+def journal_blocks(journal: Journal) -> list[Block]:
+    """The blocks of `journal` as rows, read from its columns: the inverse of
+    `journal_from_blocks`."""
+    return [Block(struct.unpack(">Q", head[:8])[0], head[8:], payload, digest)
+            for head, payload, digest in zip(journal._heads, journal._payloads, journal._hashes)]
+
+
 def journal_from_blocks(blocks) -> Journal:
     """A `Journal` holding `blocks` as given, however they chain: its columns
     hold each block's hash preimage head (the 8-byte index, then prev_hash),
@@ -184,6 +201,16 @@ def journal_from_blocks(blocks) -> Journal:
     journal._payloads = [block.payload for block in blocks]
     journal._hashes = [block.hash for block in blocks]
     return journal
+
+
+def path_rows(path: MarketPath) -> list[MarketSnapshot]:
+    """A market path's rows, one per tick, each as `MarketPath.at` reads it."""
+    return list(map(path.at, path.ticks))
+
+
+def path_of(rows) -> MarketPath:
+    """A `MarketPath` whose columns hold `rows`, each (tick, spot, zero rate)."""
+    return MarketPath(*zip(*rows))
 
 
 def _pack_str(s: str) -> bytes:

@@ -24,11 +24,12 @@ from sdcsim import (
     write_report,
 )
 from sdcsim.errors import SdcError
-from sdcsim.journal import JournalBlock, ZERO_HASH
+from sdcsim.journal import ZERO_HASH
 from sdcsim.simulator import CompliantAgent, calibrate_buffer, one_period_samples
 
 from conftest import make_contract, scripted_oracle
-from support import journal_from_blocks, open_intervals_respected, product_value
+from support import (Block, journal_blocks, journal_from_blocks, open_intervals_respected, path_of,
+                     product_value)
 from test_journal import record as journal_record
 from test_simulator import make_scenario, scenario_text
 
@@ -169,7 +170,7 @@ def _corpus(tmp_path) -> list:
         path = [MarketSnapshot(as_of=i, spot=100.0, zero_rate=max(0.0, 0.02 + slope * i))
                 for i in range(21)]
         file = tmp_path / f"rates{k}.csv"
-        write_path_csv(path, file)
+        write_path_csv(path_of(path), file)
         from sdcsim import parse_scenario
         scenarios.append(parse_scenario(scenario_text(
             drop=("market.initial_spot", "market.initial_rate", "market.volatility",
@@ -391,7 +392,7 @@ def test_acceptance_06_trigger_mode_equivalence():
 # ---------------------------------------------------------------------------
 
 def _tampered_copy(journal: Journal, rng: random.Random) -> Journal:
-    blocks = journal.blocks
+    blocks = journal_blocks(journal)
     target = rng.randrange(len(blocks))
     field = rng.choice(["payload", "prev_hash", "index"])
     bit = rng.randrange(256)
@@ -409,8 +410,7 @@ def _tampered_copy(journal: Journal, rng: random.Random) -> Journal:
                 prev = bytes(body)
             else:
                 index ^= 1 << (bit % 63)
-        tampered.append(JournalBlock(index=index, prev_hash=prev, payload=payload,
-                                     hash=block.hash))
+        tampered.append(Block(index=index, prev_hash=prev, payload=payload, hash=block.hash))
     return journal_from_blocks(tampered)
 
 

@@ -8,7 +8,7 @@ import pytest
 from sdcsim import EventKind, EventRecord, MarketModel, generate_path, simulator, write_path_csv
 from sdcsim.cli import main
 
-from support import write_chained
+from support import path_of, path_rows, write_chained
 from test_simulator import scenario_text
 
 
@@ -244,11 +244,11 @@ def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_
     """The volatile_forward contract on a 101-row path CSV, optionally with one
     non-finite value at `bad_tick`."""
     model = MarketModel(100.0, 0.01, 0.2, 0.0, 0.004)
-    rows = list(generate_path(model, seed=2024, ticks=101))  # a row list: one row is replaced
+    rows = path_rows(generate_path(model, seed=2024, ticks=101))  # one row is replaced
     if bad_field is not None:
         rows[bad_tick] = rows[bad_tick]._replace(**{bad_field: float(bad_value)})
     csv = tmp_path / "path.csv"
-    write_path_csv(rows, csv)
+    write_path_csv(path_of(rows), csv)
     return scenario_file(
         drop=("market.initial_spot", "market.initial_rate", "market.volatility",
               "market.drift"),

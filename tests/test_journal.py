@@ -15,10 +15,10 @@ import sdcsim
 from sdcsim import Clock, EventKind, EventRecord, Journal, Ledger, load_scenario, run_simulation
 from sdcsim import journal as journal_module
 from sdcsim.errors import CorruptJournal
-from sdcsim.journal import SETTLEMENT, TRANSFER, ZERO_HASH, JournalBlock, RecordShape
+from sdcsim.journal import SETTLEMENT, TRANSFER, ZERO_HASH, RecordShape
 
-from support import (journal_from_blocks, rechain, reference_decode, reference_encode,
-                     write_chained)
+from support import (Block, journal_blocks, journal_from_blocks, rechain, reference_decode,
+                     reference_encode, write_chained)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -32,7 +32,7 @@ def record(i: int = 0, kind: EventKind = EventKind.TRANSFER, **details) -> Event
 def test_genesis_block_chains_from_zero():
     journal = Journal()
     journal.append(record().to_bytes())
-    block = journal.blocks[-1]
+    block = journal_blocks(journal)[-1]
     assert block.index == 0
     assert block.prev_hash == ZERO_HASH
     assert journal.verify()
@@ -43,7 +43,7 @@ def test_identical_records_get_distinct_hashes():
     rec = record(7)
     journal.append(rec.to_bytes())
     journal.append(rec.to_bytes())
-    first, second = journal.blocks
+    first, second = journal_blocks(journal)
     assert first.payload == second.payload
     assert first.hash != second.hash  # index is part of the preimage
 
@@ -53,7 +53,7 @@ def test_thousand_appends_verify_and_rechain_independently():
     for i in range(1000):
         journal.append(record(i, amount=i * 3, src=f"acct{i % 7}", dst="sink").to_bytes())
     assert journal.verify()
-    assert rechain(journal.blocks)
+    assert rechain(journal_blocks(journal))
 
 
 def test_same_record_sequence_gives_same_final_hash():
@@ -172,12 +172,12 @@ def test_indices_are_gapless():
     journal = Journal()
     for i in range(20):
         journal.append(record(i).to_bytes())
-    assert [b.index for b in journal.blocks] == list(range(20))
+    assert [b.index for b in journal_blocks(journal)] == list(range(20))
 
 
 def _mutate_bit(journal: Journal, block_i: int, field: str, bit: int) -> Journal:
     tampered = []
-    for i, b in enumerate(journal.blocks):
+    for i, b in enumerate(journal_blocks(journal)):
         index, prev, payload = b.index, b.prev_hash, b.payload
         if i == block_i:
             if field == "payload":
@@ -190,7 +190,7 @@ def _mutate_bit(journal: Journal, block_i: int, field: str, bit: int) -> Journal
                 prev = bytes(flipped)
             else:
                 index = index ^ (1 << (bit % 63))
-        tampered.append(JournalBlock(index=index, prev_hash=prev, payload=payload, hash=b.hash))
+        tampered.append(Block(index=index, prev_hash=prev, payload=payload, hash=b.hash))
     return journal_from_blocks(tampered)
 
 
@@ -209,7 +209,7 @@ def test_swapped_blocks_fail_verification():
     journal = Journal()
     for i in range(5):
         journal.append(record(i).to_bytes())
-    blocks = journal.blocks
+    blocks = journal_blocks(journal)
     blocks[1], blocks[2] = blocks[2], blocks[1]
     assert not journal_from_blocks(blocks).verify()
 
@@ -222,7 +222,7 @@ def test_append_then_verify_always_holds(rows):
     for ts, k, v in rows:
         journal.append(EventRecord.create(ts, EventKind.TRANSFER, "x", key=k, val=v).to_bytes())
     assert journal.verify()
-    assert rechain(journal.blocks)
+    assert rechain(journal_blocks(journal))
 
 
 def test_export_import_round_trip(tmp_path):
@@ -279,11 +279,8 @@ def test_an_ascii_journal_loads_without_decoding_a_record(tmp_path, monkeypatch)
     path = tmp_path / "journal.bin"
     journal.export(path)
     decoded = _count_decodes(monkeypatch)
-    built = []
-    monkeypatch.setattr(journal_module, "JournalBlock", lambda *args: built.append(args))
     assert len(Journal.load(path)) == len(journal) > 0
     assert decoded == []
-    assert built == []
 
 
 def test_a_non_ascii_journal_loads_through_the_decoder(tmp_path, monkeypatch):
@@ -404,6 +401,19 @@ def test_a_shape_unpacks_only_its_own_records(actor):
     assert list(SETTLEMENT.read(bad)) == [None] * len(bad)
 
 
+def test_a_shape_decodes_only_the_payloads_of_its_kind(monkeypatch):
+    payloads = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini")).journal.payloads()
+    expected = []
+    for payload in payloads:
+        ts, kind, actor, details = reference_decode(payload)
+        expected.append((ts, actor, tuple(value for _, value in details))
+                        if kind == "Settlement" else None)
+    decoded = _count_decodes(monkeypatch)
+    assert list(SETTLEMENT.read(payloads)) == expected
+    assert decoded == [p for p, want in zip(payloads, expected) if want is not None]
+    assert len(decoded) == 10
+
+
 def test_every_block_of_a_run_enters_the_chain_through_append(monkeypatch):
     appended = []
     append = Journal.append
@@ -520,7 +530,7 @@ def edited_payload(draw) -> bytes:
 
 
 def _columns(journal: Journal) -> tuple[list[bytes], list[bytes]]:
-    return journal.payloads(), [block.hash for block in journal.blocks]
+    return journal.payloads(), [block.hash for block in journal_blocks(journal)]
 
 
 def _outcome(load) -> tuple[list[bytes], list[bytes]] | str:

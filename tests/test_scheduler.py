@@ -26,6 +26,7 @@ from sdcsim.errors import ScenarioParseError
 from sdcsim.simulator import CompliantAgent, PolicySpec, WillfulAgent, make_policy
 
 from conftest import make_contract, make_spec, make_world, scripted_oracle
+from support import path_of
 
 E = LifecycleEvent
 
@@ -148,7 +149,7 @@ def test_missing_snapshot_suspends():
     contract, clock, journal, ledger = make_contract()
     spec = contract.spec
     # no snapshot at the first settlement tick 10
-    oracle = MarginOracle([MarketSnapshot(as_of=0, spot=100.0, zero_rate=0.0)],
+    oracle = MarginOracle(path_of([MarketSnapshot(as_of=0, spot=100.0, zero_rate=0.0)]),
                           spec.product, spec.pricer_version, spec.tick_years)
     agents = {p: CompliantAgent() for p in contract.spec.parties}
     engine = Engine(contract, oracle, agents=agents)
@@ -165,7 +166,7 @@ def test_request_event_admissibility():
     contract, clock = engine.contract, engine.clock
     a, b = engine.spec.parties
     assert engine._initialize()
-    stranger = engine.ledger.open_account("stranger")
+    stranger = engine.contract.ledger.open_account("stranger")
 
     assert engine.request_event(a, E.OPEN_ACCOUNTS, 0).accepted
     assert engine.request_event(a, E.MARGIN_CHECK, 0).reason == "NotDue"
@@ -224,7 +225,7 @@ def test_driver_replay_of_active_sequence_is_bit_identical():
     driver = make_engine(values=(7.0, -3.0, 2.0))
     driver.run(script=timeline_script(driver.spec))
     assert driver.journal.final_hash() == timeline.journal.final_hash()
-    assert driver.ledger.to_csv() == timeline.ledger.to_csv()
+    assert driver.contract.ledger.to_csv() == timeline.contract.ledger.to_csv()
 
 
 def requested_by_party_b(spec):
@@ -451,7 +452,7 @@ def run_case(case, every_tick: bool):
                 script.append(step._replace(tick=tick))
                 script.sort(key=lambda s: s.tick)
     Engine(contract, oracle, agents=agents).run(script=script)
-    return [block.payload for block in journal.blocks], clock.now(), agents
+    return journal.payloads(), clock.now(), agents
 
 
 def assert_skipping_is_exact(case):

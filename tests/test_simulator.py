@@ -51,6 +51,8 @@ from sdcsim.simulator import (
 from conftest import COUNTING_PRICER, make_contract
 from support import (
     open_intervals_respected,
+    path_of,
+    path_rows,
     reference_normal_variates,
     reference_one_period_samples,
     reference_path_rows,
@@ -195,7 +197,7 @@ def test_nan_fails_the_market_model_checks(field, message):
 
 def test_zero_volatility_path_is_constant():
     model = MarketModel(100.0, 0.01, 0.0, 0.0, 0.004)
-    path = generate_path(model, seed=7, ticks=50)
+    path = path_rows(generate_path(model, seed=7, ticks=50))
     assert len(path) == 50
     assert all(s.spot == 100.0 for s in path)
     assert [s.as_of for s in path] == list(range(50))
@@ -203,9 +205,9 @@ def test_zero_volatility_path_is_constant():
 
 def test_same_seed_reproduces_the_path():
     model = MarketModel(100.0, 0.01, 0.25, 0.05, 0.004)
-    assert generate_path(model, 99, 200) == generate_path(model, 99, 200)
-    other = generate_path(model, 100, 200)
-    assert other != generate_path(model, 99, 200)
+    assert path_rows(generate_path(model, 99, 200)) == path_rows(generate_path(model, 99, 200))
+    other = path_rows(generate_path(model, 100, 200))
+    assert other != path_rows(generate_path(model, 99, 200))
 
 
 def test_log_return_mean_matches_model_drift():
@@ -213,8 +215,8 @@ def test_log_return_mean_matches_model_drift():
     # within 4 standard errors of (mu - sigma^2/2) * dt
     model = MarketModel(100.0, 0.0, 0.2, 0.07, 0.004)
     n = 100_000
-    path = generate_path(model, seed=2024, ticks=n + 1)
-    logs = [math.log(b.spot / a.spot) for a, b in zip(path, path[1:])]
+    spots = generate_path(model, seed=2024, ticks=n + 1).spots
+    logs = [math.log(b / a) for a, b in zip(spots, spots[1:])]
     mean = sum(logs) / n
     expected = (model.drift - 0.5 * model.volatility ** 2) * model.tick_years
     stderr = model.volatility * math.sqrt(model.tick_years) / math.sqrt(n)
@@ -228,7 +230,7 @@ def test_log_return_mean_matches_model_drift():
 ], ids=["grid_forward", "volatile", "tiny_spot"])
 @pytest.mark.parametrize("stream", [0, 2])
 def test_path_spots_equal_the_sequential_loop(model, stream):
-    path = generate_path(model, seed=31, ticks=2001, stream=stream)
+    path = path_rows(generate_path(model, seed=31, ticks=2001, stream=stream))
     assert all(type(s) is MarketSnapshot for s in path)
     assert [s.as_of for s in path] == list(range(2001))
     assert {s.zero_rate for s in path} == {model.initial_rate}
@@ -387,7 +389,7 @@ def test_path_csv_round_trip(tmp_path):
     path = generate_path(model, 5, 30)
     file = tmp_path / "path.csv"
     write_path_csv(path, file)
-    loaded = load_path_csv(file)
+    path, loaded = path_rows(path), path_rows(load_path_csv(file))
     assert loaded == path
     # `==` compares plain tuples; `_replace` and field access need the exact type
     assert {type(snap) for snap in [*path, *loaded]} == {MarketSnapshot}
@@ -396,8 +398,8 @@ def test_path_csv_round_trip(tmp_path):
 def test_a_path_writes_the_bytes_of_its_rows(tmp_path):
     path = generate_path(MarketModel(100.0, 0.02, 0.3, 0.0, 0.004), 5, 30)
     write_path_csv(path, tmp_path / "columns.csv")
-    write_path_csv(list(path), tmp_path / "rows.csv")
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    rows = "".join(f"{s.as_of},{s.spot!r},{s.zero_rate!r}\n" for s in path_rows(path))
+    assert (tmp_path / "columns.csv").read_text() == "time,spot,zero_rate\n" + rows
     assert type(path) is type(load_path_csv(tmp_path / "columns.csv")) is MarketPath
 
 
@@ -449,7 +451,7 @@ def test_path_csv_yields_finite_snapshots_or_an_sdc_error(tmp_path, text):
     file = tmp_path / "path.csv"
     file.write_text(text, encoding="utf-8")
     try:
-        snapshots = load_path_csv(file)
+        snapshots = path_rows(load_path_csv(file))
     except SdcError:
         return
     for snap in snapshots:
@@ -468,7 +470,7 @@ def test_path_csv_reads_as_a_row_by_row_reader_does(tmp_path, rows, blank):
     file.write_text(text, encoding="utf-8")
     expected = reference_path_rows(text)
     try:
-        snapshots = load_path_csv(file)
+        snapshots = path_rows(load_path_csv(file))
         assert [tuple(snap) for snap in snapshots] == expected
         assert all(type(snap) is MarketSnapshot for snap in snapshots)
     except ScenarioParseError as exc:
@@ -585,7 +587,7 @@ def test_missing_grid_snapshot_suspends_in_error(tmp_path):
 def test_swap_run_on_rate_path(tmp_path):
     path = [MarketSnapshot(as_of=k, spot=100.0, zero_rate=0.02 + 0.0005 * k)
             for k in range(21)]
-    write_path_csv(path, tmp_path / "rates.csv")
+    write_path_csv(path_of(path), tmp_path / "rates.csv")
     scenario = make_scenario(
         drop=("market.initial_spot", "market.initial_rate", "market.volatility",
               "market.drift"),
@@ -608,7 +610,7 @@ def test_willful_agents_and_oracle_price_each_snapshot_once_per_cycle(counting_p
     window, cycles = 4, 4
     path = [MarketSnapshot(as_of=k, spot=100.0, zero_rate=0.02 + 0.0005 * (k % 7))
             for k in range(10 * cycles + 1)]
-    write_path_csv(path, tmp_path / "rates.csv")
+    write_path_csv(path_of(path), tmp_path / "rates.csv")
     scenario = make_scenario(
         drop=("market.initial_spot", "market.initial_rate", "market.volatility",
               "market.drift"),
@@ -624,6 +626,17 @@ def test_willful_agents_and_oracle_price_each_snapshot_once_per_cycle(counting_p
     assert report.termination_cause == "MATURED"
     assert len(report.cycles) == cycles
     assert 0 < len(counting_pricer) <= (window + 1) * cycles
+
+
+def test_the_oracle_reads_each_settled_period_from_the_path_once_per_end(monkeypatch):
+    """A period's start and end snapshots are each built once and priced as built, so a run
+    whose agents never project reads its path twice per settled period."""
+    reads = []
+    at = MarketPath.at
+    monkeypatch.setattr(MarketPath, "at", lambda path, tick: reads.append(tick) or at(path, tick))
+    cycles = run_simulation(load_scenario(SCENARIOS / "volatile_forward.ini")).report.cycles
+    assert len(cycles) == 10
+    assert reads == [tick for row in cycles for tick in (row.period_start, row.settle_tick)]
 
 
 def test_same_seed_means_same_journal_and_report():
@@ -655,8 +668,8 @@ def _engine_at_inception(missing_tick=None):
     spec = contract.spec
     path = generate_path(MarketModel(100.0, 0.0, 0.0, 0.0, spec.tick_years), 1,
                          spec.settlement_times[-1] + 1)
-    oracle = MarginOracle([s for s in path if s.as_of != missing_tick], spec.product,
-                          spec.pricer_version, spec.tick_years)
+    oracle = MarginOracle(path_of(s for s in path_rows(path) if s.as_of != missing_tick),
+                          spec.product, spec.pricer_version, spec.tick_years)
     engine = Engine(contract, oracle)
     assert engine._initialize()
     return engine, spec.party_b
@@ -664,14 +677,15 @@ def _engine_at_inception(missing_tick=None):
 
 def _volatile_oracles(drop=None):
     """Two oracles for `volatile_forward.ini`, one over its generated path's columns and one
-    over its rows, each without the tick `drop`; and the contract's settlement grid."""
+    over a path built from its rows, each without the tick `drop`; and the contract's
+    settlement grid."""
     scenario = load_scenario(SCENARIOS / "volatile_forward.ini")
     spec = scenario.contract
     path = generate_path(scenario.market, scenario.seed, ticks=spec.settlement_times[-1] + 1)
     keep = [i for i, tick in enumerate(path.ticks) if tick != drop]
     columns = MarketPath(*([column[i] for i in keep] for column in
                            (path.ticks, path.spots, path.rates)))
-    rows = [row for row in path if row.as_of != drop]
+    rows = path_of(row for row in path_rows(path) if row.as_of != drop)
     return [MarginOracle(p, spec.product, spec.pricer_version, spec.tick_years)
             for p in (columns, rows)], spec.settlement_times
 
@@ -1013,7 +1027,7 @@ def test_text_report_names_the_termination_cause(tmp_path):
 @pytest.mark.parametrize("writer", ["journal", "ledger", "report", "path"])
 def test_failed_rename_keeps_the_old_file_and_leaves_no_temp_file(writer, tmp_path, monkeypatch):
     artifacts = run_simulation(make_scenario())
-    path = [MarketSnapshot(0, 100.0, 0.01), MarketSnapshot(1, 101.0, 0.01)]
+    path = path_of([MarketSnapshot(0, 100.0, 0.01), MarketSnapshot(1, 101.0, 0.01)])
     write = {"journal": artifacts.journal.export,
              "ledger": artifacts.ledger.export_csv,
              "report": lambda target: write_report(artifacts.report, target),

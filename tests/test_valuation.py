@@ -37,7 +37,7 @@ from sdcsim import journal, valuation
 from sdcsim.valuation import get_pricer
 
 from conftest import COUNTING_PRICER
-from support import par_rate, product_value, reference_swap_price, sort_quantile
+from support import par_rate, path_of, product_value, reference_swap_price, sort_quantile
 
 
 def snap(tick=0, spot=100.0, rate=0.02) -> MarketSnapshot:
@@ -387,9 +387,7 @@ def test_path_lookup_equals_a_dict_over_its_rows(first, steps, as_range, data):
     # a tick column with one step is also tried as a `range`, as `generate_path` makes it
     column = range(first, first + step * n, step) if as_range and set(steps) <= {step} else ticks
     path = MarketPath(column, spots, rates)
-    lookups = {"path": path.at,
-               "oracle_over_columns": oracle_over(path)._snapshot,
-               "oracle_over_rows": oracle_over(rows)._snapshot}
+    lookups = {"path": path.at, "oracle": oracle_over(path)._snapshot}
     for tick in range(ticks[0] - 2, ticks[-1] + 3):
         want = _outcome(lambda t: _dict_lookup(rows, t), tick)
         for name, lookup in lookups.items():
@@ -406,7 +404,7 @@ def test_the_order_error_names_the_first_bad_pair_for_rows_and_columns(ticks, sp
         rows = [snap(tick=t) for t in column]
         bad = next(((a, b) for a, b in zip(column, column[1:]) if b <= a), None)
         n = len(column)
-        for build in (lambda: rows, lambda: MarketPath(column, [100.0] * n, [0.02] * n)):
+        for build in (lambda: path_of(rows), lambda: MarketPath(column, [100.0] * n, [0.02] * n)):
             if bad is None:
                 oracle_over(build())
                 continue
@@ -427,14 +425,14 @@ def test_a_path_that_at_could_not_read_is_refused():
 def test_store_requires_increasing_ticks():
     for path in ([snap(tick=1), snap(tick=1)], [snap(tick=2), snap(tick=1)]):
         with pytest.raises(ValueError, match="increasing tick order"):
-            oracle_over(path)
+            oracle_over(path_of(path))
     with pytest.raises(MissingSnapshot, match="tick 2$"):
-        oracle_over([snap(tick=1)]).value(2, 2)
+        oracle_over(path_of([snap(tick=1)])).value(2, 2)
 
 
 def test_oracle_matches_direct_settlement_amount():
     old, new = snap(tick=0, spot=100.0, rate=0.0), MarketSnapshot(10, 104.0, 0.0)
-    oracle = oracle_over([old, new])
+    oracle = oracle_over(path_of([old, new]))
     got = oracle.query(0, 10)
     want = settlement_amount(FORWARD, 0, 10, old, new, 0.01)
     assert got == want
@@ -442,10 +440,10 @@ def test_oracle_matches_direct_settlement_amount():
 
 def test_oracle_missing_snapshot_refuses():
     with pytest.raises(MissingSnapshot, match="tick 10$"):
-        oracle_over([snap(tick=0)]).query(0, 10)
+        oracle_over(path_of([snap(tick=0)])).query(0, 10)
     # with both missing, the journaled reason names the period start
     with pytest.raises(MissingSnapshot, match="tick 0$"):
-        oracle_over([]).query(0, 10)
+        oracle_over(path_of([])).query(0, 10)
 
 
 @pytest.mark.parametrize("product,rate,message", [
@@ -459,7 +457,7 @@ def test_oracle_missing_snapshot_refuses():
      "pricing tick 10 overflows (float division by zero)"),
 ], ids=["overflow", "nan", "zero_discount"])
 def test_oracle_out_of_range_value_refuses_and_journals_nothing(product, rate, message):
-    oracle = oracle_over([snap(tick=0, rate=rate), snap(tick=10, spot=101.0, rate=rate)],
+    oracle = oracle_over(path_of([snap(tick=0, rate=rate), snap(tick=10, spot=101.0, rate=rate)]),
                          product)
     with pytest.raises(ValuationOutOfRange) as refused:
         oracle.query(0, 10)
@@ -469,11 +467,11 @@ def test_oracle_out_of_range_value_refuses_and_journals_nothing(product, rate, m
 
 def test_oracle_period_must_advance():
     with pytest.raises(TimestampMismatch):
-        oracle_over([snap(tick=10)]).query(10, 10)
+        oracle_over(path_of([snap(tick=10)])).query(10, 10)
 
 
 def test_oracle_is_idempotent_per_period():
-    oracle = oracle_over([snap(tick=0, spot=100.0), MarketSnapshot(10, 107.0, 0.02)])
+    oracle = oracle_over(path_of([snap(tick=0, spot=100.0), MarketSnapshot(10, 107.0, 0.02)]))
     first = oracle.query(0, 10)
     assert oracle.query(0, 10) is first
     assert oracle.cached(0, 10) is first
@@ -534,8 +532,8 @@ def rate_path(ticks: int) -> list[MarketSnapshot]:
     return [snap(tick=k, rate=0.02 + 0.001 * (k % 5)) for k in range(ticks)]
 
 
-def swap_oracle(path, pricer_version=COUNTING_PRICER) -> MarginOracle:
-    return oracle_over(path, SWAP, pricer_version, TICK_YEARS)
+def swap_oracle(rows, pricer_version=COUNTING_PRICER) -> MarginOracle:
+    return oracle_over(path_of(rows), SWAP, pricer_version, TICK_YEARS)
 
 
 def test_oracle_prices_each_period_end_and_snapshot_once(counting_pricer):
