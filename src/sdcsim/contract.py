@@ -150,6 +150,14 @@ class ContractSpec:
     def other(self, party: AccountId) -> AccountId:
         return self.party_b if party == self.party_a else self.party_a
 
+    def payer_receiver(self, value: float) -> tuple[str, str]:
+        """Who pays whom a settlement value: positive means B pays A; ("", "") at zero."""
+        if value > 0:
+            return self.party_b, self.party_a
+        if value < 0:
+            return self.party_a, self.party_b
+        return "", ""
+
 
 class ContractInstance:
     """A single contract bound to a ledger, on that ledger's journal and clock."""
@@ -333,16 +341,11 @@ class ContractInstance:
 
         f = self.pending_valuation
         amount = abs(round_to_minor_units(f.value))
-        if f.value > 0:
-            payer, receiver = self.spec.party_b, self.spec.party_a
-        elif f.value < 0:
-            payer, receiver = self.spec.party_a, self.spec.party_b
-        else:
-            payer = receiver = None
+        payer, receiver = self.spec.payer_receiver(f.value)
         maturing = self.cycle == self.spec.cycles - 1
         cid = self.spec.contract_id
 
-        if payer is not None and amount > self.margin_bucket(payer):
+        if payer and amount > self.margin_bucket(payer):
             # Partial settlement: whole margin bucket plus the fee cross over.
             paid = self.margin_bucket(payer)
             self._release(payer, MARGIN, paid, receiver)
@@ -358,10 +361,10 @@ class ContractInstance:
                              cause="settlement-exceeded-margin")
             return
 
-        if payer is not None and amount > 0:
+        if payer and amount > 0:
             self._release(payer, MARGIN, amount, receiver)
         self._journal(SETTLEMENT, amount, cid, self.cycle, "matured" if maturing else "settled",
-                      payer or "", receiver or "", repr(f.value))
+                      payer, receiver, repr(f.value))
         settled_cycle = self.cycle
         self.pending_valuation = None
         if maturing:

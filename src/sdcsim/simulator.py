@@ -188,7 +188,7 @@ class WillfulAgent(CompliantAgent):
             except OracleFailure:  # a missing snapshot or a price out of range
                 pass
             else:
-                pays = projected > 0 if party == spec.party_b else projected < 0
+                pays = spec.payer_receiver(projected)[0] == party
                 if (abs(projected) if pays else 0.0) > self.threshold:
                     held = contract.margin_bucket(party)
                     if held > 0:
@@ -235,12 +235,13 @@ def normal_variates(seed: int, stream: int, count: int) -> np.ndarray:
 def inv_normal_cdf(p: np.ndarray) -> np.ndarray:
     """`NormalDist().inv_cdf` over an array of p in (0, 1), bit for bit.
 
-    Wichura's AS241 with the operations in the order of CPython's C code.
-    The central fit runs in place on every p (its denominator stays positive);
-    the tails, about 15% of p, are then computed by index and written over it,
-    with the logarithm from `math.log`, because `np.log` can be one ulp away
-    from libm's; `np.sqrt` is correctly rounded, as is libm's.
+    The central fit of Wichura's AS241 runs in numpy, in CPython's operation
+    order and in place on every p (its denominator stays positive). The tails,
+    about 15% of p, are then written over it by index from the function
+    `NormalDist.inv_cdf` itself calls, so they are the reference's values.
     """
+    from statistics import _normal_dist_inv_cdf  # first use: it imports fractions and decimal
+
     q = p - 0.5
     r = q * q
     np.subtract(0.180625, r, out=r)
@@ -248,16 +249,8 @@ def inv_normal_cdf(p: np.ndarray) -> np.ndarray:
     x *= q
     x /= _horner(r, _CENTRAL_DEN)
     tail = np.flatnonzero(np.abs(q) > 0.425)
-    qt = q[tail]
-    r = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
-    r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), np.float64, len(r)))
-    near = r <= 5.0
-    xt = np.empty_like(r)
-    rn = r[near] - 1.6
-    xt[near] = _horner(rn, _NEAR_NUM) / _horner(rn, _NEAR_DEN)
-    rf = r[~near] - 5.0
-    xt[~near] = _horner(rf, _FAR_NUM) / _horner(rf, _FAR_DEN)
-    x[tail] = np.where(qt < 0.0, -xt, xt)
+    x[tail] = np.fromiter(map(_normal_dist_inv_cdf, p[tail].tolist(), repeat(0.0), repeat(1.0)),
+                          np.float64, len(tail))
     return x
 
 
@@ -271,25 +264,13 @@ def _horner(r: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     return acc
 
 
-# AS241 coefficients, highest power first.
+# AS241's central coefficients, highest power first.
 _CENTRAL_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
                 4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
                 1.3314166789178437745e+2, 3.3871328727963666080e+0)
 _CENTRAL_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
                 2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
                 4.2313330701600911252e+1, 1.0)
-_NEAR_NUM = (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-             1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
-             4.63033784615654529590e+0, 1.42343711074968357734e+0)
-_NEAR_DEN = (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-             1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-             2.05319162663775882187e+0, 1.0)
-_FAR_NUM = (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-            2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
-            5.46378491116411436990e+0, 6.65790464350110377720e+0)
-_FAR_DEN = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-            7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-            5.99832206555887937690e-1, 1.0)
 
 
 def generate_path(model: MarketModel, seed: int, ticks: int,
@@ -649,8 +630,7 @@ def _settlement_rows(journal: Journal, spec: ContractSpec,
         if (cached := oracle.cached(start, end)) is None:
             break
         value, f = cached.value, repr(cached.value)
-        payer, receiver = ((spec.party_b, spec.party_a) if value > 0 else
-                           (spec.party_a, spec.party_b) if value < 0 else ("", ""))
+        payer, receiver = spec.payer_receiver(value)
         due = amount = abs(round_to_minor_units(value))
         outcome = "matured" if c == last else "settled"
         if valued != VALUATION.pack(end, SYSTEM_ACTOR, cid, end, start, spec.pricer_version, f):

@@ -1,10 +1,12 @@
-"""README's library examples run as written."""
+"""README's library and command-line examples run as written."""
 
 from __future__ import annotations
 
 import re
 import shutil
 from pathlib import Path
+
+from sdcsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,3 +25,22 @@ def test_the_readme_python_blocks_run_in_order(tmp_path, monkeypatch):
         padding = "\n" * text.count("\n", 0, block.start(1))  # so line numbers are README's
         exec(compile(padding + block[1], str(ROOT / "README.md"), "exec"), namespace)
     assert (tmp_path / "journal.bin").exists() and namespace["amount"].as_of == 10
+
+
+def test_the_readme_cli_examples_exit_as_commented(tmp_path, monkeypatch):
+    """README's "Try the bundled scenarios" commands run in order through `cli.main` from the
+    repository root, each `/tmp/demo*` path mapped under `tmp_path`: each exits with the code
+    its `# exits N` comment gives, else 0."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^Try the bundled scenarios:\n\n```\n(.*?)^```$", text, re.M | re.S)[1]
+    lines = block.splitlines()
+    assert len(lines) == 4
+    monkeypatch.chdir(ROOT)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        program, *argv = (str(tmp_path / arg[len("/tmp/"):]) if arg.startswith("/tmp/demo")
+                          else arg for arg in command.split())
+        assert program == "sdcsim"
+        expected = int(re.fullmatch(r" exits (\d+)", comment)[1]) if comment else 0
+        assert main(argv) == expected, line
+    assert (tmp_path / "demo" / "journal.bin").exists()

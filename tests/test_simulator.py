@@ -273,7 +273,12 @@ def test_inv_normal_cdf_is_bit_identical_to_normal_dist_on_branch_edges():
     uniform = np.random.default_rng(7).random(20_000)
     ps = crafted + [p for p in uniform.tolist() if p > 0.0]
     inv_cdf = NormalDist().inv_cdf
-    assert _same_bits(inv_normal_cdf(np.array(ps)).tolist(), [inv_cdf(p) for p in ps])
+    # also no p at all, no tail p, and only tail p: the tail write at zero and at full length
+    centre = [p for p in ps if abs(p - 0.5) <= 0.425]
+    tails = [p for p in ps if abs(p - 0.5) > 0.425]
+    for batch in (ps, [], centre, tails):
+        assert _same_bits(inv_normal_cdf(np.array(batch, np.float64)).tolist(),
+                          [inv_cdf(p) for p in batch])
 
 
 CALIBRATED_MARKET = dict(market__volatility="0.3", market__drift="0.15",
