@@ -29,14 +29,14 @@ the stored ones as it goes.
 `EventRecord.from_bytes` is the one decoder of payloads: `Journal.records`
 calls it per payload and `RecordShape.read` per payload of its kind, and it
 raises CorruptJournal if one does not decode (truncated, trailing bytes, bad
-UTF-8, unknown kind). `Journal.load` (the `verify` command) checks a whole
-file with one batched numpy walk over the length prefixes (`_walk`) after
-framing the blocks and checking the chain, and only a payload the walk
-cannot vouch for goes through the decoder. `Journal.load` names the first bad block, counted
-from 0 in file order ("block 17: truncated block body", "chain verification
-failed at block 17", "block 17: truncated string data"); a cut file is
-reported before a chain break, and a chain break even when a payload is
-also malformed.
+UTF-8, unknown kind). `Journal.load` (the `verify` command) frames the blocks
+and checks the chain, then vouches for the payloads with one batched numpy walk
+over their length prefixes (`_walk`), which tells a kind by its tag at byte 8
+as `payloads_of` and `RecordShape.read` do; only a payload the walk cannot
+vouch for goes through the decoder. It names the first bad block, counted from
+0 in file order ("block 17: truncated block body", "chain verification failed
+at block 17", "block 17: truncated string data"); a cut file is reported
+before a chain break, and a chain break even when a payload is also malformed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, count, repeat
@@ -100,7 +99,7 @@ def _pack_str(s: str) -> bytes:
 # record's kind without decoding it.
 _KIND_TAGS = {kind: _pack_str(kind.value) for kind in EventKind}
 _KINDS_BY_NAME = {kind.value: kind for kind in EventKind}
-_KIND_NAMES = frozenset(kind.value.encode("utf-8") for kind in EventKind)
+_TAGS = tuple(_KIND_TAGS.values())
 
 
 @dataclass(frozen=True)
@@ -223,27 +222,26 @@ BURN = RecordShape(EventKind.BURN, "amount src")
 TRANSFER_FROM = RecordShape(EventKind.TRANSFER, "amount dst spender src")
 
 
-def _walk(payloads: list[bytes], data: bytes, starts) -> list[bool]:
+def _walk(payloads: list[bytes]) -> list[bool]:
     """Per payload, whether its length prefixes alone show it to decode: they
-    end exactly at its end, its kind is known and every byte after the
-    timestamp is ASCII; anything else is left to `EventRecord.from_bytes`.
-    `data` holds `payloads[i]` at `starts[i]`. Each step reads the next prefix
-    of every payload still being walked at once.
+    end exactly at its end, it has a known kind's tag at byte 8 and every byte
+    after the timestamp is ASCII; anything else is left to `EventRecord.from_bytes`.
+    Each step reads the next prefix of every payload still being walked at once.
     """
-    # imported on first use: loaded ahead of the rest of the package (which imports
-    # this module first), numpy leaves the process about 2 MB larger
+    # on first use, so that `simulator` can drop its top-level numpy import with no edit here
     import numpy as np
 
-    starts = np.frombuffer(starts, np.int64)
+    data = b"".join(payloads)
     # the big-endian u32 starting at each byte of `data`: a view, not a copy
     prefix_at = np.ndarray((max(len(data) - 3, 0),), ">u4", data, 0, (1,))
-    ends = starts + np.fromiter(map(len, payloads), np.int64, len(payloads))
-    passed, kind_lengths = np.zeros(len(payloads), bool), np.zeros(len(payloads), np.int64)
+    lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    passed = np.zeros(len(payloads), bool)
     # each payload still being walked: its position, offset, end and prefixes left to read
     # (first kind, actor and count); one is dropped once its prefixes cannot fit before its end
-    live = np.flatnonzero(starts + 20 <= ends)
+    live = np.flatnonzero(lengths >= 20)
     off, end, left = starts[live] + 8, ends[live], np.full(len(live), 3)
-    kind_lengths[live] = prefix_at[off]
     step = 0
     while len(live):
         n = prefix_at[off].astype(np.int64)
@@ -256,8 +254,8 @@ def _walk(payloads: list[bytes], data: bytes, starts) -> list[bool]:
         keep = ~done & (off + 4 * left <= end)
         live, off, end, left = live[keep], off[keep], end[keep], left[keep]
         step += 1
-    return [ok and payload[12:12 + n] in _KIND_NAMES and payload[8:].isascii()
-            for payload, ok, n in zip(payloads, passed.tolist(), kind_lengths.tolist())]
+    return [ok and payload.startswith(_TAGS, 8) and payload[8:].isascii()
+            for payload, ok in zip(payloads, passed.tolist())]
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -365,24 +363,23 @@ class Journal:
         data = Path(path).read_bytes()
         journal = cls()
         heads, payloads, hashes = journal._heads, journal._payloads, journal._hashes
-        starts = array("q")  # each block's payload start, for `_walk`
         unpack = _U32.unpack_from
         off, end = 0, len(data)
         while off < end:
             if off + _HEAD_SIZE > end:
-                raise CorruptJournal(f"block {len(starts)}: truncated block header")
+                raise CorruptJournal(f"block {len(hashes)}: truncated block header")
             start = off + _HEAD_SIZE
             heads.append(data[off:start - 4])
             off = start + unpack(data, start - 4)[0] + 32
             if off > end:
-                raise CorruptJournal(f"block {len(starts)}: truncated block body")
-            starts.append(start)
+                raise CorruptJournal(f"block {len(hashes)}: truncated block body")
             payloads.append(data[start:off - 32])
             hashes.append(data[off - 32:off])
+        del data  # released: `_walk` joins the payloads, and the two are not held at once
         broken = _chain_break(heads, payloads, hashes)
         if broken is not None:
             raise CorruptJournal(f"chain verification failed at block {broken}")
-        for i in compress(count(), map(not_, _walk(payloads, data, starts))):
+        for i in compress(count(), map(not_, _walk(payloads))):
             try:
                 EventRecord.from_bytes(payloads[i])
             except CorruptJournal as exc:

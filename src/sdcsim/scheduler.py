@@ -112,6 +112,7 @@ class AgentPolicy(Protocol):
 
 class Oracle(Protocol):
     def query(self, period_start: int, period_end: int) -> SettlementAmount: ...
+    def value(self, period_end: int, as_of: int) -> float: ...
 
 
 # What each event runs on a live contract, given the engine: OPEN_ACCOUNTS nothing (initialization

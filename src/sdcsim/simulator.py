@@ -720,13 +720,12 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
     return RunArtifacts(report=report, engine=engine, journal=journal, ledger=ledger)
 
 
-def calibrate_buffer(scenario: Scenario, q: float, trials: int,
-                     stream: int = CALIBRATION_STREAM) -> int:
+def calibrate_buffer(scenario: Scenario, q: float, trials: int) -> int:
     """Size the margin buffer as the q-quantile of simulated one-period
     settlement magnitudes, floored at one minor unit."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    samples = one_period_samples(scenario, trials, stream=stream)
+    samples = one_period_samples(scenario, trials)
     return max(1, margin_buffer(samples, q))
 
 

@@ -4,8 +4,6 @@ import ast
 import hashlib
 import random
 import struct
-from array import array
-from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -125,8 +123,7 @@ def test_load_payload_check_agrees_with_the_decoder(rec):
     variants += [payload[:i] + bytes([byte]) + payload[i + 1:]
                  for i in range(len(payload)) for byte in (0x00, 0x80, 0xC3, 0xFF)]
     # one walk over every variant, as `Journal.load` makes over a file's payloads
-    starts = array("q", accumulate(map(len, variants), initial=0))[:-1]
-    vouched = journal_module._walk(variants, b"".join(variants), starts)
+    vouched = journal_module._walk(variants)
     for variant, ok in zip(variants, vouched, strict=True):
         try:
             record = EventRecord.from_bytes(variant)
