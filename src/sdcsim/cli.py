@@ -6,7 +6,7 @@ SdcError or OSError into exit 2 (`run` reports an OSError while it runs or
 writes as exit 1). Exit codes are stable for scripting:
 
     0  success (a run that terminates at maturity)
-    1  engine error (oracle failure, refused initialization, IO failure)
+    1  engine error (oracle failure, refused initialization, a run left INCOMPLETE, IO failure)
     2  usage or input error (bad flags, bad scenario, corrupt journal)
     3  run ended in an early termination
 """
@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_ENGINE_ERROR = 1
 EXIT_USAGE = 2
 EXIT_EARLY_TERMINATION = 3
+_EXITS = {"MATURED": EXIT_OK, "INSUFFICIENT_PREFUND": EXIT_EARLY_TERMINATION,
+          "SETTLEMENT_FAILED": EXIT_EARLY_TERMINATION}
 
 
 def _fail(message: str) -> int:
@@ -67,11 +69,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = artifacts.report
     print(f"{report.scenario_name}: {report.termination_cause or 'INCOMPLETE'} "
           f"journal={report.journal_hash}")
-    if report.termination_cause == "MATURED":
-        return EXIT_OK
-    if report.termination_cause in ("INSUFFICIENT_PREFUND", "SETTLEMENT_FAILED"):
-        return EXIT_EARLY_TERMINATION
-    return EXIT_ENGINE_ERROR
+    return _EXITS.get(report.termination_cause, EXIT_ENGINE_ERROR)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

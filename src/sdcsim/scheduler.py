@@ -213,7 +213,6 @@ class Engine:
         due = self.timeline[self._cursor]
         if kind is not due.kind or now != due.tick or now != self.clock.now():
             return RequestOutcome(False, "NotDue")
-        self._cursor += 1
         c = self.contract
         try:
             if not c.is_final:
@@ -223,8 +222,8 @@ class Engine:
             elif kind is LifecycleEvent.MATURITY and c.state().cause is TerminationCause.MATURED:
                 c.return_fees()
         except SdcError as exc:
-            self._cursor -= 1
             return RequestOutcome(False, str(exc))
+        self._cursor += 1
         return ACCEPTED
 
     def _journal_rejection(self, step: ScriptStep, reason: str) -> None:

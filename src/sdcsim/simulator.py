@@ -90,7 +90,7 @@ class MarketModel:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    kind: str               # compliant | defaulting | willful
+    kind: str               # a key of _POLICIES
     param: int | None = None
 
 
@@ -198,14 +198,14 @@ class WillfulAgent(CompliantAgent):
         _top_up(contract, party)
 
 
+_POLICIES = {"compliant": lambda _: CompliantAgent(), "defaulting": DefaultingAgent,
+             "willful": WillfulAgent}
+
+
 def make_policy(spec: PolicySpec):
-    if spec.kind == "compliant":
-        return CompliantAgent()
-    if spec.kind == "defaulting":
-        return DefaultingAgent(spec.param)
-    if spec.kind == "willful":
-        return WillfulAgent(spec.param)
-    raise ScenarioParseError(f"unknown agent policy {spec.kind!r}")
+    if spec.kind not in _POLICIES:
+        raise ScenarioParseError(f"unknown agent policy {spec.kind!r}")
+    return _POLICIES[spec.kind](spec.param)
 
 
 # -- seeded market paths --
@@ -423,17 +423,17 @@ def _get_floats(cp, section, key) -> tuple[float, ...]:
 def _parse_policy(raw: str, field: str) -> PolicySpec:
     kind, _, arg = raw.partition(":")
     kind = kind.strip()
+    if kind not in _POLICIES:
+        raise ScenarioParseError(f"{field}: unknown agent policy {kind!r}")
     if kind == "compliant":
         if arg:
-            raise ScenarioParseError(f"{field}: policy 'compliant' takes no argument")
-        return PolicySpec("compliant")
-    if kind in ("defaulting", "willful"):
-        try:
-            return PolicySpec(kind, int(arg))
-        except ValueError:
-            raise ScenarioParseError(
-                f"{field}: policy {kind!r} needs an integer argument, got {arg!r}") from None
-    raise ScenarioParseError(f"{field}: unknown agent policy {kind!r}")
+            raise ScenarioParseError(f"{field}: policy {kind!r} takes no argument")
+        return PolicySpec(kind)
+    try:
+        return PolicySpec(kind, int(arg))
+    except ValueError:
+        raise ScenarioParseError(
+            f"{field}: policy {kind!r} needs an integer argument, got {arg!r}") from None
 
 
 def _parse_product(cp, tick_years: float, grid: tuple[int, ...]) -> Product:
@@ -612,6 +612,7 @@ def _party_wealth(ledger: Ledger, contract_id: str, party: AccountId) -> int:
 
 
 _RESULTS = {"settled": "SETTLED", "matured": "MATURED", "partial": "FAILED"}
+_ENDS = {Phase.PRE_CHECK: "PRECONDITION_FAILED", Phase.ERROR: "ERROR"}
 
 
 def _settlement_rows(journal: Journal, spec: ContractSpec,
@@ -685,15 +686,8 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
     engine.run(script)
     del script  # a row per timeline event: not held through the report
 
-    state = contract.state()
-    if state.phase is Phase.PRE_CHECK:  # initialization was refused
-        cause, at = "PRECONDITION_FAILED", None
-    elif state.phase is Phase.TERMINATED:
-        cause, at = state.cause.value, state.at
-    elif state.phase is Phase.ERROR:
-        cause, at = "ERROR", None
-    else:
-        cause, at = None, None
+    state = contract.state()  # still PRE_CHECK if initialization was refused
+    cause = state.cause.value if state.cause else _ENDS.get(state.phase)
 
     final_wealth = {p: _party_wealth(ledger, spec.contract_id, p) for p in spec.parties}
     cycles, reconciled = _settlement_rows(journal, spec, oracle)
@@ -709,7 +703,7 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
         seed=scenario.seed,
         mode=scenario.mode.value,
         termination_cause=cause,
-        terminated_at=at,
+        terminated_at=state.at,
         cycles=cycles,
         initial_wealth=initial_wealth,
         final_free={p: ledger.balance_of(p) for p in spec.parties},
@@ -828,12 +822,11 @@ def render_report_text(report: RunReport) -> str:
     return out.getvalue()
 
 
+_RENDERERS = {"csv": render_report_csv, "text": render_report_text}
+
+
 def write_report(report: RunReport, path: str | Path, fmt: str = "text") -> None:
     """Render deterministically and write atomically (see `write_atomic`)."""
-    if fmt == "csv":
-        payload = render_report_csv(report)
-    elif fmt == "text":
-        payload = render_report_text(report)
-    else:
+    if fmt not in _RENDERERS:
         raise ValueError(f"unknown report format {fmt!r}")
-    write_atomic(path, payload.encode())
+    write_atomic(path, _RENDERERS[fmt](report).encode())

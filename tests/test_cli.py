@@ -5,11 +5,13 @@ import warnings
 
 import pytest
 
-from sdcsim import EventKind, EventRecord, MarketModel, generate_path, simulator, write_path_csv
+from sdcsim import (EventKind, EventRecord, Journal, MarketModel, generate_path, simulator,
+                    valuation, write_path_csv)
 from sdcsim.cli import main
+from sdcsim.errors import PastMaturity
 
 from support import path_of, path_rows, write_chained
-from test_simulator import scenario_text
+from test_simulator import SCENARIOS, scenario_text
 
 
 @pytest.fixture
@@ -238,6 +240,65 @@ def test_bad_scenario_number_is_an_input_error(scenario_file, tmp_path, capsys, 
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,overrides,line", [
+    (["validate"], {"contract__settlement_times": "10"},
+     "contract: need at least inception and one settlement time"),
+    (["validate"], {"contract__settlement_times": "0,10,10"},
+     "contract: settlement times must be strictly increasing"),
+    (["validate"], {"contract__prefund_window": "10"},
+     "contract: prefund window must be in [1, 10), got 10"),
+    (["validate"], {"contract__party_b": "bank1"}, "contract: contract needs two distinct parties"),
+    (["validate"], {"contract__settlement_times": "0,ten"},
+     "settlement_times: must be comma-separated ticks"),
+    (["validate"], {"market__volatility": "-0.1"}, "market: volatility must be non-negative"),
+    (["validate"], {"market__initial_spot": "-1"}, "market: initial_spot must be positive"),
+    (["validate"], {"agents__policy_a": "compliant:1"},
+     "policy_a: policy 'compliant' takes no argument"),
+    (["validate"], {"agents__policy_a": "willful:x"},
+     "policy_a: policy 'willful' needs an integer argument, got 'x'"),
+    (["validate"], {"contract__payment_times": "0.04"},
+     "key 'payment_times' only applies to vanilla_swap"),
+    (["validate"], {**SWAP, "contract__payment_times": "0.04,0.08,0.12",
+                    "contract__accruals": "0.04,0.04"},
+     "payment_times: payment_times and accruals must have equal length"),
+    (["validate"], {"run__mode": "manual"},
+     "mode: must be active|passive|driver, got 'manual'"),
+    (["calibrate", "--trials", "0"], {}, "trials must be positive, got 0"),
+], ids=["one_settlement_time", "repeated_settlement_time", "window_as_wide_as_a_period",
+        "same_parties", "non_integer_tick", "negative_volatility", "negative_spot",
+        "compliant_with_argument", "willful_without_integer", "payment_times_on_a_forward",
+        "payment_times_longer_than_accruals", "unknown_mode", "zero_trials"])
+def test_each_scenario_rule_prints_its_one_error_line(scenario_file, capsys, argv, overrides,
+                                                       line):
+    command, *flags = argv
+    assert main([command, scenario_file(**overrides), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_a_run_left_unfinished_exits_1_as_incomplete(tmp_path, capsys, monkeypatch):
+    """A pricer's SdcError that is no OracleFailure refuses the first valuation; the
+    row stays due, so every later row is refused too and the run ends in no cause."""
+    monkeypatch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
+
+    def refusing(product, t, snapshot):
+        raise PastMaturity("refusing-v1 prices nothing")
+    valuation.register_pricer("refusing-v1", refusing)
+    text = (SCENARIOS / "flat_forward.ini").read_text()
+    path = tmp_path / "flat_forward.ini"
+    path.write_text(text.replace("pricer = flat-curve-v1", "pricer = refusing-v1"))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    journal = Journal.load(tmp_path / "o" / "journal.bin")
+    assert capsys.readouterr().out == (
+        f"flat_forward: INCOMPLETE journal={journal.final_hash().hex()}\n")
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    assert "termination_cause: NONE" in report and "terminated_at: " in report
+    transitions = journal.records(EventKind.STATE_TRANSITION)
+    first = next(r for r in transitions if r.detail("cause") == "rejected")
+    assert (first.detail("event"), first.detail("reason")) == (
+        "VALUATION", "refusing-v1 prices nothing")
+    assert transitions[-1].detail("dst") == "AwaitValuation[settleAt=10]"
 
 
 def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_tick=10):

@@ -15,7 +15,9 @@ from sdcsim import (
     MarketSnapshot,
     Mode,
     Phase,
+    RequestOutcome,
     ScriptStep,
+    SettlementAmount,
     TerminationCause,
     format_script,
     generate_path,
@@ -213,6 +215,37 @@ def test_rejected_requests_change_nothing():
     assert not engine.request_event(engine.spec.party_a, E.SETTLEMENT, 0).accepted
     assert engine.contract.state() == state
     assert len(engine.journal) == blocks
+
+
+class LateValuations:
+    """Oracle fake: every period is valued one tick after its settlement tick."""
+
+    def query(self, period_start: int, period_end: int) -> SettlementAmount:
+        return SettlementAmount(5.0, period_end + 1)
+
+
+def test_a_refused_event_leaves_its_row_due():
+    contract, clock, journal, _ = make_contract()
+    engine = Engine(contract, LateValuations())
+    a, b = contract.spec.parties
+    assert engine._initialize()
+    contract.deposit_margin(a, 400)
+    contract.deposit_margin(b, 400)
+    for row in engine.timeline:
+        clock.advance_to(row.tick)
+        if row.kind is E.VALUATION:
+            break
+        assert engine.request_event(a, row.kind, row.tick).accepted
+    assert (row.kind, row.tick) == (E.VALUATION, 10)
+    blocks = len(journal)
+    assert engine.request_event(a, E.VALUATION, 10) == RequestOutcome(
+        False, "valuation is for tick 11, settlement due 10")
+    assert len(journal) == blocks
+    assert contract.label == "AwaitValuation[settleAt=10]"
+
+    engine.oracle = scripted_oracle(contract.spec, (5.0, 0.0, 0.0))
+    assert engine.request_event(a, E.VALUATION, 10).accepted  # the refused row stayed due
+    assert contract.phase is Phase.MARGIN_CALCULATION
 
 
 # -- driver scripts --
