@@ -228,7 +228,7 @@ def _walk(payloads: list[bytes]) -> list[bool]:
     after the timestamp is ASCII; anything else is left to `EventRecord.from_bytes`.
     Each step reads the next prefix of every payload still being walked at once.
     """
-    # on first use, so that `simulator` can drop its top-level numpy import with no edit here
+    # on first use: `import sdcsim` loads no numpy, so a command that walks no journal skips it
     import numpy as np
 
     data = b"".join(payloads)

@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from typing import NamedTuple, Protocol, Sequence
 
 from .contract import FINAL_PHASES, ContractInstance, ContractSpec, Phase, TerminationCause
-from .errors import OracleFailure, PreconditionFailed, ScenarioParseError, SdcError
+from .errors import PreconditionFailed, ScenarioParseError, SdcError
 from .journal import REJECTION
 from .ledger import AccountId
 from .valuation import SettlementAmount
@@ -237,7 +237,7 @@ class Engine:
         grid, cycle = self.spec.settlement_times, self.contract.cycle
         try:
             amount = self.oracle.query(grid[cycle], grid[cycle + 1])
-        except OracleFailure as exc:
+        except SdcError as exc:  # any refusal by the oracle or its pricer
             self.contract.mark_error(str(exc))
             return
         self.contract.deliver_valuation(amount)

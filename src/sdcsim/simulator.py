@@ -35,8 +35,6 @@ from enum import Enum
 from itertools import accumulate, chain, repeat
 from pathlib import Path
 
-import numpy as np
-
 from .contract import ACCOUNTS_OPEN, ContractInstance, ContractSpec, Phase
 from .errors import OracleFailure, ScenarioParseError, ScenarioValidationError, UnknownPricer
 from .journal import SETTLEMENT, SYSTEM_ACTOR, VALUATION, Clock, EventKind, Journal, write_atomic
@@ -220,6 +218,7 @@ VARIATE_CHUNK = 1 << 16
 def normal_variates(seed: int, stream: int, count: int) -> np.ndarray:
     """Standard normals from a Philox counter keyed by (seed, stream),
     mapped through the inverse normal CDF."""
+    import numpy as np
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
     out = np.empty(count)
     for lo in range(0, count, VARIATE_CHUNK):
@@ -240,6 +239,7 @@ def inv_normal_cdf(p: np.ndarray) -> np.ndarray:
     about 15% of p, are then written over it by index from the function
     `NormalDist.inv_cdf` itself calls, so they are the reference's values.
     """
+    import numpy as np
     from statistics import _normal_dist_inv_cdf  # first use: it imports fractions and decimal
 
     q = p - 0.5
@@ -279,6 +279,7 @@ def generate_path(model: MarketModel, seed: int, ticks: int,
     `range` ticks, the spots, and the initial zero rate repeated."""
     if ticks < 1:
         raise ValueError("need at least one tick")
+    import numpy as np
     drift_term, vol_term = _log_move_terms(model)
     # numpy's elementwise multiply and add round as Python's floats do, and an
     # inf or NaN here fails below as it would in Python
@@ -749,6 +750,7 @@ def one_period_samples(scenario: Scenario, trials: int,
             raise _out_of_range("settlement value", exc) from None
         raise ScenarioValidationError("product", "buffer calibration holds the rate flat, "
                                       "so it cannot size a vanilla_swap's buffer")
+    import numpy as np
     shocks = normal_variates(scenario.seed, stream, trials * gap).reshape(trials, gap)
     if trials == 0:
         return []

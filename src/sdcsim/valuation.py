@@ -211,7 +211,7 @@ def margin_buffer(samples: Sequence[float], q: float) -> int:
         raise ValueError(f"quantile level must be in (0, 1], got {q}")
     if len(samples) == 0:
         raise EmptySamples("margin sizing needs at least one sample")
-    import numpy as np  # on first use, as in journal._walk, so simulator's import can go alone
+    import numpy as np  # on first use, as in journal._walk: `import sdcsim` loads no numpy
     magnitudes = np.array(samples, np.float64)  # a copy, so the in-place steps are ours
     np.abs(magnitudes, out=magnitudes)
     if not np.isfinite(magnitudes).all():

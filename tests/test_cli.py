@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -277,9 +280,9 @@ def test_each_scenario_rule_prints_its_one_error_line(scenario_file, capsys, arg
     assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
-def test_a_run_left_unfinished_exits_1_as_incomplete(tmp_path, capsys, monkeypatch):
-    """A pricer's SdcError that is no OracleFailure refuses the first valuation; the
-    row stays due, so every later row is refused too and the run ends in no cause."""
+def test_a_pricer_refusal_ends_the_run_in_error(tmp_path, capsys, monkeypatch):
+    """A pricer's SdcError that is no OracleFailure ends the run in ERROR at the
+    first valuation, as an oracle failure does, rather than leaving it unfinished."""
     monkeypatch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
 
     def refusing(product, t, snapshot):
@@ -291,14 +294,12 @@ def test_a_run_left_unfinished_exits_1_as_incomplete(tmp_path, capsys, monkeypat
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     journal = Journal.load(tmp_path / "o" / "journal.bin")
     assert capsys.readouterr().out == (
-        f"flat_forward: INCOMPLETE journal={journal.final_hash().hex()}\n")
+        f"flat_forward: ERROR journal={journal.final_hash().hex()}\n")
     report = (tmp_path / "o" / "report.txt").read_text().splitlines()
-    assert "termination_cause: NONE" in report and "terminated_at: " in report
-    transitions = journal.records(EventKind.STATE_TRANSITION)
-    first = next(r for r in transitions if r.detail("cause") == "rejected")
-    assert (first.detail("event"), first.detail("reason")) == (
-        "VALUATION", "refusing-v1 prices nothing")
-    assert transitions[-1].detail("dst") == "AwaitValuation[settleAt=10]"
+    assert "termination_cause: ERROR" in report and "cycles: 0" in report
+    last = journal.records(EventKind.STATE_TRANSITION)[-1]
+    assert (last.timestamp, last.detail("cause"), last.detail("src"), last.detail("dst")) == (
+        10, "oracle-failure", "AwaitValuation[settleAt=10]", "Error[refusing-v1 prices nothing]")
 
 
 def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_tick=10):
@@ -322,6 +323,34 @@ def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_
 def test_finite_path_csv_runs(scenario_file, tmp_path):
     assert main(["run", _path_scenario(scenario_file, tmp_path),
                  "--out", str(tmp_path / "o")]) == 0
+
+
+# runs `sdcsim ARGS...` on the package at argv[1], then prints the exit code and
+# whether numpy was loaded
+_NUMPY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from sdcsim.cli import main
+code = main(sys.argv[2:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, loads_numpy", [
+    (lambda make, out: ["--help"], False),
+    (lambda make, out: ["validate", str(SCENARIOS / "flat_forward.ini")], False),
+    (lambda make, out: ["run", make(), "--out", out], False),
+    (lambda make, out: ["run", str(SCENARIOS / "flat_forward.ini"), "--out", out], True),
+], ids=["help", "validate", "path_file_run", "model_path_run"])
+def test_only_a_command_that_computes_with_numpy_imports_it(scenario_file, tmp_path,
+                                                            command, loads_numpy):
+    # numpy's import is most of a fresh process's start-up: only a model path,
+    # a calibration and a journal's walk need it
+    argv = command(lambda: _path_scenario(scenario_file, tmp_path), str(tmp_path / "o"))
+    src = Path(simulator.__file__).parents[1]
+    child = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(src), *argv],
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[-1] == f"0 {loads_numpy}"
 
 
 @pytest.mark.parametrize("mode", ["active", "passive", "driver"])
