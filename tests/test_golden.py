@@ -9,8 +9,10 @@ with no trigger and once with party A emptying its wallet mid-run), and a
 long forward grid. Variants of `volatile_forward` reach the paths those
 never take: a partial settlement, a refused initialization, an oracle
 failure, a contract id too long for `RecordShape.pack`'s ASCII template,
-and journaled rejections. The buffer calibration's samples and buffers are
-pinned the same way.
+journaled rejections, and a compliant party facing a willful one. Unequal
+margins and fees, on a forward that matures, one that fails to settle and a
+swap, pin which party each term belongs to. The buffer calibration's samples
+and buffers are pinned the same way.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from sdcsim import (Engine, EventRecord, LifecycleEvent, Mode, ScriptStep, load_
 from sdcsim.journal import (FAILED_TERMINATION, LOCK, MATURED_TERMINATION, PREFUND_TERMINATION,
                             REJECTION, RELEASE, SETTLEMENT, TRANSFER, TRANSITION, VALUATION)
 from sdcsim.simulator import (
+    PolicySpec,
     _settlement_rows,
     calibrate_buffer,
     one_period_samples,
@@ -102,6 +105,30 @@ GOLDEN = {
         "5dd49b76337b555bde547b75e956c7a0f6bb0e5439197ef82c94a43ee87d1584",
     ("rejected_rows", "driver"):
         "d118884c07f4c3576edadaeef4ba82e34059d8d5e9bc7e166df8e039130f1ae4",
+    ("asymmetric_terms", "active"):
+        "9365d0f41a78cb817855bc056a6c14636e55a140e30aaee7ef1c0c69e2008b26",
+    ("asymmetric_terms", "passive"):
+        "9365d0f41a78cb817855bc056a6c14636e55a140e30aaee7ef1c0c69e2008b26",
+    ("asymmetric_terms", "driver"):
+        "9365d0f41a78cb817855bc056a6c14636e55a140e30aaee7ef1c0c69e2008b26",
+    ("asymmetric_thin_margins", "active"):
+        "97e7f7e42afceee9fa79972388dc85b2e6b5703c947439c13fc770965c794858",
+    ("asymmetric_thin_margins", "passive"):
+        "97e7f7e42afceee9fa79972388dc85b2e6b5703c947439c13fc770965c794858",
+    ("asymmetric_thin_margins", "driver"):
+        "97e7f7e42afceee9fa79972388dc85b2e6b5703c947439c13fc770965c794858",
+    ("asymmetric_swap", "active"):
+        "081fb310106e8a77a830bcd46a529b51c8ae7c54f93bd0d25099cdcac788ad18",
+    ("asymmetric_swap", "passive"):
+        "081fb310106e8a77a830bcd46a529b51c8ae7c54f93bd0d25099cdcac788ad18",
+    ("asymmetric_swap", "driver"):
+        "081fb310106e8a77a830bcd46a529b51c8ae7c54f93bd0d25099cdcac788ad18",
+    ("compliant_willful", "active"):
+        "9f3523e65a6757df7f1ea97d73078e7db71bc79c0e13aa36915507af2bbf7ae8",
+    ("compliant_willful", "passive"):
+        "9f3523e65a6757df7f1ea97d73078e7db71bc79c0e13aa36915507af2bbf7ae8",
+    ("compliant_willful", "driver"):
+        "9f3523e65a6757df7f1ea97d73078e7db71bc79c0e13aa36915507af2bbf7ae8",
 }
 
 # SHA-256 of render_report_csv and render_report_text for each case. The
@@ -201,6 +228,42 @@ REPORTS = {
     ("rejected_rows", "driver"): (
         "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
         "4efe57625bae9a8fcb2fc97574d6c9f1d3d18b7ea109d1ebfade6a4beff32608"),
+    ("asymmetric_terms", "active"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "fde86806d08cda33d45701feef713779ca70f54bcd61d9e2c817ed05f430964a"),
+    ("asymmetric_terms", "passive"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "7db6d0eb143d6ad1ea2798470ada07db62339056ce880c4ba53fcdf8e2e449be"),
+    ("asymmetric_terms", "driver"): (
+        "e0f037d5da8c5b08da7ce7c974a6a4d4417849fece35d56f63d422f8182e73dc",
+        "4df97d913dd2efc2beb972c4f158c1c66c12b8821e4a8d6ddfee77720feec5eb"),
+    ("asymmetric_thin_margins", "active"): (
+        "82adeb1785bdb198ff9f769a0ab622d1c986900e618914fa7561ef9bd97b08db",
+        "886ffdce52cb962348677179041a50a18cb4c7cf1ece176daf6c50a6b7c602e2"),
+    ("asymmetric_thin_margins", "passive"): (
+        "82adeb1785bdb198ff9f769a0ab622d1c986900e618914fa7561ef9bd97b08db",
+        "b22e814989a88445a3c9b79d15e5540698f618a99eaeabc9b87f2d94c4b83e2c"),
+    ("asymmetric_thin_margins", "driver"): (
+        "82adeb1785bdb198ff9f769a0ab622d1c986900e618914fa7561ef9bd97b08db",
+        "50a39f865ace9e785abffe82e72caf2472a7a12e5ff4d61022fb24144ad4c355"),
+    ("asymmetric_swap", "active"): (
+        "b81ee3322ab3680ff156a7613f02ec95b5c6bb6944b2751287f8b698bce28068",
+        "aa704f3c474ccb2e25b6c98e5efa78453dcde952d7d352688dd087aca1380800"),
+    ("asymmetric_swap", "passive"): (
+        "b81ee3322ab3680ff156a7613f02ec95b5c6bb6944b2751287f8b698bce28068",
+        "873c2f7f383180cf996a53951256ccdac9dbf3f47f70c0d4eaa546775f91bf08"),
+    ("asymmetric_swap", "driver"): (
+        "b81ee3322ab3680ff156a7613f02ec95b5c6bb6944b2751287f8b698bce28068",
+        "15317fd8b2d833ab800aca0a0050273f55e325942e1425518294208f21a5ce80"),
+    ("compliant_willful", "active"): (
+        "960e939d271ba62e423bee867d813a846c00d21317f0fb62ba40f63d9c2b71eb",
+        "e42f1402d0dea83bde64a3eba3c9b9214cc509b03a8a53dc564067bfd1070493"),
+    ("compliant_willful", "passive"): (
+        "960e939d271ba62e423bee867d813a846c00d21317f0fb62ba40f63d9c2b71eb",
+        "7343eca4eb1ffe02dfd7314577297e2a655952bdb55991daa4468e17e079c8a8"),
+    ("compliant_willful", "driver"): (
+        "960e939d271ba62e423bee867d813a846c00d21317f0fb62ba40f63d9c2b71eb",
+        "da3f696baa35e6fe5fa27fd6bfcf0e366a83c711bf4b5a8aaf672e80399807a6"),
 }
 
 # SHA-256 of repr(one_period_samples(scenario, 5000, stream)) and
@@ -244,7 +307,8 @@ def _write_rate_path(path: Path, ticks: int) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
-def _swap_scenario(tmp_path: Path, policy_a: str = "willful:1000000", name="vanilla_swap"):
+def _swap_scenario(tmp_path: Path, policy_a: str = "willful:1000000", name="vanilla_swap",
+                   margin_b="20000"):
     tick_years = 0.025
     ticks_per_cycle = 10
     times = ",".join(str(0.5 * (i + 1)) for i in range(SWAP_PAYMENTS))
@@ -258,7 +322,7 @@ def _swap_scenario(tmp_path: Path, policy_a: str = "willful:1000000", name="vani
         contract__notional="1000000", contract__payment_times=times,
         contract__accruals=",".join(["0.5"] * SWAP_PAYMENTS),
         contract__settlement_times=grid,
-        contract__margin_a="20000", contract__margin_b="20000",
+        contract__margin_a="20000", contract__margin_b=margin_b,
         contract__prefund_window="4",
         agents__policy_a=policy_a, agents__policy_b="willful:1000000",
         agents__funding_a="10000000", agents__funding_b="10000000",
@@ -287,6 +351,8 @@ def _scenario(name: str, tmp_path: Path):
         # party A's projection crosses 10,000 in the third cycle's open
         # window (after two settlements), so the trigger decision is pinned
         return _swap_scenario(tmp_path, policy_a="willful:10000", name=name)
+    if name == "asymmetric_swap":  # B's margin below A's
+        return _swap_scenario(tmp_path, name=name, margin_b="15000")
     if name == "long_grid":
         return _long_grid_scenario()
     if name in VARIANTS:
@@ -319,6 +385,15 @@ VARIANTS = {
     "long_contract_id": lambda s, _: _with_contract(s, contract_id="SDC-" + "x" * 126),
     # journaled rejections: rows that `_with_rejected_rows` adds to the run's script
     "rejected_rows": lambda s, _: s,
+    # unequal margins and fees, so that a swap of the parties' terms changes bytes: it matures
+    "asymmetric_terms": lambda s, _: _with_contract(s, margin_a=3000, margin_b=2500, fee_a=500,
+                                                    fee_b=350),
+    # and ends in SETTLEMENT_FAILED at tick 50, where A owes 426 and holds 420
+    "asymmetric_thin_margins": lambda s, _: _with_contract(s, margin_a=420, margin_b=400,
+                                                           fee_a=500, fee_b=350),
+    # a compliant A and a willful B, whose projection crosses 200 in the sixth window: the mixed
+    # pair is hooked on every open-window tick
+    "compliant_willful": lambda s, _: replace(s, policy_b=PolicySpec("willful", 200)),
 }
 
 
@@ -365,13 +440,13 @@ def test_reconciliation_decodes_only_a_partial_settlement(name, mode, tmp_path, 
     assert _settlement_rows(artifacts.journal, engine.spec, engine.oracle) \
         == (artifacts.report.cycles, True)
     # every other Settlement, and every Valuation, is the re-encoding of what the oracle cached;
-    # only `thin_margins` ends in SETTLEMENT_FAILED, with one partial Settlement
-    assert len(decodes) == (1 if name == "thin_margins" else 0)
+    # a run ending in SETTLEMENT_FAILED has one partial Settlement
+    assert len(decodes) == (artifacts.report.termination_cause == "SETTLEMENT_FAILED")
 
 
 def test_golden_set_covers_every_bundled_scenario_in_every_mode():
-    every_mode = ({p.stem for p in SCENARIOS.glob("*.ini")} | {"vanilla_swap", "willful_swap"}
-                  | set(VARIANTS))
+    every_mode = ({p.stem for p in SCENARIOS.glob("*.ini")}
+                  | {"vanilla_swap", "willful_swap", "asymmetric_swap"} | set(VARIANTS))
     assert {(name, mode.value) for name in every_mode for mode in Mode} <= set(GOLDEN)
     assert set(REPORTS) == set(GOLDEN)
 
