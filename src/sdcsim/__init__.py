@@ -5,6 +5,7 @@ from .errors import SdcError
 from .journal import Clock, EventKind, EventRecord, Journal, SYSTEM_ACTOR
 from .ledger import AccountId, Bucket, Ledger
 from .scheduler import (
+    ON_ROWS,
     Engine,
     LifecycleEvent,
     RequestOutcome,

@@ -361,8 +361,7 @@ class ContractInstance:
                              cause="settlement-exceeded-margin")
             return
 
-        if payer and amount > 0:
-            self._release(payer, MARGIN, amount, receiver)
+        self._release(payer, MARGIN, amount, receiver)  # 0 when no one pays, and 0 moves nothing
         self._journal(SETTLEMENT, amount, cid, self.cycle, "matured" if maturing else "settled",
                       payer, receiver, repr(f.value))
         settled_cycle = self.cycle

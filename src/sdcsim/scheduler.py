@@ -17,10 +17,11 @@ outsider) changes no state and is journaled as a rejection.
 While the contract is live, the loop steps from inception to maturity,
 running each tick's rows and then the agent hooks, so agents act the same
 whoever requests the events. A policy declaring `wakes` is hooked only in
-those phases; when no hooked policy acts in the current phase, the loop
-steps straight to the next row, as only a row changes the phase. Past the
-final grid tick, or once the contract is final, it jumps from row to row.
-So any party requesting the timeline's rows yields one journal, bit for bit.
+those phases, and one with `ON_ROWS` in its `wakes` acts only on what a row
+changes. When no hooked policy can act between rows in the current phase,
+the loop steps straight to the next row. Past the final grid tick, or once
+the contract is final, it jumps from row to row. So any party requesting
+the timeline's rows yields one journal, bit for bit.
 """
 
 from __future__ import annotations
@@ -101,11 +102,12 @@ class RequestOutcome(NamedTuple):
 
 
 ACCEPTED = RequestOutcome(True)
+ON_ROWS = "on-rows"  # in a policy's `wakes`: it reads only what a row or its own hook changes
 
 
 class AgentPolicy(Protocol):
-    """Hooked on every tick `Engine.run` visits, or only in the phases its
-    class declares in its own `wakes` (a frozenset; subclasses do not inherit it)."""
+    """Hooked on every tick `Engine.run` visits, or only in the phases its class declares in
+    its own `wakes` (a frozenset, not inherited); with `ON_ROWS` in it, on no tick between rows."""
 
     def on_tick(self, engine: "Engine", party: AccountId) -> None: ...
 
@@ -157,9 +159,9 @@ class Engine:
             script = self.timeline
         hooks = [(party, policy.on_tick, vars(type(policy)).get("wakes"))
                  for party in self.spec.parties if (policy := self.agents.get(party)) is not None]
-        declared = [wakes for *_, wakes in hooks]
-        # the phases some hooked policy acts in; None when one acts in every phase
-        awake = None if None in declared else frozenset().union(*declared)
+        # the phases some hooked policy acts in between rows; None when one acts in every phase
+        stepping = [wakes for *_, wakes in hooks if ON_ROWS not in (wakes or ())]
+        awake = None if None in stepping else frozenset().union(*stepping)
         contract, clock, request = self.contract, self.clock, self.request_event
         last = self.spec.settlement_times[-1]
         tick = clock.now()
@@ -179,7 +181,7 @@ class Engine:
             if tick < last and phase not in FINAL_PHASES:
                 if awake is None or phase in awake:
                     tick += 1
-                else:  # only a row changes the phase, so no policy acts before the next one
+                else:  # no policy acts before the next row, which alone changes what they read
                     tick = script[i].tick if i < n else last
             elif i < n:
                 tick = script[i].tick  # nothing can fire in between: jump to the next row

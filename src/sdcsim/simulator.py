@@ -36,10 +36,10 @@ from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 from .contract import ACCOUNTS_OPEN, ContractInstance, ContractSpec, Phase
-from .errors import OracleFailure, ScenarioParseError, ScenarioValidationError, UnknownPricer
+from .errors import ScenarioParseError, ScenarioValidationError, SdcError, UnknownPricer
 from .journal import SETTLEMENT, SYSTEM_ACTOR, VALUATION, Clock, EventKind, Journal, write_atomic
 from .ledger import AccountId, Bucket, Ledger
-from .scheduler import Engine, ScriptStep, format_script, parse_script
+from .scheduler import ON_ROWS, Engine, ScriptStep, format_script, parse_script
 from .valuation import (
     Forward,
     MarginOracle,
@@ -132,7 +132,7 @@ def _top_up(contract: ContractInstance, party: AccountId) -> None:
 class CompliantAgent:
     """Tops the margin bucket up to the required buffer whenever allowed."""
 
-    wakes = frozenset({Phase.ACCOUNTS_OPEN})  # declared per class: the engine reads no base's
+    wakes = frozenset({Phase.ACCOUNTS_OPEN, ON_ROWS})  # per class: the engine reads no base's
 
     def on_tick(self, engine: Engine, party: AccountId) -> None:
         contract = engine.contract
@@ -143,7 +143,7 @@ class CompliantAgent:
 class DefaultingAgent(CompliantAgent):
     """Stops funding from a given cycle on, as after a credit event."""
 
-    wakes = frozenset({Phase.ACCOUNTS_OPEN})
+    wakes = CompliantAgent.wakes
 
     def __init__(self, at_cycle: int):
         self.at_cycle = at_cycle
@@ -161,10 +161,10 @@ class WillfulAgent(CompliantAgent):
     against the period-start snapshot, both priced by the oracle's `value`
     (so both agents and the settlement share one price per snapshot); the
     settlement-time snapshot is never available before accounts close.
-    Without a projection (past the last cycle, or an `OracleFailure`) it only tops up.
+    Without a projection (past the last cycle, or any `SdcError` pricing it) it only tops up.
     """
 
-    wakes = frozenset({Phase.ACCOUNTS_OPEN})
+    wakes = frozenset({Phase.ACCOUNTS_OPEN})  # no ON_ROWS: it reads the market at `now`
 
     def __init__(self, threshold: int):
         self.threshold = threshold
@@ -183,7 +183,7 @@ class WillfulAgent(CompliantAgent):
             value = engine.oracle.value
             try:
                 projected = value(end, engine.clock.now()) - value(end, start)
-            except OracleFailure:  # a missing snapshot or a price out of range
+            except SdcError:  # a missing snapshot, a price out of range or a pricer's refusal
                 pass
             else:
                 pays = spec.payer_receiver(projected)[0] == party

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import struct
 import subprocess
 import sys
@@ -7,11 +8,13 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdcsim import (EventKind, EventRecord, Journal, MarketModel, generate_path, simulator,
                     valuation, write_path_csv)
 from sdcsim.cli import main
-from sdcsim.errors import PastMaturity
+from sdcsim.errors import (MissingSnapshot, OracleFailure, PastMaturity, TimestampMismatch,
+                           ValuationOutOfRange, WrongState)
 
 from support import path_of, path_rows, write_chained
 from test_simulator import SCENARIOS, scenario_text
@@ -302,6 +305,52 @@ def test_a_pricer_refusal_ends_the_run_in_error(tmp_path, capsys, monkeypatch):
         10, "oracle-failure", "AwaitValuation[settleAt=10]", "Error[refusing-v1 prices nothing]")
 
 
+_POLICY_NAMES = ("compliant", "defaulting:4", "willful:200", "willful:1000000000")
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(1, 60), persistent=st.booleans(),
+       error=st.sampled_from([PastMaturity, TimestampMismatch, WrongState, OracleFailure,
+                              MissingSnapshot, ValuationOutOfRange]),
+       policies=st.tuples(st.sampled_from(_POLICY_NAMES), st.sampled_from(_POLICY_NAMES)),
+       mode=st.sampled_from(["active", "passive", "driver"]))
+def test_a_pricer_error_on_its_kth_call_never_leaves_a_run_unfinished(tmp_path, capsys, k,
+                                                                      persistent, error,
+                                                                      policies, mode):
+    """A pricer raises an SdcError on its k-th call (and on every later one if `persistent`),
+    wherever the run makes it: in a valuation or in a willful agent's projection. The run
+    ends in ERROR or in one of the paper's three exits, and the CLI writes its report and
+    journal and exits 0, 1 or 3, never 2."""
+    calls = 0
+
+    def failing(product, t, snapshot):
+        nonlocal calls
+        calls += 1
+        if calls == k or persistent and calls > k:
+            raise error("failing-v1 refuses")
+        return valuation.price(product, t, snapshot)
+
+    text = (SCENARIOS / "volatile_forward.ini").read_text()
+    for old, new in [("pricer = flat-curve-v1", "pricer = failing-v1"),
+                     ("policy_a = compliant", f"policy_a = {policies[0]}"),
+                     ("policy_b = compliant", f"policy_b = {policies[1]}")]:
+        text = text.replace(old, new)
+    path, out = tmp_path / "failing.ini", tmp_path / f"o-{k}-{mode}"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
+        valuation.register_pricer("failing-v1", failing)
+        code = main(["run", str(path), "--out", str(out), "--mode", mode])
+    assert code != 2, capsys.readouterr().err
+    cause = capsys.readouterr().out.split()[1]
+    assert (cause, code) in {("MATURED", 0), ("INSUFFICIENT_PREFUND", 3),
+                             ("SETTLEMENT_FAILED", 3), ("ERROR", 1)}
+    assert f"termination_cause: {cause}" in (out / "report.txt").read_text()
+    assert Journal.load(out / "journal.bin").final_hash().hex() in \
+        (out / "report.txt").read_text()
+
+
 def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_tick=10):
     """The volatile_forward contract on a 101-row path CSV, optionally with one
     non-finite value at `bad_tick`."""
@@ -351,6 +400,21 @@ def test_only_a_command_that_computes_with_numpy_imports_it(scenario_file, tmp_p
     child = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(src), *argv],
                            capture_output=True, text=True, check=True)
     assert child.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+
+
+def test_a_run_journals_one_hash_under_any_string_hash_seed(tmp_path):
+    # string hashing orders sets and dicts of names, such as the engine's requesters
+    src, scenario = Path(simulator.__file__).parents[1], SCENARIOS / "defaulting_counterparty.ini"
+    outputs = []
+    for seed in ("0", "4242"):
+        out = tmp_path / f"o{seed}"
+        child = subprocess.run([sys.executable, "-m", "sdcsim.cli", "run", str(scenario),
+                                "--out", str(out)], capture_output=True, text=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)})
+        outputs.append((child.stdout, (out / "journal.bin").read_bytes()))
+    assert outputs[0] == outputs[1]
+    pinned = "ea939758af0570393a1baadae52e76d62cdbb700fcac0eedcf3e7022d68902d2"  # test_golden's
+    assert outputs[0][0].endswith(f" journal={pinned}\n")
 
 
 @pytest.mark.parametrize("mode", ["active", "passive", "driver"])

@@ -358,6 +358,21 @@ def test_sub_half_unit_settlement_rounds_to_nothing():
     assert run_cycle(contract, clock, 0.5).amount == 1
 
 
+@pytest.mark.parametrize("value", [0.004, -0.004, 0.0])
+def test_a_value_rounding_to_zero_journals_a_zero_settlement_and_no_release(value):
+    contract, clock, journal, ledger = make_contract()
+    contract.initialize()
+    fund_margins(contract)
+    a, b = contract.spec.parties
+    payer, receiver = contract.spec.payer_receiver(value)
+    releases = len(journal.records(EventKind.RELEASE))
+    free = (ledger.balance_of(a), ledger.balance_of(b))
+    assert run_cycle(contract, clock, value) == Settled(0, payer, receiver, "settled")
+    assert len(journal.records(EventKind.RELEASE)) == releases
+    assert (ledger.balance_of(a), ledger.balance_of(b)) == free
+    assert [contract.margin_bucket(p) for p in (a, b)] == [M, M]
+
+
 def test_final_settlement_matures_and_returns_margin_buffers():
     contract, clock, journal, ledger = make_contract()
     contract.initialize()

@@ -382,7 +382,7 @@ def test_driver_row_far_past_maturity_costs_one_step():
 # -- wake phases --
 
 class CountingCompliant(CompliantAgent):
-    wakes = CompliantAgent.wakes
+    wakes = frozenset({Phase.ACCOUNTS_OPEN})  # the phase alone: hooked on every open-window tick
 
     def __init__(self):
         self.calls = 0
@@ -416,6 +416,33 @@ def test_declared_policies_are_hooked_only_in_open_windows(monkeypatch, grid, wi
     assert visits == sorted(set(visits)) and visits[-1] == grid[-1] == engine.clock.now()
 
 
+class CountingOnRows(CountingCompliant):
+    wakes = CompliantAgent.wakes
+
+
+@pytest.mark.parametrize("grid,window", [((0, 10, 20, 30), 3), ((4, 9, 30), 1), ((0, 12), 11)])
+def test_a_compliant_pair_is_hooked_once_per_open_window_row_tick(monkeypatch, grid, window):
+    """Each window opens at a row's tick (inception, then each settlement), and the pair is
+    hooked there and nowhere else: the loop visits the timeline's row ticks only."""
+    engine = make_engine(values=(0.0,) * (len(grid) - 1), compliant=False, grid=grid,
+                         window=window)
+    agents = {p: CountingOnRows() for p in engine.spec.parties}
+    engine.agents.update(agents)
+    visits = count_visits(engine, monkeypatch)
+    engine.run()
+    assert engine.contract.state().cause is TerminationCause.MATURED
+    assert sum(agent.calls for agent in agents.values()) == 2 * engine.spec.cycles
+    assert visits == sorted({step.tick for step in engine.timeline})
+
+
+def test_a_willful_partner_keeps_every_open_window_tick_visited(monkeypatch):
+    engine = make_engine(compliant=False)
+    a, b = engine.spec.parties
+    engine.agents.update({a: CountingOnRows(), b: WillfulAgent(threshold=10**9)})
+    engine.run()
+    assert engine.agents[a].calls == engine.spec.prefund_window * engine.spec.cycles
+
+
 def test_a_subclass_without_its_own_wakes_is_hooked_on_every_tick(monkeypatch):
     engine = make_engine()
     counter = engine.agents[engine.spec.party_b] = CountingAgent()  # overrides on_tick only
@@ -443,8 +470,8 @@ def test_skipping_ends_the_clock_where_stepping_every_tick_does(script, now):
 
 @st.composite
 def engine_cases(draw):
-    """A small grid and window, two built-in policies, a GBM path and up to
-    three edits to the timeline: a row cut, or moved to another tick."""
+    """A small grid and window, two built-in policies, party A's funding, a GBM
+    path and up to three edits to the timeline: a row cut, or moved to another tick."""
     cycles = draw(st.integers(1, 4))
     gaps = draw(st.lists(st.integers(2, 7), min_size=cycles, max_size=cycles))
     grid = tuple(accumulate(gaps, initial=draw(st.integers(0, 3))))
@@ -457,6 +484,7 @@ def engine_cases(draw):
                      st.integers(0, grid[-1] + 3))
     return dict(grid=grid, window=window, margin=draw(st.sampled_from([100, 400, 5000])),
                 policies=(draw(policy), draw(policy)),
+                funding_a=draw(st.sampled_from([5_600, 100_000])),
                 volatility=draw(st.sampled_from([0.0, 0.3, 1.5])),
                 seed=draw(st.integers(0, 2**16)),
                 edits=draw(st.none() | st.lists(edit, max_size=3)))
@@ -466,7 +494,8 @@ def run_case(case, every_tick: bool):
     """Run `case` with the built-in policies, or with each wrapped in a subclass
     that declares no `wakes` and so is hooked on every tick."""
     contract, clock, journal, _ = make_contract(grid=case["grid"], window=case["window"],
-                                                margin=case["margin"])
+                                                margin=case["margin"],
+                                                funding_a=case.get("funding_a", 100_000))
     spec = contract.spec
     path = generate_path(MarketModel(100.0, 0.01, case["volatility"], 0.0, spec.tick_years),
                          case["seed"], spec.settlement_times[-1] + 1)
@@ -498,7 +527,16 @@ def assert_skipping_is_exact(case):
 @given(engine_cases())
 @example(dict(grid=(0, 6, 12, 18), window=2, margin=400, volatility=0.0, seed=0, edits=[],
               policies=(PolicySpec("defaulting", 1), PolicySpec("compliant"))))
+# a compliant pair whose first CLOSE_ACCOUNTS row moves off its tick, so the window never closes
+@example(dict(grid=(0, 6, 12, 18, 24), window=3, margin=5000, volatility=0.3, seed=4,
+              edits=[("move", 1, 5)], policies=(PolicySpec("compliant"), PolicySpec("compliant"))))
+# A, defaulting from cycle 3, tops up 188 at tick 6, then only the 212 it has left at tick 12
+@example(dict(grid=(0, 6, 12, 18, 24), window=3, margin=5000, volatility=0.3, seed=8,
+              edits=None, funding_a=5_600,
+              policies=(PolicySpec("defaulting", 3), PolicySpec("compliant"))))
 def test_skipping_ticks_changes_no_journal_byte_and_no_final_tick(case):
+    """The built-in compliant and defaulting policies, hooked only at row ticks in an open
+    window, journal what `Undeclared` copies of them, hooked on every tick, journal."""
     assert_skipping_is_exact(case)
 
 
