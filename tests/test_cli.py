@@ -346,9 +346,9 @@ def test_a_pricer_error_on_its_kth_call_never_leaves_a_run_unfinished(tmp_path, 
     cause = capsys.readouterr().out.split()[1]
     assert (cause, code) in {("MATURED", 0), ("INSUFFICIENT_PREFUND", 3),
                              ("SETTLEMENT_FAILED", 3), ("ERROR", 1)}
-    assert f"termination_cause: {cause}" in (out / "report.txt").read_text()
-    assert Journal.load(out / "journal.bin").final_hash().hex() in \
-        (out / "report.txt").read_text()
+    report = (out / "report.txt").read_text()
+    assert f"termination_cause: {cause}" in report
+    assert Journal.load(out / "journal.bin").final_hash().hex() in report
 
 
 def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_tick=10):

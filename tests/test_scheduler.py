@@ -435,7 +435,7 @@ def test_a_compliant_pair_is_hooked_once_per_open_window_row_tick(monkeypatch, g
     assert visits == sorted({step.tick for step in engine.timeline})
 
 
-def test_a_willful_partner_keeps_every_open_window_tick_visited(monkeypatch):
+def test_a_willful_partner_keeps_every_open_window_tick_visited():
     engine = make_engine(compliant=False)
     a, b = engine.spec.parties
     engine.agents.update({a: CountingOnRows(), b: WillfulAgent(threshold=10**9)})
