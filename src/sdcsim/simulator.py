@@ -717,20 +717,25 @@ def run_simulation(scenario: Scenario) -> RunArtifacts:
 
 def calibrate_buffer(scenario: Scenario, q: float, trials: int) -> int:
     """Size the margin buffer as the q-quantile of simulated one-period
-    settlement magnitudes, floored at one minor unit."""
+    settlement magnitudes, floored at one minor unit. The samples reach
+    `margin_buffer` as the float64 column, not as `one_period_samples`' list."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    samples = one_period_samples(scenario, trials)
-    return max(1, margin_buffer(samples, q))
+    return max(1, margin_buffer(_sample_column(scenario, trials, CALIBRATION_STREAM), q))
 
 
 def one_period_samples(scenario: Scenario, trials: int,
                        stream: int = CALIBRATION_STREAM) -> list[float]:
     """Independent settlement amounts for the first period under the scenario's market
-    model, from one `settlement_amount` call whose end snapshot, built unchecked (the
-    extreme trials bound every spot), holds all trials' spots as one float64 array; a
-    pricer that does not price it element by element is refused. A swap is refused
-    before any draw: the model holds its rate flat."""
+    model, as a list of floats, from one `settlement_amount` call whose end snapshot,
+    built unchecked (the extreme trials bound every spot), holds all trials' spots as one
+    float64 array; a pricer that does not price it element by element is refused. A swap
+    is refused before any draw: the model holds its rate flat."""
+    return _sample_column(scenario, trials, stream).tolist()
+
+
+def _sample_column(scenario: Scenario, trials: int, stream: int) -> np.ndarray:
+    """`one_period_samples` as the float64 column it converts to a list."""
     if scenario.market is None:
         raise ScenarioValidationError("path_file", "buffer calibration needs a market model")
     model, spec = scenario.market, scenario.contract
@@ -753,7 +758,7 @@ def one_period_samples(scenario: Scenario, trials: int,
     import numpy as np
     shocks = normal_variates(scenario.seed, stream, trials * gap).reshape(trials, gap)
     if trials == 0:
-        return []
+        return np.empty(0)
     drift_term, vol_term = _log_move_terms(model)
     # column by column, so each trial's shocks add up left to right (np.sum's pairwise
     # order would round differently); an inf or NaN fails the spot check below
@@ -771,8 +776,8 @@ def one_period_samples(scenario: Scenario, trials: int,
         raise _out_of_range("spot", f"spots {lowest!r} to {highest!r}")
     # the log moves become floats 4096 at a time, not one list
     moves = chain.from_iterable(log_moves[i:i + 4096].tolist() for i in range(0, trials, 4096))
-    spots = np.fromiter(map(spot.__mul__, map(math.exp, moves)),  # np.exp may be one ulp off
-                        np.float64, trials)
+    spots = np.fromiter(map(math.exp, moves), np.float64, trials)  # np.exp may be one ulp off
+    spots *= spot  # one IEEE product, so each spot is bit for bit spot * math.exp(move)
     try:  # one end snapshot holds every trial's spot; an inf or NaN sample fails below
         with np.errstate(over="ignore", invalid="ignore"):
             samples = settlement_amount(product, start, end, snap_old, MarketSnapshot._make(
@@ -787,7 +792,7 @@ def one_period_samples(scenario: Scenario, trials: int,
     # reported here as an input error; margin_buffer would raise a bare ValueError
     if not np.isfinite(samples).all():
         raise _out_of_range("settlement value", "not finite")
-    return samples.tolist()
+    return samples
 
 
 def render_report_csv(report: RunReport) -> str:

@@ -313,15 +313,15 @@ _POLICY_NAMES = ("compliant", "defaulting:4", "willful:200", "willful:1000000000
 @given(k=st.integers(1, 60), persistent=st.booleans(),
        error=st.sampled_from([PastMaturity, TimestampMismatch, WrongState, OracleFailure,
                               MissingSnapshot, ValuationOutOfRange]),
-       policies=st.tuples(st.sampled_from(_POLICY_NAMES), st.sampled_from(_POLICY_NAMES)),
-       mode=st.sampled_from(["active", "passive", "driver"]))
+       policies=st.tuples(st.sampled_from(_POLICY_NAMES), st.sampled_from(_POLICY_NAMES)))
 def test_a_pricer_error_on_its_kth_call_never_leaves_a_run_unfinished(tmp_path, capsys, k,
                                                                       persistent, error,
-                                                                      policies, mode):
+                                                                      policies):
     """A pricer raises an SdcError on its k-th call (and on every later one if `persistent`),
     wherever the run makes it: in a valuation or in a willful agent's projection. The run
     ends in ERROR or in one of the paper's three exits, and the CLI writes its report and
-    journal and exits 0, 1 or 3, never 2."""
+    journal and exits 0, 1 or 3, never 2. All three modes journal the same bytes, and an
+    ERROR run releases nothing after its Error transition: both fee buckets stay locked."""
     calls = 0
 
     def failing(product, t, snapshot):
@@ -336,19 +336,33 @@ def test_a_pricer_error_on_its_kth_call_never_leaves_a_run_unfinished(tmp_path, 
                      ("policy_a = compliant", f"policy_a = {policies[0]}"),
                      ("policy_b = compliant", f"policy_b = {policies[1]}")]:
         text = text.replace(old, new)
-    path, out = tmp_path / "failing.ini", tmp_path / f"o-{k}-{mode}"
+    path = tmp_path / "failing.ini"
     path.write_text(text)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
-        valuation.register_pricer("failing-v1", failing)
-        code = main(["run", str(path), "--out", str(out), "--mode", mode])
-    assert code != 2, capsys.readouterr().err
-    cause = capsys.readouterr().out.split()[1]
-    assert (cause, code) in {("MATURED", 0), ("INSUFFICIENT_PREFUND", 3),
-                             ("SETTLEMENT_FAILED", 3), ("ERROR", 1)}
-    report = (out / "report.txt").read_text()
-    assert f"termination_cause: {cause}" in report
-    assert Journal.load(out / "journal.bin").final_hash().hex() in report
+    hashes = set()
+    for mode in ("active", "passive", "driver"):
+        calls, out = 0, tmp_path / f"o-{k}-{mode}"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(valuation, "_PRICERS", dict(valuation._PRICERS))
+            valuation.register_pricer("failing-v1", failing)
+            code = main(["run", str(path), "--out", str(out), "--mode", mode])
+        assert code != 2, capsys.readouterr().err
+        cause = capsys.readouterr().out.split()[1]
+        assert (cause, code) in {("MATURED", 0), ("INSUFFICIENT_PREFUND", 3),
+                                 ("SETTLEMENT_FAILED", 3), ("ERROR", 1)}
+        report = (out / "report.txt").read_text()
+        assert f"termination_cause: {cause}" in report
+        journal = Journal.load(out / "journal.bin")
+        hashes.add(journal.final_hash().hex())
+        assert journal.final_hash().hex() in report
+        if cause == "ERROR":
+            records = journal.records()
+            error_at = next(i for i, r in enumerate(records)
+                            if r.kind is EventKind.STATE_TRANSITION
+                            and r.detail("dst").startswith("Error["))
+            assert EventKind.RELEASE not in {r.kind for r in records[error_at:]}
+            ledger = (out / "ledger.csv").read_text().splitlines()
+            assert {row.split("#")[0] for row in ledger if ",FEE:" in row} == {"bank1", "bank2"}
+    assert len(hashes) == 1
 
 
 def _path_scenario(scenario_file, tmp_path, bad_field=None, bad_value=None, bad_tick=10):

@@ -80,10 +80,13 @@ def test_the_module_names_are_the_enum_members():
 
 @pytest.mark.parametrize("terms,message", [
     (dict(tick_years=math.nan), "tick_years must be positive"),
+    # zero and a negative tick fail the same check as NaN
+    (dict(tick_years=0.0), "tick_years must be positive"),
+    (dict(tick_years=-0.004), "tick_years must be positive"),
     # a product that does not check its own maturity reaches the grid test
     (dict(product=SimpleNamespace(maturity=math.nan)),
      "product maturity nan does not sit on the final grid tick (0.3)"),
-], ids=["tick_years", "product_maturity"])
+], ids=["tick_years", "tick_years_zero", "tick_years_negative", "product_maturity"])
 def test_nan_fails_the_spec_checks(terms, message):
     spec = make_spec("bank1", "bank2")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1004,6 +1004,43 @@ def test_calibration_is_seed_deterministic():
     assert calibrate_buffer(scenario, 0.99, 2000) == calibrate_buffer(scenario, 0.99, 2000)
 
 
+def test_calibration_sizes_from_the_samples_one_period_samples_returns():
+    scenarios = (make_scenario(market__volatility="0.4"),
+                 make_scenario(**CALIBRATED_MARKET, **CALIBRATED_PRODUCTS["forward"]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=st.sampled_from(scenarios), trials=st.integers(1, 2000),
+           q=st.floats(0.0, 1.0, exclude_min=True))
+    def check(scenario, trials, q):
+        assert calibrate_buffer(scenario, q, trials) == max(
+            1, margin_buffer(one_period_samples(scenario, trials), q))
+
+    check()
+
+
+@pytest.mark.parametrize("trials", [0, 3])
+def test_one_period_samples_are_a_list_of_python_floats(trials):
+    samples = one_period_samples(make_scenario(**CALIBRATED_MARKET), trials)
+    assert type(samples) is list and len(samples) == trials
+    assert all(type(sample) is float for sample in samples)
+
+
+def test_calibration_hands_margin_buffer_the_float64_column(monkeypatch):
+    # a list here would be copied back into an array: the round trip this guards against
+    scenario = make_scenario(**CALIBRATED_MARKET)
+    handed = []
+
+    def recording(samples, q):
+        handed.append(samples)
+        return margin_buffer(samples, q)
+
+    monkeypatch.setattr(simulator, "margin_buffer", recording)
+    calibrate_buffer(scenario, 0.99, 700)
+    column, = handed
+    assert isinstance(column, np.ndarray) and column.dtype == np.float64
+    assert column.shape == (700,)
+
+
 def test_calibration_draws_all_its_variates_in_one_call(monkeypatch):
     # the benchmark times calibration's variates through this module global
     scenario = make_scenario(market__volatility="0.4")
