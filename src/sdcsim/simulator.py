@@ -29,7 +29,6 @@ import io
 import math
 import operator
 import re
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, chain, repeat
@@ -313,17 +312,11 @@ def _out_of_range(what: str, cause) -> ScenarioValidationError:
 
 def load_path_csv(path: str | Path) -> MarketPath:
     """Market path file: header `time,spot,zero_rate`, one row per tick, read
-    into columns; if a check fails, a row-by-row read names the first bad row."""
+    into columns in one pass that names the first bad row by its line."""
     lines = _read_text(Path(path)).splitlines()
     if not lines or lines[0].strip() != "time,spot,zero_rate":
         raise ScenarioParseError("path file must start with header 'time,spot,zero_rate'", line=1)
-    with suppress(ValueError):  # a row not of three fields, a bad field, or ticks out of order
-        ticks, spots, rates = zip(*map(str.split, filter(str.strip, lines[1:]), repeat(",")),
-                                  strict=True)
-        ticks, spots, rates = list(map(int, ticks)), list(map(float, spots)), list(map(float, rates))
-        if all(map((0.0).__lt__, spots)) and all(map(math.isfinite, spots + rates)):
-            return MarketPath(ticks, spots, rates)
-    rows = []
+    ticks, spots, rates = [], [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -336,13 +329,16 @@ def load_path_csv(path: str | Path) -> MarketPath:
             raise ScenarioParseError(str(exc), line=lineno) from None
         if spot <= 0:  # a NaN spot passes, to be named as not finite
             raise ScenarioParseError(f"spot must be positive, got {spot}", line=lineno)
-        for field, value in (("spot", spot), ("zero_rate", rate)):
-            if not math.isfinite(value):
-                raise ScenarioParseError(f"{field} must be finite, got {value!r}", line=lineno)
-        if rows and tick <= rows[-1][0]:
+        if not math.isfinite(spot):
+            raise ScenarioParseError(f"spot must be finite, got {spot!r}", line=lineno)
+        if not math.isfinite(rate):
+            raise ScenarioParseError(f"zero_rate must be finite, got {rate!r}", line=lineno)
+        if ticks and tick <= ticks[-1]:
             raise ScenarioParseError("ticks must be strictly increasing", line=lineno)
-        rows.append((tick, spot, rate))
-    return MarketPath(*zip(*rows))
+        ticks.append(tick)
+        spots.append(spot)
+        rates.append(rate)
+    return MarketPath(ticks, spots, rates)
 
 
 def _read_text(path: Path) -> str:

@@ -203,6 +203,21 @@ def journal_from_blocks(blocks) -> Journal:
     return journal
 
 
+def flip_bit(journal: Journal, block_i: int, field: str, bit: int) -> Journal:
+    """A copy of `journal` with one bit flipped in block `block_i`'s `field`
+    ("payload", "prev_hash" or "index"): bit `bit`, wrapped to the field's width."""
+    blocks = journal_blocks(journal)
+    block = blocks[block_i]
+    if field == "index":
+        flipped = block.index ^ (1 << (bit % 63))
+    else:
+        body = bytearray(getattr(block, field))
+        body[(bit // 8) % len(body)] ^= 1 << (bit % 8)
+        flipped = bytes(body)
+    blocks[block_i] = block._replace(**{field: flipped})
+    return journal_from_blocks(blocks)
+
+
 def path_rows(path: MarketPath) -> list[MarketSnapshot]:
     """A market path's rows, one per tick, each as `MarketPath.at` reads it."""
     return list(map(path.at, path.ticks))

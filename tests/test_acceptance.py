@@ -28,8 +28,7 @@ from sdcsim.journal import ZERO_HASH
 from sdcsim.simulator import CompliantAgent, calibrate_buffer, one_period_samples
 
 from conftest import make_contract, scripted_oracle
-from support import (Block, journal_blocks, journal_from_blocks, open_intervals_respected, path_of,
-                     product_value)
+from support import flip_bit, open_intervals_respected, path_of, product_value
 from test_journal import record as journal_record
 from test_simulator import make_scenario, scenario_text
 
@@ -392,26 +391,9 @@ def test_acceptance_06_trigger_mode_equivalence():
 # ---------------------------------------------------------------------------
 
 def _tampered_copy(journal: Journal, rng: random.Random) -> Journal:
-    blocks = journal_blocks(journal)
-    target = rng.randrange(len(blocks))
+    target = rng.randrange(len(journal))
     field = rng.choice(["payload", "prev_hash", "index"])
-    bit = rng.randrange(256)
-    tampered = []
-    for i, block in enumerate(blocks):
-        index, prev, payload = block.index, block.prev_hash, block.payload
-        if i == target:
-            if field == "payload":
-                body = bytearray(payload)
-                body[(bit // 8) % len(body)] ^= 1 << (bit % 8)
-                payload = bytes(body)
-            elif field == "prev_hash":
-                body = bytearray(prev)
-                body[(bit // 8) % 32] ^= 1 << (bit % 8)
-                prev = bytes(body)
-            else:
-                index ^= 1 << (bit % 63)
-        tampered.append(Block(index=index, prev_hash=prev, payload=payload, hash=block.hash))
-    return journal_from_blocks(tampered)
+    return flip_bit(journal, target, field, rng.randrange(256))
 
 
 def test_acceptance_07_tamper_detection():

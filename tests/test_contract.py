@@ -27,6 +27,7 @@ from sdcsim.errors import (
     TooEarly,
     WrongState,
 )
+from sdcsim.valuation import MATURITY_TOLERANCE
 
 from conftest import make_contract, make_spec, make_world
 
@@ -91,6 +92,18 @@ def test_nan_fails_the_spec_checks(terms, message):
     spec = make_spec("bank1", "bank2")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         replace(spec, **terms)
+
+
+def test_a_maturity_exactly_the_tolerance_off_the_grid_is_accepted():
+    """The grid check is `<=` the tolerance. A float difference equals 1e-9 (an odd
+    multiple of 2**-82) only below 2**-29 years, hence the tiny tick."""
+    spec = make_spec("bank1", "bank2", tick_years=2.0 ** -36)
+    grid_maturity = spec.settlement_times[-1] * spec.tick_years
+    at_tolerance = grid_maturity + MATURITY_TOLERANCE
+    assert at_tolerance - grid_maturity == MATURITY_TOLERANCE
+    replace(spec, product=replace(spec.product, maturity=at_tolerance))
+    with pytest.raises(ValueError, match="does not sit on the final grid tick"):
+        replace(spec, product=replace(spec.product, maturity=math.nextafter(at_tolerance, 1.0)))
 
 
 # -- initialization --

@@ -15,7 +15,7 @@ from sdcsim import journal as journal_module
 from sdcsim.errors import CorruptJournal
 from sdcsim.journal import SETTLEMENT, TRANSFER, ZERO_HASH, RecordShape
 
-from support import (Block, journal_blocks, journal_from_blocks, rechain, reference_decode,
+from support import (flip_bit, journal_blocks, journal_from_blocks, rechain, reference_decode,
                      reference_encode, write_chained)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -67,6 +67,9 @@ def test_detail_order_is_canonical():
     a = EventRecord.create(1, EventKind.LOCK, "p", zeta="1", alpha="2", mid="3")
     b = EventRecord.create(1, EventKind.LOCK, "p", alpha="2", mid="3", zeta="1")
     assert a.to_bytes() == b.to_bytes()
+    assert a.detail("mid") == "3"
+    with pytest.raises(KeyError):
+        a.detail("beta")
 
 
 def test_record_round_trips_through_bytes():
@@ -172,25 +175,6 @@ def test_indices_are_gapless():
     assert [b.index for b in journal_blocks(journal)] == list(range(20))
 
 
-def _mutate_bit(journal: Journal, block_i: int, field: str, bit: int) -> Journal:
-    tampered = []
-    for i, b in enumerate(journal_blocks(journal)):
-        index, prev, payload = b.index, b.prev_hash, b.payload
-        if i == block_i:
-            if field == "payload":
-                flipped = bytearray(payload)
-                flipped[(bit // 8) % len(flipped)] ^= 1 << (bit % 8)
-                payload = bytes(flipped)
-            elif field == "prev_hash":
-                flipped = bytearray(prev)
-                flipped[(bit // 8) % 32] ^= 1 << (bit % 8)
-                prev = bytes(flipped)
-            else:
-                index = index ^ (1 << (bit % 63))
-        tampered.append(Block(index=index, prev_hash=prev, payload=payload, hash=b.hash))
-    return journal_from_blocks(tampered)
-
-
 @pytest.mark.parametrize("field", ["payload", "prev_hash", "index"])
 def test_single_bit_tamper_is_detected(field):
     journal = Journal()
@@ -198,7 +182,7 @@ def test_single_bit_tamper_is_detected(field):
         journal.append(record(i).to_bytes())
     rng = random.Random(99)
     for _ in range(50):
-        tampered = _mutate_bit(journal, rng.randrange(10), field, rng.randrange(256))
+        tampered = flip_bit(journal, rng.randrange(10), field, rng.randrange(256))
         assert not tampered.verify()
 
 

@@ -14,6 +14,7 @@ from sdcsim.errors import (
     SdcError,
     UnknownAccount,
 )
+from sdcsim.ledger import check_amount
 
 
 @pytest.fixture
@@ -198,6 +199,12 @@ def test_negative_amounts_never_accepted(funded):
     ledger, a, b = funded
     with pytest.raises(ValueError):
         ledger.transfer(a, b, -1)
+
+
+@pytest.mark.parametrize("amount", [True, 1.5])
+def test_an_amount_must_be_an_int_not_a_bool_or_float(amount):
+    with pytest.raises(TypeError, match="^amount must be an int of minor units"):
+        check_amount(amount)
 
 
 def test_csv_export_lists_buckets(funded, tmp_path):

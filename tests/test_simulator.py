@@ -168,6 +168,25 @@ def test_path_file_excludes_model_keys():
         make_scenario(market__path_file="p.csv")  # still has initial_spot etc.
 
 
+def test_a_relative_path_file_is_read_beside_its_scenario(tmp_path, monkeypatch):
+    """`load_scenario` resolves a relative `path_file` against the scenario file's
+    directory, not the working directory, and keeps an absolute one as given."""
+    model_keys = ("market.initial_spot", "market.initial_rate", "market.volatility",
+                  "market.drift")
+    (tmp_path / "in" / "sub").mkdir(parents=True)
+    write_path_csv(generate_path(MarketModel(100.0, 0.0, 0.0, 0.0, 0.004), 1, 31),
+                   tmp_path / "in" / "sub" / "rates.csv")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "rates.csv").write_text("not a path file\n")  # in the cwd: unread
+    monkeypatch.chdir(tmp_path)
+    ini = tmp_path / "in" / "s.ini"
+    for path_file in ["sub/rates.csv", str(tmp_path / "in" / "sub" / "rates.csv")]:
+        ini.write_text(scenario_text(drop=model_keys, market__path_file=path_file))
+        scenario = load_scenario(ini)
+        assert scenario.path_file == str(tmp_path / "in" / "sub" / "rates.csv")
+        assert run_simulation(scenario).report.termination_cause == "MATURED"
+
+
 def test_swap_scenario_parses():
     scenario = make_scenario(
         contract__product="vanilla_swap", contract__strike="0.03",
@@ -197,6 +216,17 @@ def test_nan_fails_the_market_model_checks(field, message):
                  tick_years=0.004)
     with pytest.raises(ValueError, match=f"^{message}$"):
         MarketModel(**{**terms, field: math.nan})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: generate_path(MarketModel(100.0, 0.0, 0.2, 0.0, 0.004), 1, ticks=0),
+     "need at least one tick"),
+    (lambda: calibrate_buffer(make_scenario(**CALIBRATED_MARKET), 0.99, 0),
+     "trials must be positive"),
+], ids=["path_of_no_ticks", "calibration_of_no_trials"])
+def test_a_count_below_one_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_zero_volatility_path_is_constant():
@@ -472,8 +502,8 @@ def test_path_csv_yields_finite_snapshots_or_an_sdc_error(tmp_path, text):
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=st.lists(_CSV_ROW, max_size=8), blank=st.sampled_from(["", "  "]))
 def test_path_csv_reads_as_a_row_by_row_reader_does(tmp_path, rows, blank):
-    """Columns converted at once give the rows, or the error text and line,
-    that checking row by row gives."""
+    """The one-pass read gives the rows, or the error text and line, that an
+    independent row-by-row reader gives."""
     text = _csv_text(rows).replace("\n", f"\n{blank}\n", 1)  # a blank line, counted
     file = tmp_path / "path.csv"
     file.write_text(text, encoding="utf-8")

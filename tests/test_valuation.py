@@ -79,8 +79,11 @@ NAN = math.nan
     (lambda: VanillaSwap(1.0, 0.02, (0.5, NAN), (0.5, 0.5)),
      "payment times must be strictly increasing"),
     (lambda: VanillaSwap(1.0, 0.02, (0.5, 1.0), (0.5, NAN)), "accruals must be positive"),
+    # not NaN: a swap with no payment fails before any of its time checks
+    (lambda: VanillaSwap(1.0, 0.02, (), ()), "swap needs at least one payment time"),
 ], ids=["snapshot_spot", "forward_maturity", "swap_first_payment_time",
-        "swap_payment_times_nan_first", "swap_payment_times_nan_later", "swap_accruals"])
+        "swap_payment_times_nan_first", "swap_payment_times_nan_later", "swap_accruals",
+        "swap_no_payment_times"])
 def test_nan_fails_the_snapshot_and_product_checks(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
