@@ -50,15 +50,11 @@ class TimestampMismatch(SdcError):
     pass
 
 
-class OracleFailure(SdcError):
-    """The oracle cannot value a period; the engine puts the contract in ERROR."""
-
-
-class MissingSnapshot(OracleFailure):
+class MissingSnapshot(SdcError):
     pass
 
 
-class ValuationOutOfRange(OracleFailure):
+class ValuationOutOfRange(SdcError):
     """The pricer leaves the float range: an overflow or a non-finite value."""
 
 

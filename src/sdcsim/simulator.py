@@ -715,8 +715,6 @@ def calibrate_buffer(scenario: Scenario, q: float, trials: int) -> int:
     """Size the margin buffer as the q-quantile of simulated one-period
     settlement magnitudes, floored at one minor unit. The samples reach
     `margin_buffer` as the float64 column, not as `one_period_samples`' list."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
     return max(1, margin_buffer(_sample_column(scenario, trials, CALIBRATION_STREAM), q))
 
 
@@ -726,12 +724,14 @@ def one_period_samples(scenario: Scenario, trials: int,
     model, as a list of floats, from one `settlement_amount` call whose end snapshot,
     built unchecked (the extreme trials bound every spot), holds all trials' spots as one
     float64 array; a pricer that does not price it element by element is refused. A swap
-    is refused before any draw: the model holds its rate flat."""
+    is refused before any price or draw: the model holds its rate flat."""
     return _sample_column(scenario, trials, stream).tolist()
 
 
 def _sample_column(scenario: Scenario, trials: int, stream: int) -> np.ndarray:
     """`one_period_samples` as the float64 column it converts to a list."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     if scenario.market is None:
         raise ScenarioValidationError("path_file", "buffer calibration needs a market model")
     model, spec = scenario.market, scenario.contract
@@ -742,19 +742,13 @@ def _sample_column(scenario: Scenario, trials: int, stream: int) -> np.ndarray:
             "trials", f"trials x first-period ticks must be <= {MAX_CALIBRATION_VARIATES}, "
                       f"got {trials} x {gap}")
     spot, rate, product = model.initial_spot, model.initial_rate, spec.product
-    pricer = get_pricer(spec.pricer_version)
-    snap_old = MarketSnapshot(start, spot, rate)
     if isinstance(product, VanillaSwap):
-        try:  # priced first, so that a price out of range still reads as a market error
-            pricer(product, end * spec.tick_years, snap_old)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _out_of_range("settlement value", exc) from None
         raise ScenarioValidationError("product", "buffer calibration holds the rate flat, "
                                       "so it cannot size a vanilla_swap's buffer")
+    pricer = get_pricer(spec.pricer_version)
+    snap_old = MarketSnapshot(start, spot, rate)
     import numpy as np
     shocks = normal_variates(scenario.seed, stream, trials * gap).reshape(trials, gap)
-    if trials == 0:
-        return np.empty(0)
     drift_term, vol_term = _log_move_terms(model)
     # column by column, so each trial's shocks add up left to right (np.sum's pairwise
     # order would round differently); an inf or NaN fails the spot check below

@@ -100,8 +100,11 @@ def test_codec_matches_the_field_by_field_reference(rec):
 def test_every_truncation_of_a_payload_is_corrupt(rec):
     payload = rec.to_bytes()
     for cut in range(len(payload)):
-        with pytest.raises(CorruptJournal):
+        with pytest.raises(CorruptJournal) as caught:
             EventRecord.from_bytes(payload[:cut])
+        if cut <= 8:  # the 8-byte timestamp, then the kind's length prefix
+            assert str(caught.value) == ("truncated timestamp" if cut < 8
+                                         else "truncated string length")
     with pytest.raises(CorruptJournal):
         EventRecord.from_bytes(payload + b"\x00")
 
@@ -317,6 +320,9 @@ def test_a_truncated_file_names_the_block_it_cuts(tmp_path):
         Journal.load(path)
     path.write_bytes(data + bytes(43))
     with pytest.raises(CorruptJournal, match=r"^block 3: truncated block header$"):
+        Journal.load(path)
+    path.write_bytes(data + bytes(44))  # a whole header, cut before its body and hash
+    with pytest.raises(CorruptJournal, match=r"^block 3: truncated block body$"):
         Journal.load(path)
 
 

@@ -223,7 +223,12 @@ def test_nan_fails_the_market_model_checks(field, message):
      "need at least one tick"),
     (lambda: calibrate_buffer(make_scenario(**CALIBRATED_MARKET), 0.99, 0),
      "trials must be positive"),
-], ids=["path_of_no_ticks", "calibration_of_no_trials"])
+    (lambda: one_period_samples(make_scenario(**CALIBRATED_MARKET), 0),
+     "trials must be positive"),
+    (lambda: one_period_samples(make_scenario(**CALIBRATED_MARKET), -1),
+     "trials must be positive"),
+], ids=["path_of_no_ticks", "calibration_of_no_trials", "samples_of_no_trials",
+        "samples_of_a_negative_count"])
 def test_a_count_below_one_is_refused(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -353,11 +358,12 @@ def test_one_period_samples_check_only_the_start_snapshot(product, monkeypatch):
         return construct(cls, *args)
 
     monkeypatch.setattr(MarketSnapshot, "__new__", counting)
-    if product == "vanilla_swap":  # refused once the start snapshot is priced
+    if product == "vanilla_swap":  # refused before any snapshot is built
         with pytest.raises(ScenarioValidationError, match="^product: "):
             one_period_samples(scenario, 3000)
-    else:
-        assert len(one_period_samples(scenario, 3000)) == 3000
+        assert checked == []
+        return
+    assert len(one_period_samples(scenario, 3000)) == 3000
     model = scenario.market
     assert checked == [(scenario.contract.settlement_times[0], model.initial_spot,
                         model.initial_rate)]
@@ -1048,7 +1054,7 @@ def test_calibration_sizes_from_the_samples_one_period_samples_returns():
     check()
 
 
-@pytest.mark.parametrize("trials", [0, 3])
+@pytest.mark.parametrize("trials", [1, 3])  # 1: the fewest trials accepted
 def test_one_period_samples_are_a_list_of_python_floats(trials):
     samples = one_period_samples(make_scenario(**CALIBRATED_MARKET), trials)
     assert type(samples) is list and len(samples) == trials

@@ -64,7 +64,7 @@ def test_snapshot_is_a_named_tuple():
     assert type(s._replace(spot=99.0)) is MarketSnapshot
 
 
-# -- NaN fails every positivity and order check --
+# -- NaN fails every positivity and order check, and so do zero and a repeated time --
 
 NAN = math.nan
 
@@ -81,9 +81,16 @@ NAN = math.nan
     (lambda: VanillaSwap(1.0, 0.02, (0.5, 1.0), (0.5, NAN)), "accruals must be positive"),
     # not NaN: a swap with no payment fails before any of its time checks
     (lambda: VanillaSwap(1.0, 0.02, (), ()), "swap needs at least one payment time"),
+    (lambda: Forward(1.0, 1.0, 0.0), "maturity must be positive"),
+    (lambda: VanillaSwap(1.0, 0.02, (0.0,), (0.5,)),
+     "first payment time must be after contract start"),
+    (lambda: VanillaSwap(1.0, 0.02, (0.5, 0.5), (0.5, 0.5)),
+     "payment times must be strictly increasing"),
+    (lambda: VanillaSwap(1.0, 0.02, (0.5, 1.0), (0.5, 0.0)), "accruals must be positive"),
 ], ids=["snapshot_spot", "forward_maturity", "swap_first_payment_time",
         "swap_payment_times_nan_first", "swap_payment_times_nan_later", "swap_accruals",
-        "swap_no_payment_times"])
+        "swap_no_payment_times", "forward_maturity_zero", "swap_first_payment_time_zero",
+        "swap_payment_times_repeated", "swap_accruals_zero"])
 def test_nan_fails_the_snapshot_and_product_checks(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -115,9 +122,9 @@ def test_pricing_past_maturity_rejected():
         price(product, 1.5, snap())
     with pytest.raises(PastMaturity):
         price(product, 1.0 + 2 * valuation.MATURITY_TOLERANCE, snap())
-    # a grid time within the contract's maturity tolerance is priced
-    assert price(product, 1.0 + valuation.MATURITY_TOLERANCE / 2, snap(spot=101.0)) \
-        == pytest.approx(1.0)
+    # a grid time within the contract's maturity tolerance, or exactly on it, is priced
+    for t in (1.0 + valuation.MATURITY_TOLERANCE / 2, 1.0 + valuation.MATURITY_TOLERANCE):
+        assert price(product, t, snap(spot=101.0)) == pytest.approx(1.0)
 
 
 # -- swap pricing --
