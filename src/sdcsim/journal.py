@@ -23,8 +23,9 @@ On-disk block layout (repeated per block, no file header):
 
 A `Journal` is three parallel columns and no row view: each block's hash
 preimage head (`index || prev_hash`), its payload and its hash.
-`Journal.verify` recomputes the hashes and compares heads and hashes with
-the stored ones as it goes.
+`Journal.append` stores the payload alone; `final_hash`, `verify` and
+`export` first chain the payloads appended since, in one loop. `verify`
+then recomputes every hash and compares heads and hashes with the stored ones.
 
 `EventRecord.from_bytes` is the one decoder of payloads: `Journal.records`
 calls it per payload and `RecordShape.read` per payload of its kind, and it
@@ -41,11 +42,11 @@ before a chain break, and a chain break even when a payload is also malformed.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from hashlib import sha256
 from itertools import chain, compress, count, repeat
 from operator import eq, not_
 from pathlib import Path
@@ -283,7 +284,7 @@ _HEAD_SIZE = _HEAD.size + 4  # and payload_len, on disk
 
 
 def _digest(head: bytes, payload: bytes) -> bytes:
-    return hashlib.sha256(head + payload).digest()
+    return sha256(head + payload).digest()
 
 
 def _chain_break(heads: list[bytes], payloads: list[bytes], hashes: list[bytes]) -> int | None:
@@ -305,8 +306,8 @@ def _chain_break(heads: list[bytes], payloads: list[bytes], hashes: list[bytes])
 
 
 class Journal:
-    """Single-writer block chain of record payloads, held as three columns:
-    each block's hash preimage head (index || prev_hash), payload and hash."""
+    """Single-writer block chain of record payloads in three columns: each block's hash
+    preimage head (index || prev_hash), payload and hash, the heads and hashes made by `_chain`."""
 
     def __init__(self):
         self._heads: list[bytes] = []
@@ -314,19 +315,29 @@ class Journal:
         self._hashes: list[bytes] = []
 
     def __len__(self) -> int:
-        return len(self._hashes)
+        return len(self._payloads)
 
     def append(self, payload: bytes) -> None:
-        hashes = self._hashes
-        head = _HEAD.pack(len(hashes), hashes[-1] if hashes else ZERO_HASH)
-        self._heads.append(head)
+        if type(payload) is not bytes:
+            raise TypeError(f"a journal payload must be bytes, not {type(payload).__name__}")
         self._payloads.append(payload)
-        hashes.append(_digest(head, payload))
+
+    def _chain(self) -> None:
+        """Head and hash the payloads appended since the last call, from the last stored hash."""
+        heads, hashes, pack, n = self._heads, self._hashes, _HEAD.pack, len(self._hashes)
+        prev = hashes[-1] if n else ZERO_HASH
+        for i, payload in enumerate(self._payloads[n:], n):
+            head = pack(i, prev)
+            heads.append(head)
+            prev = sha256(head + payload).digest()
+            hashes.append(prev)
 
     def verify(self) -> bool:
+        self._chain()
         return _chain_break(self._heads, self._payloads, self._hashes) is None
 
     def final_hash(self) -> bytes:
+        self._chain()
         return self._hashes[-1] if self._hashes else ZERO_HASH
 
     def payloads(self, kind: EventKind | None = None) -> list[bytes]:
@@ -346,6 +357,7 @@ class Journal:
 
     def export(self, path: str | Path) -> None:
         """Write all blocks to `path` atomically (see `write_atomic`)."""
+        self._chain()
         # appended in place: `bytes.join` would hold a buffer record per piece
         out = bytearray()
         for head, payload, digest in zip(self._heads, self._payloads, self._hashes):

@@ -186,8 +186,9 @@ class Block(NamedTuple):
 
 
 def journal_blocks(journal: Journal) -> list[Block]:
-    """The blocks of `journal` as rows, read from its columns: the inverse of
-    `journal_from_blocks`."""
+    """The blocks of `journal` as rows, read from its columns once every
+    payload appended is chained: the inverse of `journal_from_blocks`."""
+    journal.final_hash()
     return [Block(struct.unpack(">Q", head[:8])[0], head[8:], payload, digest)
             for head, payload, digest in zip(journal._heads, journal._payloads, journal._hashes)]
 

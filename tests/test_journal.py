@@ -15,8 +15,8 @@ from sdcsim import journal as journal_module
 from sdcsim.errors import CorruptJournal
 from sdcsim.journal import SETTLEMENT, TRANSFER, ZERO_HASH, RecordShape
 
-from support import (flip_bit, journal_blocks, journal_from_blocks, rechain, reference_decode,
-                     reference_encode, write_chained)
+from support import (Block, flip_bit, journal_blocks, journal_from_blocks, rechain,
+                     reference_decode, reference_encode, write_chained)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -207,6 +207,88 @@ def test_append_then_verify_always_holds(rows):
         journal.append(EventRecord.create(ts, EventKind.TRANSFER, "x", key=k, val=v).to_bytes())
     assert journal.verify()
     assert rechain(journal_blocks(journal))
+
+
+# each step: a payload to append, or the name of a reader that chains first
+journal_steps = st.lists(st.one_of(st.binary(max_size=24),
+                                   st.sampled_from(["final_hash", "verify", "len", "export"])),
+                         max_size=24)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(journal_steps)
+def test_reads_between_appends_chain_as_raw_hashlib_does(tmp_path, steps):
+    journal, appended = Journal(), []
+    reference, exported = tmp_path / "reference.bin", tmp_path / "journal.bin"
+    for step in steps:
+        if isinstance(step, bytes):
+            journal.append(step)
+            appended.append(step)
+            continue
+        write_chained(reference, appended)
+        expected = reference.read_bytes()
+        if step == "final_hash":
+            assert journal.final_hash() == (expected[-32:] if appended else ZERO_HASH)
+        elif step == "verify":
+            assert journal.verify()
+        elif step == "len":
+            assert len(journal) == len(appended)
+        else:
+            journal.export(exported)
+            assert exported.read_bytes() == expected
+    blocks = journal_blocks(journal)
+    assert rechain(blocks) and [block.payload for block in blocks] == appended
+    once = Journal()
+    for payload in appended:
+        once.append(payload)
+    once.export(reference)
+    journal.export(exported)
+    assert exported.read_bytes() == reference.read_bytes()
+
+
+def test_appends_hash_nothing_and_each_read_chains_only_what_is_new(monkeypatch):
+    hashed = []
+    sha256 = journal_module.sha256
+    monkeypatch.setattr(journal_module, "sha256", lambda data: hashed.append(data) or sha256(data))
+    journal = Journal()
+    for i in range(25):
+        journal.append(record(i).to_bytes())
+    assert (len(journal), len(hashed)) == (25, 0)
+    first = journal.final_hash()
+    assert len(hashed) == 25
+    assert journal.final_hash() == first and len(hashed) == 25
+    assert journal.verify() and len(hashed) == 50  # verify re-hashes every block
+    journal.append(record(25).to_bytes())
+    assert journal.verify() and len(hashed) == 50 + 1 + 26  # chains the new block, then checks all
+
+
+def test_an_append_after_stored_blocks_chains_from_the_last_stored_hash():
+    source = Journal()
+    for i in range(3):
+        source.append(record(i).to_bytes())
+    stored = bytes(range(32))  # a last hash that its block does not hash to
+    blocks = journal_blocks(source)
+    blocks[-1] = blocks[-1]._replace(hash=stored)
+    journal = journal_from_blocks(blocks)
+    payload = record(3).to_bytes()
+    journal.append(payload)
+    digest = hashlib.sha256(struct.pack(">Q", 3) + stored + payload).digest()
+    assert journal_blocks(journal) == [*blocks, Block(3, stored, payload, digest)]
+    assert not journal.verify()
+
+
+@pytest.mark.parametrize("payload", ["text", bytearray(b"\0" * 8), memoryview(b"\0" * 8), None, 8],
+                         ids=["str", "bytearray", "memoryview", "None", "int"])
+def test_an_append_that_is_not_bytes_is_refused_and_changes_nothing(payload):
+    journal = Journal()
+    journal.append(record(0).to_bytes())
+    before = journal_blocks(journal)
+    with pytest.raises(TypeError, match="a journal payload must be bytes"):
+        journal.append(payload)
+    assert len(journal) == 1 and journal_blocks(journal) == before
+    assert [len(journal._heads), len(journal._hashes)] == [1, 1]
+    journal.append(record(1).to_bytes())
+    assert journal.verify() and rechain(journal_blocks(journal))
 
 
 def test_export_import_round_trip(tmp_path):
