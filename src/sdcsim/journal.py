@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from hashlib import sha256
 from itertools import chain, compress, count, repeat
-from operator import eq, not_
+from operator import not_
 from pathlib import Path
 from typing import Iterator
 
@@ -283,26 +283,15 @@ _HEAD = struct.Struct(">Q32s")
 _HEAD_SIZE = _HEAD.size + 4  # and payload_len, on disk
 
 
-def _digest(head: bytes, payload: bytes) -> bytes:
-    return sha256(head + payload).digest()
-
-
 def _chain_break(heads: list[bytes], payloads: list[bytes], hashes: list[bytes]) -> int | None:
     """Position of the first block whose head (index, prev_hash) or hash does
-    not follow from the blocks before it; None if the chain holds.
-
-    The expected heads and the digests are compared with the stored ones as
-    they are made, so no per-block list is built; the scan for the position
-    runs only once a comparison has failed.
-    """
-    expected = map(_HEAD.pack, count(), chain((ZERO_HASH,), hashes))
-    if all(map(eq, heads, expected)) and all(map(eq, map(_digest, heads, payloads), hashes)):
-        return None
-    prev = ZERO_HASH
+    not follow from the blocks before it; None if the chain holds."""
+    pack, prev = _HEAD.pack, ZERO_HASH
     for i, (head, payload, digest) in enumerate(zip(heads, payloads, hashes)):
-        if head != _HEAD.pack(i, prev) or _digest(head, payload) != digest:
+        if head != pack(i, prev) or sha256(head + payload).digest() != digest:
             return i
         prev = digest
+    return None
 
 
 class Journal:

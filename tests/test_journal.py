@@ -179,14 +179,19 @@ def test_indices_are_gapless():
 
 
 @pytest.mark.parametrize("field", ["payload", "prev_hash", "index"])
-def test_single_bit_tamper_is_detected(field):
+def test_single_bit_tamper_is_detected(tmp_path, field):
     journal = Journal()
     for i in range(10):
         journal.append(record(i).to_bytes())
     rng = random.Random(99)
+    path = tmp_path / "journal.bin"
     for _ in range(50):
-        tampered = flip_bit(journal, rng.randrange(10), field, rng.randrange(256))
+        k = rng.randrange(10)
+        tampered = flip_bit(journal, k, field, rng.randrange(256))
         assert not tampered.verify()
+        tampered.export(path)
+        with pytest.raises(CorruptJournal, match=rf"^chain verification failed at block {k}$"):
+            Journal.load(path)
 
 
 def test_swapped_blocks_fail_verification():
@@ -260,6 +265,18 @@ def test_appends_hash_nothing_and_each_read_chains_only_what_is_new(monkeypatch)
     assert journal.verify() and len(hashed) == 50  # verify re-hashes every block
     journal.append(record(25).to_bytes())
     assert journal.verify() and len(hashed) == 50 + 1 + 26  # chains the new block, then checks all
+
+
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_a_chain_break_at_block_k_hashes_k_plus_one_payloads(tmp_path, monkeypatch, k):
+    path = tmp_path / "journal.bin"
+    write_chained(path, _transfers(6), break_at=k)
+    hashed = []
+    sha256 = journal_module.sha256
+    monkeypatch.setattr(journal_module, "sha256", lambda data: hashed.append(data) or sha256(data))
+    with pytest.raises(CorruptJournal, match=rf"^chain verification failed at block {k}$"):
+        Journal.load(path)
+    assert len(hashed) == k + 1
 
 
 def test_an_append_after_stored_blocks_chains_from_the_last_stored_hash():
