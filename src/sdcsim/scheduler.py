@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import chain, repeat
 from typing import NamedTuple, Protocol, Sequence
 
-from .contract import FINAL_PHASES, ContractInstance, ContractSpec, Phase, TerminationCause
+from .contract import FINAL_PHASES, ContractInstance, ContractSpec, TerminationCause
 from .errors import PreconditionFailed, ScenarioParseError, SdcError
 from .journal import REJECTION
 from .ledger import AccountId
@@ -150,10 +150,13 @@ class Engine:
     # -- the replay loop --
 
     def run(self, script: Sequence[ScriptStep] | None = None) -> None:
-        """Replay `script`, or the timeline when it is None. The clock is
-        advanced once per visited tick: to the first by `_initialize`, then
-        each time the loop's tick moves."""
-        if not self._initialize():
+        """Move the clock to inception and initialize the contract there, then replay `script`,
+        or the timeline when it is None, advancing the clock once per visited tick. A refused
+        initialization ends the run; a contract past `PreCheck` raises."""
+        self.clock.advance_to(self.spec.settlement_times[0])
+        try:
+            self.contract.initialize()
+        except PreconditionFailed:
             return
         if script is None:
             script = self.timeline
@@ -188,20 +191,6 @@ class Engine:
             else:
                 return
             clock.advance_to(tick)  # every branch above moved the tick forward
-
-    def _initialize(self) -> bool:
-        """Visit the run's first tick: the clock's, for a contract already
-        initialized, else the inception tick, initializing the contract there.
-        False if initialization is refused."""
-        if self.contract.phase is not Phase.PRE_CHECK:
-            self.clock.advance_to(self.clock.now())
-            return True
-        self.clock.advance_to(self.spec.settlement_times[0])
-        try:
-            self.contract.initialize()
-        except PreconditionFailed:
-            return False
-        return True
 
     def request_event(self, party: AccountId, kind: LifecycleEvent, now: int) -> RequestOutcome:
         """Execute the event iff it is the next due timeline event, requested

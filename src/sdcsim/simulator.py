@@ -160,7 +160,7 @@ class WillfulAgent(CompliantAgent):
     against the period-start snapshot, both priced by the oracle's `value`
     (so both agents and the settlement share one price per snapshot); the
     settlement-time snapshot is never available before accounts close.
-    Without a projection (past the last cycle, or any `SdcError` pricing it) it only tops up.
+    Without a projection (any `SdcError` pricing it) it only tops up.
     """
 
     wakes = frozenset({Phase.ACCOUNTS_OPEN})  # no ON_ROWS: it reads the market at `now`
@@ -176,22 +176,21 @@ class WillfulAgent(CompliantAgent):
         if contract.phase is not ACCOUNTS_OPEN:
             return
         spec, cycle = contract.spec, contract.cycle
-        grid = spec.settlement_times
-        if cycle < len(grid) - 1:
-            start, end = grid[cycle], grid[cycle + 1]
-            value = engine.oracle.value
-            try:
-                projected = value(end, engine.clock.now()) - value(end, start)
-            except SdcError:  # a missing snapshot, a price out of range or a pricer's refusal
-                pass
-            else:
-                pays = spec.payer_receiver(projected)[0] == party
-                if (abs(projected) if pays else 0.0) > self.threshold:
-                    held = contract.margin_bucket(party)
-                    if held > 0:
-                        contract.withdraw_margin(party, held)
-                    self.triggered = True
-                    return
+        grid = spec.settlement_times  # an open window's cycle is never past the last one
+        start, end = grid[cycle], grid[cycle + 1]
+        value = engine.oracle.value
+        try:
+            projected = value(end, engine.clock.now()) - value(end, start)
+        except SdcError:  # a missing snapshot, a price out of range or a pricer's refusal
+            pass
+        else:
+            pays = spec.payer_receiver(projected)[0] == party
+            if (abs(projected) if pays else 0.0) > self.threshold:
+                held = contract.margin_bucket(party)
+                if held > 0:
+                    contract.withdraw_margin(party, held)
+                self.triggered = True
+                return
         _top_up(contract, party)
 
 

@@ -24,7 +24,7 @@ from sdcsim import (
     parse_script,
     timeline_script,
 )
-from sdcsim.errors import ScenarioParseError
+from sdcsim.errors import ScenarioParseError, WrongState
 from sdcsim.simulator import CompliantAgent, PolicySpec, WillfulAgent, make_policy
 
 from conftest import make_contract, make_spec, make_world, scripted_oracle
@@ -167,7 +167,7 @@ def test_request_event_admissibility():
     engine = make_engine()
     contract, clock = engine.contract, engine.clock
     a, b = engine.spec.parties
-    assert engine._initialize()
+    contract.initialize()  # the clock is at inception, tick 0
     stranger = engine.contract.ledger.open_account("stranger")
 
     assert engine.request_event(a, E.OPEN_ACCOUNTS, 0).accepted
@@ -193,7 +193,7 @@ def test_request_event_admissibility():
 
 def test_only_parties_and_a_set_oracle_account_may_request():
     bare = make_engine()  # built without an oracle account
-    assert bare._initialize()
+    bare.contract.initialize()
     blocks = len(bare.journal)
     assert bare.request_event(None, E.OPEN_ACCOUNTS, 0) == (False, "NotAuthorized")
     assert len(bare.journal) == blocks
@@ -202,14 +202,28 @@ def test_only_parties_and_a_set_oracle_account_may_request():
     contract = make_engine().contract
     oracle = contract.ledger.open_account("oracle")
     engine = Engine(contract, scripted_oracle(contract.spec, (0.0,) * 3), oracle_account=oracle)
-    assert engine._initialize()
+    contract.initialize()
     assert engine.request_event(None, E.OPEN_ACCOUNTS, 0).reason == "NotAuthorized"
     assert engine.request_event(oracle, E.OPEN_ACCOUNTS, 0).accepted
 
 
+@pytest.mark.parametrize("now,refusal", [(0, WrongState), (5, ValueError)])
+def test_run_refuses_a_contract_already_initialized(now, refusal):
+    """`run` initializes the contract at inception itself, so it has no resume: with the clock
+    at inception `initialize` refuses a second start, and past it the clock refuses to go back.
+    Either way the run changes nothing."""
+    engine = make_engine()
+    engine.contract.initialize()
+    engine.clock.advance_to(now)
+    state, blocks = engine.contract.state(), len(engine.journal)
+    with pytest.raises(refusal):
+        engine.run()
+    assert (engine.contract.state(), len(engine.journal), engine.clock.now()) == (state, blocks, now)
+
+
 def test_rejected_requests_change_nothing():
     engine = make_engine()
-    engine._initialize()
+    engine.contract.initialize()
     state = engine.contract.state()
     blocks = len(engine.journal)
     assert not engine.request_event(engine.spec.party_a, E.SETTLEMENT, 0).accepted
@@ -228,7 +242,7 @@ def test_a_refused_event_leaves_its_row_due():
     contract, clock, journal, _ = make_contract()
     engine = Engine(contract, LateValuations())
     a, b = contract.spec.parties
-    assert engine._initialize()
+    contract.initialize()
     contract.deposit_margin(a, 400)
     contract.deposit_margin(b, 400)
     for row in engine.timeline:
@@ -393,8 +407,7 @@ class CountingCompliant(CompliantAgent):
 
 
 def count_visits(engine, monkeypatch) -> list[int]:
-    """Initialize the contract, then record every tick `run` moves the clock to."""
-    assert engine._initialize()
+    """Record every tick `run` moves the clock to, the inception tick included."""
     visits = []
     advance_to = engine.clock.advance_to
     monkeypatch.setattr(engine.clock, "advance_to", lambda t: visits.append(t) or advance_to(t))
@@ -571,6 +584,16 @@ def test_script_parse_errors_carry_line_numbers():
     with pytest.raises(ScenarioParseError) as exc:
         parse_script("0,OPEN_ACCOUNTS,a\nnot-a-row\n")
     assert exc.value.line == 2
+
+
+def test_script_skips_blank_whitespace_and_comment_lines():
+    rows = "0,OPEN_ACCOUNTS,a\n3,CLOSE_ACCOUNTS,b\n"
+    padded = "\n   \n# a comment\n0,OPEN_ACCOUNTS,a\n\t\n  # indented\n3,CLOSE_ACCOUNTS,b\n\n"
+    assert parse_script(padded) == parse_script(rows) == [
+        ScriptStep(0, E.OPEN_ACCOUNTS, "a"), ScriptStep(3, E.CLOSE_ACCOUNTS, "b")]
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_script(padded + "not-a-row\n")
+    assert exc.value.line == 9  # its own line, the skipped lines counted
 
 
 def test_script_tick_must_fit_the_journal_timestamp():

@@ -716,7 +716,7 @@ def _engine_at_inception(missing_tick=None):
     oracle = MarginOracle(path_of(s for s in path_rows(path) if s.as_of != missing_tick),
                           spec.product, spec.pricer_version, spec.tick_years)
     engine = Engine(contract, oracle)
-    assert engine._initialize()
+    contract.initialize()
     return engine, spec.party_b
 
 
@@ -799,15 +799,6 @@ def test_the_willful_exposure_rule():
     agent = WillfulAgent(-1)
     agent.on_tick(engine, b)
     assert (agent.triggered, engine.contract.margin_bucket(b)) == (False, 400)
-
-    # past the last cycle there is no period to project: the oracle is not asked
-    engine, b = _engine_at_inception()
-    engine.contract.cycle = engine.spec.cycles
-    asked = []
-    engine.oracle.value = lambda *args: asked.append(args)
-    agent = WillfulAgent(-1)
-    agent.on_tick(engine, b)
-    assert (agent.triggered, engine.contract.margin_bucket(b), asked) == (False, 400, [])
 
 
 @pytest.mark.parametrize("mode", ["active", "passive", "driver"])
